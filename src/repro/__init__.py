@@ -52,10 +52,6 @@ from .core.persistence import (
 from .core.inference import (
     EdgeProbabilityEstimator,
     edge_probability,
-    edge_probability_correlation,
-    edge_probability_distance,
-    edge_probability_exact,
-    edge_probability_matrix,
     infer_grn,
     infer_grn_correlation,
     infer_grn_partial_correlation,
@@ -121,10 +117,6 @@ __all__ = [
     "edge_key",
     "EdgeProbabilityEstimator",
     "edge_probability",
-    "edge_probability_correlation",
-    "edge_probability_distance",
-    "edge_probability_exact",
-    "edge_probability_matrix",
     "infer_grn",
     "infer_grn_correlation",
     "infer_grn_partial_correlation",

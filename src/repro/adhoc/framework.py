@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import EngineConfig
-from ..core.query import IMGRNEngine, IMGRNResult, _resolve_query_thresholds
+from ..core.query import IMGRNEngine, IMGRNResult
 from ..core.spec import QuerySpec
 from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
@@ -126,9 +126,8 @@ class AdHocMatchEngine:
         :class:`TypeError`. Other workload kinds go through
         :meth:`execute`.
         """
-        gamma, alpha = _resolve_query_thresholds(args, gamma, alpha)
         return self._engine.query(
-            query_collection.to_matrix(), gamma=gamma, alpha=alpha
+            query_collection.to_matrix(), *args, gamma=gamma, alpha=alpha
         )
 
     def execute(self, spec: QuerySpec) -> IMGRNResult:

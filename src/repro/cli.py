@@ -175,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pbuild.add_argument("--seed", type=int, default=7)
     pbuild.add_argument(
-        "--no-array-index",
-        action="store_true",
-        help="skip compacting the R*-tree into the array-backed read view "
-        "(disables the mmap-able index_arrays/ save format)",
-    )
-    pbuild.add_argument(
         "--save",
         default=None,
         metavar="PATH",
@@ -530,7 +524,6 @@ def _run_build(args: argparse.Namespace) -> int:
 
     config = EngineConfig(
         seed=args.seed,
-        use_array_index=not args.no_array_index,
         build=BuildConfig(
             workers=args.workers,
             shard_size=args.shard_size,

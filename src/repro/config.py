@@ -311,12 +311,6 @@ class EngineConfig:
         (Fig. 4's choice), ``"random"`` or ``"first"`` (ablations).
     rstar_max_entries:
         R*-tree node fan-out (one node == one page for I/O accounting).
-    use_array_index:
-        Compact the finalized tree into the structure-of-arrays read view
-        (:class:`repro.index.arraystore.ArrayStore`) after every build /
-        add / remove, and traverse it with vectorized filters. Answers,
-        probabilities and page/prune counters are bit-identical either
-        way; disable only to exercise the object-tree reference path.
     seed:
         Seed for every stochastic component of the engine.
     inference:
@@ -345,7 +339,6 @@ class EngineConfig:
     expectation_samples: int = 32
     anchor_strategy: str = "highest_degree"
     rstar_max_entries: int = 16
-    use_array_index: bool = True
     seed: int = 7
     inference: InferenceConfig = InferenceConfig()
     refine: RefineConfig = RefineConfig()

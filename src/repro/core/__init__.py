@@ -73,7 +73,9 @@ class QueryEngine(Protocol):
     :class:`~repro.core.query.IMGRNResult` out, for every workload kind.
     :meth:`query` is the containment convenience with keyword-only
     thresholds; the historical positional form completed its deprecation
-    cycle and raises :class:`TypeError`.
+    cycle and raises :class:`TypeError`. All four engines share one
+    implementation of :meth:`query` (and of ``query_topk``) in
+    :mod:`repro.core.query`, written over their own :meth:`execute`.
     """
 
     @property

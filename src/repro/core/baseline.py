@@ -31,7 +31,7 @@ from ..obs import names as _names
 from .batch_inference import BatchInferenceEngine, standardize_columns
 from .inference import EdgeProbabilityEstimator
 from .matching import best_embedding
-from .probgraph import ProbabilisticGraph, edge_key
+from .probgraph import ProbabilisticGraph
 from .pruning import (
     edge_inference_prunable,
     graph_existence_prunable,
@@ -42,7 +42,7 @@ from .query import (
     IMGRNAnswer,
     IMGRNResult,
     _check_thresholds,
-    _resolve_query_thresholds,
+    _QueryMixin,
 )
 from .refine import BatchEdgeEvaluator, CandidateRefiner
 from .spec import QuerySpec
@@ -99,7 +99,7 @@ def _stage_timer(metrics, engine: str, stage: str):
     )
 
 
-class BaselineEngine:
+class BaselineEngine(_QueryMixin):
     """Offline-materialization baseline (Section 6.1's ``Baseline``)."""
 
     def __init__(
@@ -254,37 +254,6 @@ class BaselineEngine:
                     ).observe(seconds)
         return store
 
-    def query(
-        self,
-        query_matrix: GeneFeatureMatrix,
-        *args: float,
-        gamma: float | None = None,
-        alpha: float | None = None,
-    ) -> IMGRNResult:
-        """Containment query: thin wrapper over :meth:`execute`."""
-        gamma, alpha = _resolve_query_thresholds(args, gamma, alpha)
-        return self.execute(QuerySpec(query_matrix, gamma, alpha))
-
-    def query_topk(
-        self,
-        query_matrix: GeneFeatureMatrix,
-        *args: float,
-        gamma: float | None = None,
-        k: int | None = None,
-    ) -> IMGRNResult:
-        """Top-k query: thin wrapper over :meth:`execute`."""
-        if args:
-            raise TypeError(
-                "query_topk() no longer accepts positional arguments; call "
-                "query_topk(matrix, gamma=..., k=...) or "
-                "execute(QuerySpec(matrix, gamma, kind='topk', k=...)) instead"
-            )
-        if gamma is None or k is None:
-            raise TypeError(
-                "query_topk() missing required keyword arguments 'gamma' and 'k'"
-            )
-        return self.execute(QuerySpec(query_matrix, gamma, kind="topk", k=k))
-
     def execute(self, spec: QuerySpec) -> IMGRNResult:
         """Scan the pre-computed store: materialize each GRN and match.
 
@@ -391,7 +360,7 @@ class BaselineEngine:
         return ProbabilisticGraph(ids, edges)
 
 
-class LinearScanEngine:
+class LinearScanEngine(_QueryMixin):
     """Scan + Section-3.2 pruning, without embedding or index (Section 4.1)."""
 
     def __init__(
@@ -433,37 +402,6 @@ class LinearScanEngine:
             _names.BUILD_SECONDS, help="build seconds", engine="linear_scan"
         ).observe(elapsed)
         return elapsed
-
-    def query(
-        self,
-        query_matrix: GeneFeatureMatrix,
-        *args: float,
-        gamma: float | None = None,
-        alpha: float | None = None,
-    ) -> IMGRNResult:
-        """Containment query: thin wrapper over :meth:`execute`."""
-        gamma, alpha = _resolve_query_thresholds(args, gamma, alpha)
-        return self.execute(QuerySpec(query_matrix, gamma, alpha))
-
-    def query_topk(
-        self,
-        query_matrix: GeneFeatureMatrix,
-        *args: float,
-        gamma: float | None = None,
-        k: int | None = None,
-    ) -> IMGRNResult:
-        """Top-k query: thin wrapper over :meth:`execute`."""
-        if args:
-            raise TypeError(
-                "query_topk() no longer accepts positional arguments; call "
-                "query_topk(matrix, gamma=..., k=...) or "
-                "execute(QuerySpec(matrix, gamma, kind='topk', k=...)) instead"
-            )
-        if gamma is None or k is None:
-            raise TypeError(
-                "query_topk() missing required keyword arguments 'gamma' and 'k'"
-            )
-        return self.execute(QuerySpec(query_matrix, gamma, kind="topk", k=k))
 
     def execute(self, spec: QuerySpec) -> IMGRNResult:
         """Scan + Section-3.2 pruning for one typed workload.

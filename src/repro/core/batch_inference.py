@@ -150,9 +150,10 @@ def batched_probability_matrix(
     """All-pairs edge probabilities for the columns of an ``l x n`` matrix.
 
     Batched implementation behind
-    :func:`repro.core.inference.edge_probability_matrix`; ``batch_size``
-    and ``workers`` only trade memory/parallelism for speed and never
-    change the returned probabilities.
+    :func:`repro.core.inference.edge_probability` with
+    ``method="matrix"``; ``batch_size`` and ``workers`` only trade
+    memory/parallelism for speed and never change the returned
+    probabilities.
     """
     _check_batch_args(n_samples, semantics)
     if batch_size < 1:

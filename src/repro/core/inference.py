@@ -36,7 +36,6 @@ thin deprecated aliases.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +56,6 @@ from .standardize import standardize_vector
 __all__ = [
     "EdgeProbabilityEstimator",
     "edge_probability",
-    "edge_probability_distance",
-    "edge_probability_correlation",
-    "edge_probability_exact",
-    "edge_probability_matrix",
     "infer_grn",
     "infer_grn_correlation",
     "infer_grn_partial_correlation",
@@ -220,9 +215,9 @@ class EdgeProbabilityEstimator:
         """Edge probability for one vector pair (randomizes ``x_t``).
 
         The permutation stream is keyed by the content of the standardized
-        ``x_t``, matching :func:`edge_probability_matrix` and the batched
-        engine exactly, so a pair's probability is the same whether
-        estimated alone or inside an all-pairs sweep.
+        ``x_t``, matching ``edge_probability(..., method="matrix")`` and
+        the batched engine exactly, so a pair's probability is the same
+        whether estimated alone or inside an all-pairs sweep.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
         length = int(x_t.shape[0])
@@ -357,39 +352,6 @@ def edge_probability(
     if method == "correlation":
         return _correlation_probability(x_s, x_t, **kwargs)  # type: ignore[arg-type]
     return _exact_probability(x_s, x_t, **kwargs)  # type: ignore[arg-type]
-
-
-def _deprecated_alias(name: str, method: str, impl):
-    def wrapper(*args, **kwargs):
-        warnings.warn(
-            f"{name}() is deprecated; use "
-            f"edge_probability(..., method={method!r})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    wrapper.__name__ = name
-    wrapper.__qualname__ = name
-    wrapper.__doc__ = (
-        f"Deprecated alias of :func:`edge_probability` with "
-        f"``method={method!r}``."
-    )
-    return wrapper
-
-
-edge_probability_distance = _deprecated_alias(
-    "edge_probability_distance", "distance", _distance_probability
-)
-edge_probability_correlation = _deprecated_alias(
-    "edge_probability_correlation", "correlation", _correlation_probability
-)
-edge_probability_exact = _deprecated_alias(
-    "edge_probability_exact", "exact", _exact_probability
-)
-edge_probability_matrix = _deprecated_alias(
-    "edge_probability_matrix", "matrix", _matrix_probability
-)
 
 
 def infer_grn(

@@ -36,7 +36,7 @@ from .query import (
     IMGRNAnswer,
     IMGRNResult,
     _check_thresholds,
-    _resolve_query_thresholds,
+    _QueryMixin,
 )
 from .randomization import content_seed
 from .refine import CandidateRefiner, ScalarEdgeEvaluator
@@ -49,7 +49,7 @@ _FLOAT_BYTES = 8
 _PAGE_BYTES = 4096
 
 
-class MeasureScanEngine:
+class MeasureScanEngine(_QueryMixin):
     """Scan engine answering IM-GRN-style queries under any measure.
 
     Parameters
@@ -155,37 +155,6 @@ class MeasureScanEngine:
                 if p > gamma:
                     edges[(ids[s], ids[t])] = p
         return ProbabilisticGraph(ids, edges)
-
-    def query(
-        self,
-        query_matrix: GeneFeatureMatrix,
-        *args: float,
-        gamma: float | None = None,
-        alpha: float | None = None,
-    ) -> IMGRNResult:
-        """Definition-4 answers under the configured measure."""
-        gamma, alpha = _resolve_query_thresholds(args, gamma, alpha)
-        return self.execute(QuerySpec(query_matrix, gamma, alpha))
-
-    def query_topk(
-        self,
-        query_matrix: GeneFeatureMatrix,
-        *args: float,
-        gamma: float | None = None,
-        k: int | None = None,
-    ) -> IMGRNResult:
-        """Top-k query: thin wrapper over :meth:`execute`."""
-        if args:
-            raise TypeError(
-                "query_topk() no longer accepts positional arguments; call "
-                "query_topk(matrix, gamma=..., k=...) or "
-                "execute(QuerySpec(matrix, gamma, kind='topk', k=...)) instead"
-            )
-        if gamma is None or k is None:
-            raise TypeError(
-                "query_topk() missing required keyword arguments 'gamma' and 'k'"
-            )
-        return self.execute(QuerySpec(query_matrix, gamma, kind="topk", k=k))
 
     def execute(self, spec: QuerySpec) -> IMGRNResult:
         """Answer one typed workload under the configured measure.

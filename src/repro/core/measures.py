@@ -166,8 +166,8 @@ def randomized_measure_matrix(
     """All-pairs randomized probabilities of the columns under ``score``.
 
     Generic (non-vectorized) counterpart of
-    :func:`repro.core.inference.edge_probability_matrix`; use that one for
-    the Pearson measure at scale.
+    :func:`repro.core.inference.edge_probability` with
+    ``method="matrix"``; use that one for the Pearson measure at scale.
     """
     fn = _resolve_score(score)
     arr = np.asarray(matrix, dtype=np.float64)

@@ -248,8 +248,8 @@ def _install_mmap_index(
     arrays_entry = meta.get("index_arrays")
     if arrays_entry is None:
         raise ValidationError(
-            f"{target}: save has no array-store snapshot; re-save with "
-            "use_array_index enabled or load with mmap_index=False"
+            f"{target}: save has no array-store snapshot; re-save the "
+            "engine or load with mmap_index=False"
         )
     store = ArrayStore.load(target / arrays_entry["directory"], mmap=True)
     recorded = arrays_entry.get("fingerprint")
@@ -404,34 +404,30 @@ def save_engine_sharded(
     # Array-store snapshot: the zero-copy read view of the index, written
     # as raw .npy files that np.memmap can share across processes. The
     # snapshot is rewritten only when its content fingerprint changed.
-    arrays_state = "absent"
-    arrays_entry: dict | None = None
-    if engine.array_index is not None:
-        fingerprint = engine.array_index.fingerprint()
-        arrays_dir = target / _INDEX_ARRAYS_DIR
-        arrays_entry = {
-            "directory": _INDEX_ARRAYS_DIR,
-            "fingerprint": fingerprint,
-            "num_entries": engine.array_index.num_entries,
-        }
-        unchanged = (
-            previous_arrays is not None
-            and previous_arrays.get("fingerprint") == fingerprint
-            and (arrays_dir / "header.json").is_file()
-        )
-        if unchanged:
-            arrays_state = "skipped"
-        else:
-            engine.array_index.save(arrays_dir)
-            arrays_state = "written"
+    store = engine.array_index
+    fingerprint = store.fingerprint()
+    arrays_dir = target / _INDEX_ARRAYS_DIR
+    unchanged = (
+        previous_arrays is not None
+        and previous_arrays.get("fingerprint") == fingerprint
+        and (arrays_dir / "header.json").is_file()
+    )
+    if unchanged:
+        arrays_state = "skipped"
+    else:
+        store.save(arrays_dir)
+        arrays_state = "written"
     meta = {
         "format_version": _SHARDED_FORMAT_VERSION,
         "config": dataclasses.asdict(engine.config),
         "embedding_config": config_key,
         "shards": shard_entries,
+        "index_arrays": {
+            "directory": _INDEX_ARRAYS_DIR,
+            "fingerprint": fingerprint,
+            "num_entries": store.num_entries,
+        },
     }
-    if arrays_entry is not None:
-        meta["index_arrays"] = arrays_entry
     meta_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
     return {"written": written, "skipped": skipped, "index_arrays": arrays_state}
 

@@ -19,7 +19,6 @@ query-graph inference and final refinement.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -39,9 +38,8 @@ from ..errors import (
 )
 from ..eval.counters import QueryStats
 from ..index.arraystore import ArrayStore, int_to_words
-from ..index.bitvector import signature, signatures_overlap
-from ..index.invertedfile import SOURCE_SALT, InvertedBitVectorFile
-from ..index.node import Node
+from ..index.bitvector import signature
+from ..index.invertedfile import InvertedBitVectorFile
 from ..index.pagemanager import PageManager
 from ..index.rstartree import RStarTree
 from ..obs import MetricsRegistry, Observability
@@ -54,7 +52,6 @@ from .probgraph import ProbabilisticGraph, edge_key
 from .pruning import (
     edge_inference_prunable,
     graph_existence_prunable,
-    index_pair_prunable,
     index_pairs_prunable,
     markov_edge_upper_bound,
     pivot_edge_upper_bound,
@@ -74,29 +71,6 @@ _ENGINE = "imgrn"
 #: column index at or past the limit (or a negative source) would alias
 #: another entry's payload.
 _PAYLOAD_GENE_LIMIT = 1_000_000
-
-
-def _resolve_query_thresholds(
-    args: tuple, gamma: float | None, alpha: float | None
-) -> tuple[float, float]:
-    """Enforce the keyword-only unified ``query()`` signature.
-
-    The positional-threshold form completed its deprecation cycle (it
-    warned since the unified-API PR) and now raises :class:`TypeError`
-    with a migration hint.
-    """
-    if args:
-        raise TypeError(
-            "query() no longer accepts positional thresholds; call "
-            "query(matrix, gamma=..., alpha=...) or "
-            "execute(QuerySpec(matrix, gamma, alpha)) instead"
-        )
-    if gamma is None or alpha is None:
-        raise TypeError(
-            "query() missing required keyword arguments 'gamma' and 'alpha'; "
-            "other workload kinds go through execute(QuerySpec(...))"
-        )
-    return float(gamma), float(alpha)
 
 
 def _check_thresholds(gamma: float, alpha: float | None = None) -> None:
@@ -147,6 +121,62 @@ class IMGRNResult:
         return sorted(a.source_id for a in self.answers)
 
 
+class _QueryMixin:
+    """``query()`` / ``query_topk()`` for every engine, over ``execute()``.
+
+    Both conveniences build one :class:`~repro.core.spec.QuerySpec` and
+    hand it to the engine's own :meth:`execute`. Thresholds are
+    keyword-only: the positional form completed its deprecation cycle
+    and raises :class:`TypeError` with a migration hint.
+    """
+
+    def query(
+        self,
+        query_matrix: GeneFeatureMatrix,
+        *args: float,
+        gamma: float | None = None,
+        alpha: float | None = None,
+    ) -> IMGRNResult:
+        """Answer one containment query ``(M_Q, gamma, alpha)`` (Definition 4)."""
+        if args:
+            raise TypeError(
+                "query() no longer accepts positional thresholds; call "
+                "query(matrix, gamma=..., alpha=...) or "
+                "execute(QuerySpec(matrix, gamma, alpha)) instead"
+            )
+        if gamma is None or alpha is None:
+            raise TypeError(
+                "query() missing required keyword arguments 'gamma' and 'alpha'; "
+                "other workload kinds go through execute(QuerySpec(...))"
+            )
+        return self.execute(QuerySpec(query_matrix, float(gamma), float(alpha)))
+
+    def query_topk(
+        self,
+        query_matrix: GeneFeatureMatrix,
+        *args: float,
+        gamma: float | None = None,
+        k: int | None = None,
+    ) -> IMGRNResult:
+        """Top-k variant: the ``k`` matches with highest ``Pr{G}``.
+
+        The natural ranking interface for the biomarker / classification
+        use cases, where the analyst wants "the best supporting evidence"
+        rather than a threshold.
+        """
+        if args:
+            raise TypeError(
+                "query_topk() no longer accepts positional arguments; call "
+                "query_topk(matrix, gamma=..., k=...) or "
+                "execute(QuerySpec(matrix, gamma, kind='topk', k=...)) instead"
+            )
+        if gamma is None or k is None:
+            raise TypeError(
+                "query_topk() missing required keyword arguments 'gamma' and 'k'"
+            )
+        return self.execute(QuerySpec(query_matrix, gamma, kind="topk", k=k))
+
+
 @dataclass
 class _MatrixEntry:
     """Per-matrix build artifacts the query phase needs."""
@@ -156,7 +186,7 @@ class _MatrixEntry:
     standardized: np.ndarray = field(repr=False)
 
 
-class IMGRNEngine:
+class IMGRNEngine(_QueryMixin):
     """The indexed IM-GRN query engine of Section 5."""
 
     def __init__(
@@ -196,20 +226,18 @@ class IMGRNEngine:
     # ------------------------------------------------------------------
     @property
     def is_built(self) -> bool:
-        return self.tree is not None or self.array_index is not None
+        return self.array_index is not None
 
     def _recompact(self) -> None:
         """Refresh the array-backed read view after any index mutation.
 
-        A no-op (the view is dropped) when ``config.use_array_index`` is
-        off; otherwise the finalized object tree is compacted into a
-        fresh :class:`~repro.index.arraystore.ArrayStore`, which the
-        traversal then uses instead of pointer chasing.
+        The R*-tree is only the mutable builder behind :meth:`build`,
+        :meth:`add_matrix` and :meth:`remove_matrix`; every query reads
+        the :class:`~repro.index.arraystore.ArrayStore` compacted from
+        the finalized tree here.
         """
-        if self.tree is not None and self.config.use_array_index:
-            self.array_index = ArrayStore.from_tree(self.tree)
-        else:
-            self.array_index = None
+        assert self.tree is not None
+        self.array_index = ArrayStore.from_tree(self.tree)
 
     def inference_stats(self) -> dict[str, float]:
         """Edge-probability cache counters of the batched inference engine."""
@@ -514,51 +542,6 @@ class IMGRNEngine:
             stage=stage,
         )
 
-    def query(
-        self,
-        query_matrix: GeneFeatureMatrix,
-        *args: float,
-        gamma: float | None = None,
-        alpha: float | None = None,
-    ) -> IMGRNResult:
-        """Answer one containment query ``(M_Q, gamma, alpha)`` (Definition 4).
-
-        Thin wrapper over :meth:`execute` with a containment
-        :class:`~repro.core.spec.QuerySpec`. Thresholds are keyword-only;
-        the positional form completed its deprecation cycle and raises
-        :class:`TypeError` with a migration hint.
-        """
-        gamma, alpha = _resolve_query_thresholds(args, gamma, alpha)
-        return self.execute(QuerySpec(query_matrix, gamma, alpha))
-
-    def query_topk(
-        self,
-        query_matrix: GeneFeatureMatrix,
-        *args: float,
-        gamma: float | None = None,
-        k: int | None = None,
-    ) -> IMGRNResult:
-        """Top-k variant: the ``k`` matches with highest ``Pr{G}``.
-
-        Thin wrapper over :meth:`execute` with ``kind="topk"`` -- the
-        natural ranking interface for the biomarker / classification use
-        cases, where the analyst wants "the best supporting evidence"
-        rather than a threshold. ``gamma``/``k`` are keyword-only; the
-        positional form completed its deprecation cycle and raises
-        :class:`TypeError`.
-        """
-        if args:
-            raise TypeError(
-                "query_topk() no longer accepts positional arguments; call "
-                "query_topk(matrix, gamma=..., k=...) or "
-                "execute(QuerySpec(matrix, gamma, kind='topk', k=...)) instead"
-            )
-        if gamma is None or k is None:
-            raise TypeError(
-                "query_topk() missing required keyword arguments 'gamma' and 'k'"
-            )
-        return self.execute(QuerySpec(query_matrix, gamma, kind="topk", k=k))
-
     def execute(self, spec: QuerySpec) -> IMGRNResult:
         """Answer one typed :class:`~repro.core.spec.QuerySpec`.
 
@@ -594,9 +577,7 @@ class IMGRNEngine:
             raise ValidationError(
                 f"execute() takes a QuerySpec, got {type(spec).__name__}"
             )
-        if self.inverted_file is None or (
-            self.tree is None and self.array_index is None
-        ):
+        if self.inverted_file is None or self.array_index is None:
             raise IndexNotBuiltError("call build() before execute()")
         kind = spec.kind
         gamma = spec.gamma
@@ -671,7 +652,9 @@ class IMGRNEngine:
                     seen = {source for source, _g in candidate_pairs}
                     recovered = [
                         (source, 1.0)
-                        for source in self._gene_holders(query_graph.gene_ids)
+                        for source in self._sources_with_all_genes(
+                            query_graph.gene_ids
+                        )
                         if source not in seen
                     ]
                     if recovered:
@@ -871,138 +854,19 @@ class IMGRNEngine:
         pages,
         metrics,
     ) -> dict[tuple[int, int], float]:
-        if self.array_index is not None:
-            return self._traverse_arrays(
-                anchor, neighbor_genes, gamma, pages=pages, metrics=metrics
-            )
-        assert self.tree is not None and self.inverted_file is not None
-        config = self.config
-        bits = config.bitvector_bits
-        d = config.num_pivots
-        # Hoisted per-stage pruning counters: one attribute add per event
-        # inside consider_pair, no registry lookups on the hot path. The
-        # counters live on the caller's per-query registry, so concurrent
-        # traversals never interleave their tallies.
-        pruned_help = "pairs discarded by pruning"
-
-        def pruned(stage: str):
-            return metrics.counter(
-                _names.QUERY_PRUNED, help=pruned_help, engine=_ENGINE, stage=stage
-            )
-
-        pruned_gene_range = pruned("gene_range")
-        pruned_gene_sig = pruned("bitvector_gene")
-        pruned_source_sig = pruned("bitvector_source")
-        pruned_lemma6 = pruned("lemma6")
-        pruned_leaf = pruned("leaf_edge_bound")
-
-        qvf_anchor = signature(anchor, bits)
-        qvf_neighbors = 0
-        qvd_anchor = self.inverted_file.sources_signature(anchor)
-        qvd_neighbors = 0
-        neighbor_set = set(neighbor_genes)
-        for gene in neighbor_genes:
-            qvf_neighbors |= signature(gene, bits)
-            qvd_neighbors |= self.inverted_file.sources_signature(gene)
-        if qvd_anchor == 0 or qvd_neighbors == 0:
-            return {}
-
-        candidates: dict[tuple[int, int], float] = {}
-        queue: list[tuple[int, int, Node, Node]] = []
-        tie = itertools.count()
-        gene_dim = 2 * d  # the (2d+1)-th index coordinate is the gene ID
-        sorted_neighbors = neighbor_genes  # already sorted by caller
-
-        def gene_range_matches(node_s: Node, node_t: Node) -> bool:
-            """Exact filter on the gene-ID coordinate of the MBRs.
-
-            The gene ID is a real index dimension (Section 5.1 includes it
-            exactly so that equal genes cluster), so range checks against
-            the anchor / neighbor gene IDs are sound and collision-free.
-            """
-            if not node_s.mbr.low[gene_dim] <= anchor <= node_s.mbr.high[gene_dim]:
-                return False
-            low_t = node_t.mbr.low[gene_dim]
-            high_t = node_t.mbr.high[gene_dim]
-            idx = bisect.bisect_left(sorted_neighbors, low_t)
-            return idx < len(sorted_neighbors) and sorted_neighbors[idx] <= high_t
-
-        def consider_pair(node_s: Node, node_t: Node, level: int) -> None:
-            """Filter one node pair; push survivors (Fig. 4, lines 11-13/25-26)."""
-            if node_s.mbr is None or node_t.mbr is None:
-                return
-            if not gene_range_matches(node_s, node_t):
-                pruned_gene_range.inc()
-                return
-            if not signatures_overlap(qvf_anchor, node_s.vf):
-                pruned_gene_sig.inc()
-                return
-            if not signatures_overlap(qvf_neighbors, node_t.vf):
-                pruned_gene_sig.inc()
-                return
-            if (qvd_anchor & node_s.vd & qvd_neighbors & node_t.vd) == 0:
-                pruned_source_sig.inc()
-                return
-            if index_pair_prunable(
-                node_s.x_max(d), node_t.x_min(d), node_t.y_max(d), gamma
-            ):
-                pruned_lemma6.inc()
-                return
-            heapq.heappush(queue, (level, next(tie), node_s, node_t))
-
-        root = self.tree.root
-        pages.access(root.page_id)
-        if root.is_leaf:
-            self._scan_leaf_pair(
-                root, root, anchor, neighbor_set, gamma, candidates, pruned_leaf
-            )
-            return candidates
-        for node_a in root.entries:
-            for node_b in root.entries:
-                consider_pair(node_a, node_b, root.level - 1)
-
-        while queue:
-            level, _tie, node_s, node_t = heapq.heappop(queue)
-            pages.access(node_s.page_id)
-            if node_t is not node_s:
-                pages.access(node_t.page_id)
-            if level == 0:
-                self._scan_leaf_pair(
-                    node_s,
-                    node_t,
-                    anchor,
-                    neighbor_set,
-                    gamma,
-                    candidates,
-                    pruned_leaf,
-                )
-                continue
-            for child_s in node_s.entries:
-                for child_t in node_t.entries:
-                    consider_pair(child_s, child_t, level - 1)
-        return candidates
-
-    def _traverse_arrays(
-        self,
-        anchor: int,
-        neighbor_genes: list[int],
-        gamma: float,
-        *,
-        pages,
-        metrics,
-    ) -> dict[tuple[int, int], float]:
         """Fig. 4 traversal over the array-backed index view.
 
-        Semantically a transliteration of :meth:`_traverse` from node
-        objects to array rows, with the per-child filter loop replaced by
-        whole-node NumPy calls: for each popped pair, the gene-range,
-        bit-vector and Lemma-6 checks run over the full ``n_s x n_t``
-        child cross product at once and only survivors are pushed. Every
-        per-element operation matches the scalar path exactly, survivor
-        pairs are enumerated in the same s-outer/t-inner order (row-major
-        ``argwhere``), and the shared tie counter is only advanced for
-        pushed pairs -- so heap pop order, page accesses and every pruning
-        counter are bit-identical to the object-tree traversal.
+        A best-first walk over node *pairs* ``(s, t)``: ``s`` must be able
+        to hold the anchor gene and ``t`` one of its query neighbors. For
+        each popped pair, the gene-range (exact, on the gene-ID
+        coordinate), bit-vector (gene and source signatures) and Lemma-6
+        checks run over the full ``n_s x n_t`` child cross product in
+        whole-node NumPy calls; survivors are pushed in row-major order
+        and popped deepest level first, ties by push order. Leaf pairs go
+        to :meth:`_scan_leaf_pair`.
+
+        Returns ``{(source_id, neighbor_gene): edge upper bound}`` for
+        every anchor-incident pair the Lemma-3 leaf bound does not prune.
         """
         store = self.array_index
         assert store is not None and self.inverted_file is not None
@@ -1105,7 +969,7 @@ class IMGRNEngine:
         pages.access(int(page_ids[0]))
         root_level = int(levels[0])
         if root_level == 0:
-            self._scan_leaf_pair_arrays(
+            self._scan_leaf_pair(
                 store, 0, 0, anchor, neighbor_set, gamma, candidates, pruned_leaf
             )
             return candidates
@@ -1117,7 +981,7 @@ class IMGRNEngine:
             if t_node != s_node:
                 pages.access(int(page_ids[t_node]))
             if level == 0:
-                self._scan_leaf_pair_arrays(
+                self._scan_leaf_pair(
                     store,
                     s_node,
                     t_node,
@@ -1131,7 +995,7 @@ class IMGRNEngine:
             consider_children(s_node, t_node, level - 1)
         return candidates
 
-    def _scan_leaf_pair_arrays(
+    def _scan_leaf_pair(
         self,
         store: ArrayStore,
         leaf_s: int,
@@ -1142,7 +1006,7 @@ class IMGRNEngine:
         candidates: dict[tuple[int, int], float],
         pruned_leaf,
     ) -> None:
-        """Array-row mirror of :meth:`_scan_leaf_pair` (same scan order)."""
+        """Fig. 4, lines 16-21: pairwise point checks inside a leaf pair."""
         gene_ids = store.entry_gene_ids
         source_ids = store.entry_source_ids
         points = store.entry_points
@@ -1172,41 +1036,6 @@ class IMGRNEngine:
                 if previous is None or bound < previous:
                     candidates[key] = bound
 
-    def _scan_leaf_pair(
-        self,
-        leaf_s: Node,
-        leaf_t: Node,
-        anchor: int,
-        neighbor_set: set[int],
-        gamma: float,
-        candidates: dict[tuple[int, int], float],
-        pruned_leaf,
-    ) -> None:
-        """Fig. 4, lines 16-21: pairwise point checks inside a leaf pair."""
-        anchors = [e for e in leaf_s.entries if e.gene_id == anchor]
-        if not anchors:
-            return
-        for entry_t in leaf_t.entries:
-            if entry_t.gene_id not in neighbor_set:
-                continue
-            for entry_s in anchors:
-                if entry_s.source_id != entry_t.source_id:
-                    continue
-                key = (entry_t.source_id, entry_t.gene_id)
-                bound = self._leaf_pair_bound(
-                    entry_s.source_id,
-                    entry_s.gene_id,
-                    entry_t.gene_id,
-                    entry_s.point,
-                    entry_t.point,
-                )
-                if edge_inference_prunable(bound, gamma):
-                    pruned_leaf.inc()
-                    continue
-                previous = candidates.get(key)
-                if previous is None or bound < previous:
-                    candidates[key] = bound
-
     def _leaf_pair_bound(
         self,
         source_id: int,
@@ -1219,9 +1048,8 @@ class IMGRNEngine:
 
         Combines the pivot bound (embedded coordinates only, Section 4.2)
         with the Markov bound on the true distance (Lemma 4); both are
-        sound, so their minimum is. Takes raw values (not
-        :class:`LeafEntry` objects) so the object-tree and array-store
-        leaf scans share it.
+        sound, so their minimum is. Takes the raw embedded points of the
+        two genes (array-store entry rows).
         """
         d = self.config.num_pivots
         xs = point_s[0 : 2 * d : 2]
@@ -1289,19 +1117,6 @@ class IMGRNEngine:
                 continue
             survivors.append((source, upper))
         return survivors
-
-    def _gene_holders(self, gene_ids: tuple[int, ...]) -> list[int]:
-        """Sorted sources holding every gene, off the fastest exact path.
-
-        The array-backed view answers from its compacted leaf-entry rows
-        (one vectorized pass, see
-        :meth:`repro.index.arraystore.ArrayStore.sources_with_genes`);
-        engines without one fall back to the inverted file's exact sets.
-        Both are exact, so the result is representation-independent.
-        """
-        if self.array_index is not None:
-            return self.array_index.sources_with_genes(gene_ids)
-        return self._sources_with_all_genes(gene_ids)
 
     def _sources_with_all_genes(self, gene_ids: tuple[int, ...]) -> list[int]:
         """Indexed sources containing every query gene.

@@ -23,8 +23,8 @@ node_levels        <i4 (N,)    tree level (0 == leaf)
 node_child_start   <i8 (N,)    first child node index (internal) or
                                first entry row (leaf)
 node_child_count   <i8 (N,)    number of children / leaf entries
-node_page_ids      <i8 (N,)    original page IDs (I/O accounting stays
-                               bit-identical to the object tree)
+node_page_ids      <i8 (N,)    original page IDs (I/O accounting keeps
+                               the tree's page numbering)
 node_vf_words      <u8 (N,W)   gene-ID signature ``V_f``, little-endian
                                64-bit words
 node_vd_words      <u8 (N,W)   source-ID signature ``V_d``
@@ -34,10 +34,10 @@ entry_source_ids   <i8 (P,)    source (matrix) ID per entry
 entry_payloads     <i8 (P,)    opaque engine payload per entry
 ================== ========== =========================================
 
-The store is a read-path *view*: queries over it return bit-identical
-answers, page-access counts and pruning counters to the object tree
-(asserted by ``tests/test_arraystore.py``). Mutations go through the
-object tree, which is then re-compacted.
+The store is the engine's only read path and the tree is its builder:
+every query walks the store, while mutations go through the object
+tree, which is then re-compacted. ``search`` and ``nearest`` keep the
+tree's answers and page-access counts.
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ class ArrayStore:
         )
 
     # ------------------------------------------------------------------
-    # Traversal (read-path mirrors of the object tree's oracle methods)
+    # Traversal (range search and kNN over the compacted layout)
     # ------------------------------------------------------------------
     def _is_empty(self) -> bool:
         return self.num_nodes == 0 or (
@@ -398,35 +398,6 @@ class ArrayStore:
                 )
                 stack.extend(start + int(i) for i in np.nonzero(hits)[0])
         return results
-
-    def sources_with_genes(self, gene_ids) -> list[int]:
-        """Sorted source IDs whose leaf entries cover *every* given gene.
-
-        The relaxed-signature test of the similarity workload's recovery
-        path: when the edge budget covers all of a query's anchor edges,
-        any source holding the query genes is a candidate even if the
-        traversal never surfaced it. One vectorized membership pass over
-        the compacted ``entry_gene_ids`` / ``entry_source_ids`` rows per
-        gene -- exact (no hash signatures involved), charges no pages
-        (the entry arrays are the leaf level itself).
-        """
-        sources: np.ndarray | None = None
-        for gene in gene_ids:
-            holders = np.unique(
-                self.entry_source_ids[self.entry_gene_ids == int(gene)]
-            )
-            if holders.size == 0:
-                return []
-            sources = (
-                holders
-                if sources is None
-                else np.intersect1d(sources, holders, assume_unique=True)
-            )
-            if sources.size == 0:
-                return []
-        if sources is None:
-            return []
-        return [int(source) for source in sources]
 
     def nearest(
         self, point, k: int = 1, pages=None

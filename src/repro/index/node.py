@@ -79,26 +79,6 @@ class Node:
             box.extend(entry.mbr)
         self.mbr = box
 
-    def x_max(self, num_pivots: int) -> np.ndarray:
-        """Per-pivot maxima of the ``x`` coordinates (``E_x^+`` of Lemma 6)."""
-        assert self.mbr is not None
-        return self.mbr.high[0 : 2 * num_pivots : 2]
-
-    def x_min(self, num_pivots: int) -> np.ndarray:
-        """Per-pivot minima of the ``x`` coordinates (``E_x^-`` of Lemma 6)."""
-        assert self.mbr is not None
-        return self.mbr.low[0 : 2 * num_pivots : 2]
-
-    def y_max(self, num_pivots: int) -> np.ndarray:
-        """Per-pivot maxima of the ``y`` coordinates (``E_y^+`` of Lemma 6)."""
-        assert self.mbr is not None
-        return self.mbr.high[1 : 2 * num_pivots : 2]
-
-    def y_min(self, num_pivots: int) -> np.ndarray:
-        """Per-pivot minima of the ``y`` coordinates (``E_y^-`` of Lemma 6)."""
-        assert self.mbr is not None
-        return self.mbr.low[1 : 2 * num_pivots : 2]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else f"internal(level={self.level})"
         return f"Node({kind}, page={self.page_id}, fanout={len(self.entries)})"

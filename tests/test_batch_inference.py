@@ -20,7 +20,7 @@ from repro.core.batch_inference import (
 )
 from repro.core.inference import (
     EdgeProbabilityEstimator,
-    edge_probability_matrix,
+    edge_probability,
     infer_grn,
 )
 from repro.core.standardize import standardize_vector
@@ -76,16 +76,16 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
     def test_batch_size_invariance(self, matrix, batch_size):
-        reference = edge_probability_matrix(matrix, n_samples=64, seed=5)
-        varied = edge_probability_matrix(
-            matrix, n_samples=64, seed=5, batch_size=batch_size
+        reference = edge_probability(matrix, method="matrix", n_samples=64, seed=5)
+        varied = edge_probability(
+            matrix, method="matrix", n_samples=64, seed=5, batch_size=batch_size
         )
         assert np.array_equal(varied, reference)
 
     def test_workers_invariance(self, matrix):
-        reference = edge_probability_matrix(matrix, n_samples=64, seed=5)
-        parallel = edge_probability_matrix(
-            matrix, n_samples=64, seed=5, workers=2
+        reference = edge_probability(matrix, method="matrix", n_samples=64, seed=5)
+        parallel = edge_probability(
+            matrix, method="matrix", n_samples=64, seed=5, workers=2
         )
         assert np.array_equal(parallel, reference)
 
@@ -262,7 +262,7 @@ class TestSemanticsEquivalence:
 class TestValidation:
     def test_bad_batch_size_rejected(self, matrix):
         with pytest.raises(ValidationError):
-            edge_probability_matrix(matrix, n_samples=16, batch_size=0)
+            edge_probability(matrix, method="matrix", n_samples=16, batch_size=0)
 
     def test_bad_config_values_rejected(self):
         with pytest.raises(ValidationError):

@@ -11,7 +11,7 @@ from repro import (
     GeneFeatureMatrix,
     IMGRNEngine,
 )
-from repro.core.inference import edge_probability_distance
+from repro.core.inference import edge_probability
 from repro.data.queries import extract_query
 from repro.errors import DegenerateVectorError, ValidationError
 
@@ -67,7 +67,7 @@ class TestDegenerateShapes:
     def test_identical_columns_pair(self, rng):
         """Duplicate probes: distance 0, probability ~1."""
         x = rng.normal(size=12)
-        p = edge_probability_distance(x, x.copy(), n_samples=100, rng=rng)
+        p = edge_probability(x, x.copy(), method="distance", n_samples=100, rng=rng)
         assert p > 0.95
 
     def test_many_pivots_tiny_matrices(self, rng):

@@ -1,7 +1,7 @@
 """The unified engine API: QueryEngine protocol conformance, the
 typed-QuerySpec `execute()` workload suite (containment / topk /
 similarity) across all four engines, registry-sourced stats, and the
-`edge_probability` dispatcher with its deprecated aliases."""
+`edge_probability` dispatcher."""
 
 from __future__ import annotations
 
@@ -19,10 +19,6 @@ from repro import (
     QueryEngine,
     QuerySpec,
     edge_probability,
-    edge_probability_correlation,
-    edge_probability_distance,
-    edge_probability_exact,
-    edge_probability_matrix,
 )
 from repro.core.inference import (
     _correlation_probability,
@@ -294,16 +290,3 @@ class TestEdgeProbabilityDispatcher:
             edge_probability(x, y, method="matrix")
         with pytest.raises(ValidationError, match="both"):
             edge_probability(x, method="distance")
-
-    def test_aliases_warn_and_delegate(self, rng):
-        x, y = self._pair(rng)
-        cases = [
-            (edge_probability_distance, (x, y), {"n_samples": 32}),
-            (edge_probability_correlation, (x, y), {"n_samples": 32}),
-            (edge_probability_exact, (x[:5], y[:5]), {}),
-            (edge_probability_matrix, (rng.normal(size=(8, 3)),), {"n_samples": 32}),
-        ]
-        for alias, args, kwargs in cases:
-            with pytest.warns(DeprecationWarning, match="edge_probability"):
-                value = alias(*args, **kwargs)
-            assert value is not None

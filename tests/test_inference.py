@@ -7,10 +7,7 @@ import pytest
 
 from repro.core.inference import (
     EdgeProbabilityEstimator,
-    edge_probability_correlation,
-    edge_probability_distance,
-    edge_probability_exact,
-    edge_probability_matrix,
+    edge_probability,
     infer_grn,
     infer_grn_correlation,
     infer_grn_partial_correlation,
@@ -28,25 +25,29 @@ def _correlated_pair(rng, length=20, noise=0.2):
 class TestEdgeProbabilityDistance:
     def test_in_unit_interval(self, rng):
         x, y = rng.normal(size=(2, 15))
-        p = edge_probability_distance(x, y, n_samples=100, rng=rng)
+        p = edge_probability(x, y, method="distance", n_samples=100, rng=rng)
         assert 0.0 <= p <= 1.0
 
     def test_high_for_correlated_pair(self, rng):
         x, y = _correlated_pair(rng, noise=0.1)
-        p = edge_probability_distance(x, y, n_samples=300, rng=rng)
+        p = edge_probability(x, y, method="distance", n_samples=300, rng=rng)
         assert p > 0.95
 
     def test_one_sided_low_for_anticorrelated_pair(self, rng):
         # Eq. 4 (one-sided) treats anti-correlation as a large distance.
         x = rng.normal(size=20)
-        p = edge_probability_distance(x, -x, n_samples=300, rng=rng)
+        p = edge_probability(x, -x, method="distance", n_samples=300, rng=rng)
         assert p < 0.05
 
     def test_two_sided_high_for_anticorrelated_pair(self, rng):
         # Eq. 1 (absolute correlation) treats anti-correlation as an edge.
         x = rng.normal(size=20)
-        p = edge_probability_distance(
-            x, -x + 0.05 * rng.normal(size=20), n_samples=300, rng=rng,
+        p = edge_probability(
+            x,
+            -x + 0.05 * rng.normal(size=20),
+            method="distance",
+            n_samples=300,
+            rng=rng,
             semantics="two_sided",
         )
         assert p > 0.95
@@ -55,8 +56,12 @@ class TestEdgeProbabilityDistance:
         # Under the null the one-sided p-value is uniform; averaged over
         # pairs it concentrates at 1/2.
         values = [
-            edge_probability_distance(
-                rng.normal(size=30), rng.normal(size=30), n_samples=200, rng=rng
+            edge_probability(
+                rng.normal(size=30),
+                rng.normal(size=30),
+                method="distance",
+                n_samples=200,
+                rng=rng,
             )
             for _ in range(40)
         ]
@@ -64,20 +69,23 @@ class TestEdgeProbabilityDistance:
 
     def test_matches_exact_enumeration(self, rng):
         x, y = rng.normal(size=(2, 6))
-        exact = edge_probability_exact(x, y)
-        mc = edge_probability_distance(x, y, n_samples=8000, rng=rng)
+        exact = edge_probability(x, y, method="exact")
+        mc = edge_probability(x, y, method="distance", n_samples=8000, rng=rng)
         assert mc == pytest.approx(exact, abs=0.03)
 
     def test_bad_semantics(self, rng):
         with pytest.raises(ValidationError):
-            edge_probability_distance(
-                np.ones(5) + np.arange(5), np.arange(5.0), semantics="bogus"
+            edge_probability(
+                np.ones(5) + np.arange(5),
+                np.arange(5.0),
+                method="distance",
+                semantics="bogus",
             )
 
     def test_bad_sample_count(self, rng):
         x, y = rng.normal(size=(2, 10))
         with pytest.raises(ValidationError):
-            edge_probability_distance(x, y, n_samples=0)
+            edge_probability(x, y, method="distance", n_samples=0)
 
 
 class TestSemanticsEquivalence:
@@ -86,8 +94,8 @@ class TestSemanticsEquivalence:
         the permutation dots in absolute value (the App.-B regime)."""
         for _ in range(10):
             x, y = _correlated_pair(rng, length=6, noise=0.05)
-            one = edge_probability_exact(x, y, semantics="one_sided")
-            two = edge_probability_exact(x, y, semantics="two_sided")
+            one = edge_probability(x, y, method="exact", semantics="one_sided")
+            two = edge_probability(x, y, method="exact", semantics="two_sided")
             # For strongly positively correlated pairs the one-sided count
             # includes every two-sided hit plus permutations dominated on
             # the negative side, so one >= two always; with weak nulls the
@@ -98,11 +106,16 @@ class TestSemanticsEquivalence:
         """Eq. 1 computed literally (|Pearson|) equals the two-sided dot
         form on the same permutation stream's distribution (statistically)."""
         x, y = _correlated_pair(rng, length=16, noise=0.8)
-        lit = edge_probability_correlation(
-            x, y, n_samples=3000, rng=np.random.default_rng(1)
+        lit = edge_probability(
+            x, y, method="correlation", n_samples=3000, rng=np.random.default_rng(1)
         )
-        two = edge_probability_distance(
-            x, y, n_samples=3000, rng=np.random.default_rng(2), semantics="two_sided"
+        two = edge_probability(
+            x,
+            y,
+            method="distance",
+            n_samples=3000,
+            rng=np.random.default_rng(2),
+            semantics="two_sided",
         )
         assert lit == pytest.approx(two, abs=0.05)
 
@@ -135,7 +148,7 @@ class TestEstimator:
         est = EdgeProbabilityEstimator(exact_below=8, n_samples=5, seed=1)
         x, y = rng.normal(size=(2, 6))
         assert est.pair_probability(x, y) == pytest.approx(
-            edge_probability_exact(x, y)
+            edge_probability(x, y, method="exact")
         )
 
     def test_invalid_semantics_rejected(self):
@@ -145,12 +158,16 @@ class TestEstimator:
 
 class TestEdgeProbabilityMatrix:
     def test_symmetric_zero_diagonal(self, rng):
-        probs = edge_probability_matrix(rng.normal(size=(12, 5)), n_samples=50)
+        probs = edge_probability(
+            rng.normal(size=(12, 5)), method="matrix", n_samples=50
+        )
         np.testing.assert_allclose(probs, probs.T)
         np.testing.assert_allclose(np.diag(probs), 0.0)
 
     def test_values_in_unit_interval(self, rng):
-        probs = edge_probability_matrix(rng.normal(size=(12, 5)), n_samples=50)
+        probs = edge_probability(
+            rng.normal(size=(12, 5)), method="matrix", n_samples=50
+        )
         assert np.all((probs >= 0.0) & (probs <= 1.0))
 
     def test_column_position_invariance(self, rng):
@@ -158,8 +175,8 @@ class TestEdgeProbabilityMatrix:
         change a pair's probability."""
         m = rng.normal(size=(10, 4))
         swapped = m[:, [0, 1, 3, 2]]
-        a = edge_probability_matrix(m, n_samples=64, seed=9)
-        b = edge_probability_matrix(swapped, n_samples=64, seed=9)
+        a = edge_probability(m, method="matrix", n_samples=64, seed=9)
+        b = edge_probability(swapped, method="matrix", n_samples=64, seed=9)
         assert a[0, 1] == pytest.approx(b[0, 1], abs=1e-12)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.inference import edge_probability_correlation
+from repro.core.inference import edge_probability
 from repro.core.measures import (
     MEASURES,
     randomized_measure_matrix,
@@ -101,8 +101,8 @@ class TestRandomizedProbability:
         generic = randomized_measure_probability(
             x, y, "pearson", n_samples=2000, rng=np.random.default_rng(3)
         )
-        direct = edge_probability_correlation(
-            x, y, n_samples=2000, rng=np.random.default_rng(4)
+        direct = edge_probability(
+            x, y, method="correlation", n_samples=2000, rng=np.random.default_rng(4)
         )
         assert generic == pytest.approx(direct, abs=0.05)
 
@@ -135,14 +135,12 @@ class TestRandomizedMatrix:
         assert np.all((probs >= 0.0) & (probs <= 1.0))
 
     def test_pearson_matrix_close_to_vectorized(self, rng):
-        from repro.core.inference import edge_probability_matrix
-
         m = rng.normal(size=(16, 4))
         generic = randomized_measure_matrix(m, "pearson", n_samples=400, seed=2)
         # The vectorized one-sided estimator differs in semantics (signed
         # dot); compare against the two-sided form, which matches |r|.
-        vectorized = edge_probability_matrix(
-            m, n_samples=400, seed=2, semantics="two_sided"
+        vectorized = edge_probability(
+            m, method="matrix", n_samples=400, seed=2, semantics="two_sided"
         )
         np.testing.assert_allclose(generic, vectorized, atol=0.12)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.correlation import distance_from_correlation, pearson
-from repro.core.inference import edge_probability_exact
+from repro.core.inference import edge_probability
 from repro.core.pivots import pivot_cost, pivot_cost_literal
 from repro.core.probgraph import ProbabilisticGraph
 from repro.core.pruning import markov_edge_upper_bound, pivot_edge_upper_bound
@@ -82,7 +82,7 @@ class TestProbabilityProperties:
     @given(small_vec, small_vec)
     @settings(max_examples=40, deadline=None)
     def test_exact_probability_in_unit_interval(self, x, y):
-        p = edge_probability_exact(x, y)
+        p = edge_probability(x, y, method="exact")
         assert 0.0 <= p <= 1.0
 
     @given(small_vec, small_vec)
@@ -92,8 +92,8 @@ class TestProbabilityProperties:
         zx, zy = standardize_vector(x), standardize_vector(y)
         if float(zx @ zy) < 0.0:
             return
-        one = edge_probability_exact(x, y, semantics="one_sided")
-        two = edge_probability_exact(x, y, semantics="two_sided")
+        one = edge_probability(x, y, method="exact", semantics="one_sided")
+        two = edge_probability(x, y, method="exact", semantics="two_sided")
         assert two <= one + 1e-12
 
     @given(small_vec, small_vec)
@@ -103,7 +103,7 @@ class TestProbabilityProperties:
         distance = float(np.linalg.norm(zx - zy))
         expected = expected_randomized_distance_jensen(zy, zx)
         assert markov_edge_upper_bound(distance, expected) >= (
-            edge_probability_exact(x, y) - 1e-9
+            edge_probability(x, y, method="exact") - 1e-9
         )
 
     @given(small_vec, small_vec, small_vec, small_vec)
@@ -117,7 +117,7 @@ class TestProbabilityProperties:
             [expected_randomized_distance_jensen(zy, p) for p in pivots]
         )
         assert pivot_edge_upper_bound(gx, tx, ty) >= (
-            edge_probability_exact(x, y) - 1e-9
+            edge_probability(x, y, method="exact") - 1e-9
         )
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.inference import edge_probability_exact
+from repro.core.inference import edge_probability
 from repro.core.pruning import (
     combine_edge_bounds,
     edge_inference_prunable,
@@ -40,7 +40,7 @@ class TestMarkovBound:
     def test_upper_bounds_exact_probability(self, rng):
         for _ in range(25):
             x, y = _standardized_pair(rng)
-            exact = edge_probability_exact(x, y)
+            exact = edge_probability(x, y, method="exact")
             distance = float(np.linalg.norm(x - y))
             expected = expected_randomized_distance_jensen(y, x)
             bound = markov_edge_upper_bound(distance, expected)
@@ -50,7 +50,7 @@ class TestMarkovBound:
         """Markov with the exact E[Z] (not just the Jensen bound) is sound."""
         for _ in range(25):
             x, y = _standardized_pair(rng)
-            exact = edge_probability_exact(x, y)
+            exact = edge_probability(x, y, method="exact")
             distance = float(np.linalg.norm(x - y))
             exact_expectation = float(
                 np.mean(enumerate_permutation_distances(x, y))
@@ -101,7 +101,7 @@ class TestEdgeInferencePruning:
                 distance, expected_randomized_distance_jensen(y, x)
             )
             if edge_inference_prunable(bound, gamma):
-                assert edge_probability_exact(x, y) <= gamma + 1e-12
+                assert edge_probability(x, y, method="exact") <= gamma + 1e-12
 
 
 class TestGraphExistencePruning:
@@ -133,7 +133,7 @@ class TestGraphExistencePruning:
                     distance, expected_randomized_distance_jensen(xs[b], xs[a])
                 )
             )
-            exacts.append(edge_probability_exact(xs[a], xs[b]))
+            exacts.append(edge_probability(xs[a], xs[b], method="exact"))
         assert graph_existence_upper_bound(bounds) >= np.prod(exacts) - 1e-12
 
 
@@ -154,7 +154,7 @@ class TestPivotBound:
             gx, _gy = self._embed(xs, pivots)
             tx, ty = self._embed(xt, pivots)
             bound = pivot_edge_upper_bound(gx, tx, ty)
-            assert bound >= edge_probability_exact(xs, xt) - 1e-12
+            assert bound >= edge_probability(xs, xt, method="exact") - 1e-12
 
     def test_never_tighter_than_markov_on_true_distance(self, rng):
         """The pivot bound relaxes dist via the triangle inequality, so it

@@ -218,21 +218,6 @@ class TestSignatures:
             )
 
 
-class TestNodeCorners:
-    def test_xy_corner_extraction(self, rng):
-        """x_min/x_max/y_min/y_max slice the interleaved dims correctly."""
-        d = 2
-        pts = rng.uniform(0.0, 5.0, size=(40, 2 * d + 1))
-        tree = build_tree(pts)
-        for node in tree.iter_nodes():
-            if node.mbr is None:
-                continue
-            np.testing.assert_allclose(node.x_min(d), node.mbr.low[[0, 2]])
-            np.testing.assert_allclose(node.x_max(d), node.mbr.high[[0, 2]])
-            np.testing.assert_allclose(node.y_min(d), node.mbr.low[[1, 3]])
-            np.testing.assert_allclose(node.y_max(d), node.mbr.high[[1, 3]])
-
-
 class TestQualityHeuristics:
     def test_reasonable_leaf_overlap(self, rng):
         """R* splits should keep sibling leaf overlap modest on uniform
