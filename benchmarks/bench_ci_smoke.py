@@ -191,7 +191,13 @@ def bench_traversal_micro() -> dict[str, float]:
     started = time.perf_counter()
     for _ in range(rounds):
         vec_dists = min_dist_many(lows, highs, point)
-        vec_prunable = index_pairs_prunable(ea_x_max, eb_x_min, eb_y_max, gamma)
+        # The walk gathers a node pair's child cross product row-major.
+        vec_prunable = index_pairs_prunable(
+            np.repeat(ea_x_max, n_t, axis=0),
+            np.tile(eb_x_min, (n_s, 1)),
+            np.tile(eb_y_max, (n_s, 1)),
+            gamma,
+        ).reshape(n_s, n_t)
     vectorized_seconds = time.perf_counter() - started
 
     # The scalar reference uses a BLAS dot while the batch path uses an

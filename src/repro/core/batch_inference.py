@@ -26,7 +26,7 @@ and estimator parameters, in any evaluation order.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections.abc import Hashable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,7 +35,7 @@ from ..config import InferenceConfig
 from ..errors import DimensionMismatchError, ValidationError
 from ..obs import Observability
 from ..obs import names as _names
-from .randomization import MAX_EXACT_LENGTH, content_seed
+from .randomization import MAX_EXACT_LENGTH, content_seed, permutation_beaten
 from .standardize import standardize_vector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -120,11 +120,8 @@ def _target_columns(
         for i, t in enumerate(batch):
             sc = scores[i * n_samples : (i + 1) * n_samples, :t]
             obs = observed[:t, i]
-            if semantics == "one_sided":
-                col = np.mean(sc < obs[np.newaxis, :], axis=0)
-            else:
-                col = np.mean(np.abs(sc) < np.abs(obs)[np.newaxis, :], axis=0)
-            out.append((t, col))
+            beaten = permutation_beaten(obs[np.newaxis, :], sc, length, semantics)
+            out.append((t, np.mean(beaten, axis=0)))
     return out
 
 
@@ -209,11 +206,13 @@ def _probability_matrix_std(
 class EdgeProbabilityCache:
     """Content-addressed LRU cache of edge-probability estimates.
 
-    Keys combine the ``content_seed`` of the standardized column pair with
-    the gamma-independent estimator parameters ``(n_samples, semantics,
-    seed, exact_below)``, so a hit is guaranteed to hold exactly the value
-    the estimator would recompute -- the inference threshold ``gamma``
-    never enters the key because probabilities are threshold-free.
+    Pair keys combine the ``content_seed`` of the standardized column
+    pair with the gamma-independent estimator parameters ``(n_samples,
+    semantics, seed, exact_below)``, so a hit is guaranteed to hold
+    exactly the value the estimator would recompute -- the inference
+    threshold ``gamma`` never enters the key because probabilities are
+    threshold-free. A pair key is one packed int (see :meth:`pair_key`),
+    the smallest key object that stays exact.
 
     Thread-safe: one engine-wide cache is shared by every concurrent
     query (the LRU recency list and hit/miss tallies mutate on reads),
@@ -229,34 +228,56 @@ class EdgeProbabilityCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self._data: OrderedDict[tuple, object] = OrderedDict()
+        # Insertion-ordered: the first key is the least recently used.
+        self._data: dict[Hashable, object] = {}
+        self._params_ids: dict[tuple, int] = {}
+        # Estimates are sample fractions k / n, few distinct values:
+        # entries share one float object per value.
+        self._floats: dict[float, float] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
 
-    def get(self, key: tuple) -> object | None:
+    def pair_key(self, params: tuple, seed_s: int, seed_t: int) -> int:
+        """Packed key ``(params id << 128) | (seed_s << 64) | seed_t``.
+
+        ``seed_s`` and ``seed_t`` are the 64-bit content seeds of the
+        column pair. Parameter tuples are interned to small ids per
+        cache, so engines with different estimators can share one cache
+        and still never read each other's entries.
+        """
+        ident = self._params_ids.get(params)
+        if ident is None:
+            with self._lock:
+                ident = self._params_ids.setdefault(params, len(self._params_ids))
+        return (ident << 128) | (seed_s << 64) | seed_t
+
+    def get(self, key: Hashable) -> object | None:
         with self._lock:
             try:
-                value = self._data[key]
+                value = self._data.pop(key)
             except KeyError:
                 self.misses += 1
                 return None
-            self._data.move_to_end(key)
+            self._data[key] = value  # re-inserted as most recently used
             self.hits += 1
             return value
 
-    def put(self, key: tuple, value: object) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         with self._lock:
+            if type(value) is float and len(self._floats) < self.max_entries:
+                value = self._floats.setdefault(value, value)
+            self._data.pop(key, None)
             self._data[key] = value
-            self._data.move_to_end(key)
             while len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
+                del self._data[next(iter(self._data))]
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            self._floats.clear()
             self.hits = 0
             self.misses = 0
 
@@ -340,7 +361,9 @@ class BatchInferenceEngine:
         if self.cache is None:
             self._pairs_estimated.inc()
             return self._compute_pair(raw_s, raw_t, xs, xt)
-        key = (content_seed(xs), content_seed(xt), *self._params_key())
+        key = self.cache.pair_key(
+            self._params_key(), content_seed(xs), content_seed(xt)
+        )
         hit = self.cache.get(key)
         if hit is not None:
             self._cache_hit_count.inc()
@@ -400,13 +423,13 @@ class BatchInferenceEngine:
 
         out: dict[tuple[int, int], float] = {}
         missing_by_t: dict[int, list[int]] = {}
-        keys: dict[tuple[int, int], tuple] = {}
+        keys: dict[tuple[int, int], int] = {}
         # Tally hits locally and update the shared counters once per call:
         # concurrent queries would interleave (and lose) per-pair adds.
         hits = 0
         for s, t in pairs:
             if self.cache is not None:
-                key = (seed_of(s), seed_of(t), *params)
+                key = self.cache.pair_key(params, seed_of(s), seed_of(t))
                 keys[(s, t)] = key
                 hit = self.cache.get(key)
                 if hit is not None:
@@ -432,12 +455,10 @@ class BatchInferenceEngine:
                 cols = std[:, partners]
                 scores = block @ cols
                 observed = std[:, t] @ cols
-                if est.semantics == "one_sided":
-                    probs = np.mean(scores < observed[np.newaxis, :], axis=0)
-                else:
-                    probs = np.mean(
-                        np.abs(scores) < np.abs(observed)[np.newaxis, :], axis=0
-                    )
+                beaten = permutation_beaten(
+                    observed[np.newaxis, :], scores, std.shape[0], est.semantics
+                )
+                probs = np.mean(beaten, axis=0)
                 for s, p in zip(partners, probs):
                     value = float(p)
                     out[(s, t)] = value
@@ -496,7 +517,7 @@ class BatchInferenceEngine:
                 for t in range(1, n):
                     for s in range(t):
                         self.cache.put(
-                            (col_seeds[s], col_seeds[t], *params),
+                            self.cache.pair_key(params, col_seeds[s], col_seeds[t]),
                             float(result[s, t]),
                         )
         return result

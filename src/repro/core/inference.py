@@ -50,6 +50,7 @@ from .randomization import (
     content_seed,
     default_rng,
     lemma2_sample_size,
+    permutation_beaten,
 )
 from .standardize import standardize_vector
 
@@ -108,10 +109,10 @@ def _distance_probability(
     xs = standardize_vector(np.asarray(x_s, dtype=np.float64))
     xt = standardize_vector(np.asarray(x_t, dtype=np.float64))
     observed, sampled = _dot_samples(xs, xt, n_samples, rng)
-    if semantics == "one_sided":
-        # dist(X_s, X_t^R) > dist(X_s, X_t)  <=>  dot^R < dot
-        return float(np.mean(sampled < observed))
-    return float(np.mean(np.abs(sampled) < abs(observed)))
+    # dist(X_s, X_t^R) > dist(X_s, X_t)  <=>  dot^R < dot
+    return float(
+        np.mean(permutation_beaten(observed, sampled, xt.shape[0], semantics))
+    )
 
 
 def _correlation_probability(
@@ -161,9 +162,7 @@ def _exact_probability(
     observed = float(xs @ xt)
     perms = np.array(list(itertools.permutations(xt.tolist())), dtype=np.float64)
     sampled = perms @ xs
-    if semantics == "one_sided":
-        return float(np.mean(sampled < observed))
-    return float(np.mean(np.abs(sampled) < abs(observed)))
+    return float(np.mean(permutation_beaten(observed, sampled, length, semantics)))
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,11 @@ class EdgeProbabilityEstimator:
             np.tile(xt, (self.resolved_samples(), 1)), axis=1
         )
         sampled = permuted @ xs
-        if self.semantics == "one_sided":
-            return float(np.mean(sampled < observed))
-        return float(np.mean(np.abs(sampled) < abs(observed)))
+        return float(
+            np.mean(
+                permutation_beaten(observed, sampled, xt.shape[0], self.semantics)
+            )
+        )
 
     def probability_matrix(
         self, matrix: np.ndarray, inference: InferenceConfig | None = None

@@ -256,55 +256,46 @@ def index_pairs_prunable(
     eb_y_max: np.ndarray,
     gamma: float,
 ) -> np.ndarray:
-    """Vectorized Lemma 6 over all ``(E_a, E_b)`` node pairs at once.
+    """Vectorized Lemma 6 over ``n`` row-aligned ``(E_a, E_b)`` node pairs.
 
-    Evaluates :func:`index_pair_prunable` for the full cross product of
-    ``n_s`` candidate anchors and ``n_t`` candidate neighbors in one
-    broadcast; entry ``[i, j]`` equals the scalar call on row ``i`` of
-    ``ea_x_max`` and row ``j`` of ``eb_x_min``/``eb_y_max``, bit for bit
-    (the per-element operations -- multiply by ``gamma``, subtract, max,
-    compare -- are identical, so the boolean verdicts cannot drift).
+    Row ``i`` of the three corner arrays describes one node pair, and
+    entry ``i`` of the result equals :func:`index_pair_prunable` on those
+    rows, bit for bit (the per-element operations -- multiply by
+    ``gamma``, subtract, max, compare -- are identical, so the boolean
+    verdicts cannot drift). A cross product of ``n_s`` anchors and
+    ``n_t`` neighbors is passed as ``n_s * n_t`` gathered rows.
 
     Parameters
     ----------
     ea_x_max:
-        ``(n_s, d)`` per-pivot maxima ``E_ax^+`` for each anchor node.
+        ``(n, d)`` per-pivot maxima ``E_ax^+`` of each pair's anchor node.
     eb_x_min:
-        ``(n_t, d)`` per-pivot minima ``E_bx^-`` for each neighbor node.
+        ``(n, d)`` per-pivot minima ``E_bx^-`` of each pair's neighbor node.
     eb_y_max:
-        ``(n_t, d)`` per-pivot maxima ``E_by^+`` for each neighbor node.
+        ``(n, d)`` per-pivot maxima ``E_by^+`` of each pair's neighbor node.
 
     Returns
     -------
     np.ndarray
-        ``(n_s, n_t)`` boolean matrix; ``True`` where the pair is
-        prunable.
+        ``(n,)`` boolean vector; ``True`` where the pair is prunable.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0,1), got {gamma}")
     ea_x_max = np.asarray(ea_x_max, dtype=np.float64)
     eb_x_min = np.asarray(eb_x_min, dtype=np.float64)
     eb_y_max = np.asarray(eb_y_max, dtype=np.float64)
-    if ea_x_max.ndim != 2 or eb_x_min.ndim != 2 or eb_y_max.ndim != 2:
-        raise ValidationError("corner arrays must be 2-D (nodes x pivots)")
-    if (
-        eb_x_min.shape != eb_y_max.shape
-        or ea_x_max.shape[1] != eb_x_min.shape[1]
-    ):
+    if ea_x_max.ndim != 2 or not ea_x_max.shape == eb_x_min.shape == eb_y_max.shape:
         raise ValidationError(
-            f"corner shapes incompatible: {ea_x_max.shape}, "
-            f"{eb_x_min.shape}, {eb_y_max.shape}"
+            "corner arrays must share one 2-D (pairs x pivots) shape, got "
+            f"{ea_x_max.shape}, {eb_x_min.shape}, {eb_y_max.shape}"
         )
-    n_s = ea_x_max.shape[0]
-    n_t = eb_x_min.shape[0]
     if gamma == 0.0:
         # Same convention as the scalar path: gamma == 0 never prunes.
-        return np.zeros((n_s, n_t), dtype=bool)
-    gamma_s = gamma * ea_x_max  # (n_s, d)
-    gamma_t = gamma * eb_x_min  # (n_t, d)
-    best_gap = (gamma_t[None, :, :] - gamma_s[:, None, :]).max(axis=2)
-    threshold = best_gap[:, :, None] - gamma_s[:, None, :]
-    return (eb_y_max[None, :, :] <= threshold).any(axis=2)
+        return np.zeros(ea_x_max.shape[0], dtype=bool)
+    gamma_s = gamma * ea_x_max
+    best_gap = (gamma * eb_x_min - gamma_s).max(axis=1)
+    threshold = best_gap[:, None] - gamma_s
+    return (eb_y_max <= threshold).any(axis=1)
 
 
 def combine_edge_bounds(markov: float, pivot: float) -> float:

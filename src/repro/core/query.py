@@ -7,7 +7,7 @@
   and register gene/source IDs in the inverted bit-vector file.
 * **query**: infer the query GRN ``Q`` from ``M_Q`` (with edge-inference
   pruning), anchor the traversal at the highest-degree query gene, walk
-  the tree with a priority queue over node *pairs* -- applying bit-vector
+  the tree one level of node *pairs* at a time -- applying bit-vector
   filtering and the Lemma-6 index pruning at internal levels and the
   pivot + Markov pruning at leaves -- then apply graph-existence pruning
   (Lemma 5) and refine the few surviving candidates exactly.
@@ -19,7 +19,6 @@ query-graph inference and final refinement.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -71,6 +70,33 @@ _ENGINE = "imgrn"
 #: column index at or past the limit (or a negative source) would alias
 #: another entry's payload.
 _PAYLOAD_GENE_LIMIT = 1_000_000
+
+
+#: Most cells (child pairs, or gathered leaf rows) one vectorized pass of
+#: the traversal materializes; a wider tree level is processed slice by
+#: slice, in order, so the walk's transient memory stays bounded.
+_SLICE_CELLS = 1 << 14
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` for each pair, concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        starts - offsets, counts
+    )
+
+
+def _slices(costs: np.ndarray):
+    """Consecutive slices whose summed ``costs`` stay within
+    ``_SLICE_CELLS`` (a single costlier item gets a slice of its own)."""
+    ends = np.cumsum(costs)
+    start = 0
+    while start < costs.shape[0]:
+        base = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, base + _SLICE_CELLS, side="right"))
+        stop = max(stop, start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
 def _check_thresholds(gamma: float, alpha: float | None = None) -> None:
@@ -856,14 +882,23 @@ class IMGRNEngine(_QueryMixin):
     ) -> dict[tuple[int, int], float]:
         """Fig. 4 traversal over the array-backed index view.
 
-        A best-first walk over node *pairs* ``(s, t)``: ``s`` must be able
-        to hold the anchor gene and ``t`` one of its query neighbors. For
-        each popped pair, the gene-range (exact, on the gene-ID
-        coordinate), bit-vector (gene and source signatures) and Lemma-6
-        checks run over the full ``n_s x n_t`` child cross product in
-        whole-node NumPy calls; survivors are pushed in row-major order
-        and popped deepest level first, ties by push order. Leaf pairs go
-        to :meth:`_scan_leaf_pair`.
+        A level-synchronous walk over node *pairs* ``(s, t)``: ``s`` must
+        be able to hold the anchor gene and ``t`` one of its query
+        neighbors. Each tree level's frontier of pairs is expanded to the
+        children's cross products (row-major per pair, pairs in frontier
+        order) and filtered in vectorized passes of at most
+        ``_SLICE_CELLS`` cells: gene range (exact, on the gene-ID
+        coordinate), then the ``V_f`` and ``V_d`` signatures, then Lemma
+        6. Leaf pairs are joined row-wise (anchor row x neighbor row of
+        one source) in (leaf pair, neighbor row) order and each joined
+        point pair gets the scalar :meth:`_leaf_pair_bound`.
+
+        This reaches the leaf pairs in depth-first preorder, the order a
+        deepest-level-first priority queue with push-order ties pops
+        them, so the result's insertion order -- which the Lemma-5
+        product multiplies in -- the pruning counters and the page
+        accesses (one per distinct node of every visited pair, charged
+        per level) are those of that best-first walk.
 
         Returns ``{(source_id, neighbor_gene): edge upper bound}`` for
         every anchor-incident pair the Lemma-3 leaf bound does not prune.
@@ -890,7 +925,6 @@ class IMGRNEngine(_QueryMixin):
         qvf_neighbors = 0
         qvd_anchor = self.inverted_file.sources_signature(anchor)
         qvd_neighbors = 0
-        neighbor_set = set(neighbor_genes)
         for gene in neighbor_genes:
             qvf_neighbors |= signature(gene, bits)
             qvd_neighbors |= self.inverted_file.sources_signature(gene)
@@ -901,140 +935,142 @@ class IMGRNEngine(_QueryMixin):
         qa_vf = int_to_words(qvf_anchor, words)
         qn_vf = int_to_words(qvf_neighbors, words)
         q_both_vd = int_to_words(qvd_anchor & qvd_neighbors, words)
-        neighbor_arr = np.asarray(neighbor_genes, dtype=np.float64)
-        n_neighbors = neighbor_arr.shape[0]
+        neighbor_arr = np.asarray(neighbor_genes, dtype=np.int64)
+        last_neighbor = neighbor_arr.shape[0] - 1
 
         lows = store.node_lows
         highs = store.node_highs
-        levels = store.node_levels
         child_start = store.node_child_start
         child_count = store.node_child_count
         page_ids = store.node_page_ids
         vf_words = store.node_vf_words
         vd_words = store.node_vd_words
-        gene_dim = 2 * d
-
-        candidates: dict[tuple[int, int], float] = {}
-        queue: list[tuple[int, int, int, int]] = []
-        tie = itertools.count()
-
-        def consider_children(s_node: int, t_node: int, level: int) -> None:
-            """Batch filter of the s-children x t-children cross product."""
-            s0 = int(child_start[s_node])
-            s1 = s0 + int(child_count[s_node])
-            t0 = int(child_start[t_node])
-            t1 = t0 + int(child_count[t_node])
-            # Gene-range filter (exact, on the gene-ID coordinate).
-            s_ok = (lows[s0:s1, gene_dim] <= anchor) & (
-                anchor <= highs[s0:s1, gene_dim]
-            )
-            idx = np.searchsorted(neighbor_arr, lows[t0:t1, gene_dim], side="left")
-            t_ok = (idx < n_neighbors) & (
-                neighbor_arr[np.minimum(idx, n_neighbors - 1)]
-                <= highs[t0:t1, gene_dim]
-            )
-            alive = s_ok[:, None] & t_ok[None, :]
-            pruned_gene_range.inc(int(alive.size - alive.sum()))
-            if not alive.any():
-                return
-            # Gene-signature filter (anchor vs V_f of s, neighbors vs t).
-            s_sig = (vf_words[s0:s1] & qa_vf[None, :]).any(axis=1)
-            t_sig = (vf_words[t0:t1] & qn_vf[None, :]).any(axis=1)
-            sig_ok = s_sig[:, None] & t_sig[None, :]
-            pruned_gene_sig.inc(int((alive & ~sig_ok).sum()))
-            alive &= sig_ok
-            if not alive.any():
-                return
-            # Source-signature filter: the four-way AND must be non-zero.
-            s_vd = vd_words[s0:s1] & q_both_vd[None, :]
-            src_ok = (s_vd[:, None, :] & vd_words[t0:t1][None, :, :]).any(axis=2)
-            pruned_source_sig.inc(int((alive & ~src_ok).sum()))
-            alive &= src_ok
-            if not alive.any():
-                return
-            # Lemma-6 index pruning over all surviving pairs at once.
-            prunable = index_pairs_prunable(
-                highs[s0:s1, 0 : 2 * d : 2],
-                lows[t0:t1, 0 : 2 * d : 2],
-                highs[t0:t1, 1 : 2 * d : 2],
-                gamma,
-            )
-            pruned_lemma6.inc(int((alive & prunable).sum()))
-            alive &= ~prunable
-            for i, j in np.argwhere(alive):
-                heapq.heappush(
-                    queue, (level, next(tie), s0 + int(i), t0 + int(j))
-                )
-
-        pages.access(int(page_ids[0]))
-        root_level = int(levels[0])
-        if root_level == 0:
-            self._scan_leaf_pair(
-                store, 0, 0, anchor, neighbor_set, gamma, candidates, pruned_leaf
-            )
-            return candidates
-        consider_children(0, 0, root_level - 1)
-
-        while queue:
-            level, _tie, s_node, t_node = heapq.heappop(queue)
-            pages.access(int(page_ids[s_node]))
-            if t_node != s_node:
-                pages.access(int(page_ids[t_node]))
-            if level == 0:
-                self._scan_leaf_pair(
-                    store,
-                    s_node,
-                    t_node,
-                    anchor,
-                    neighbor_set,
-                    gamma,
-                    candidates,
-                    pruned_leaf,
-                )
-                continue
-            consider_children(s_node, t_node, level - 1)
-        return candidates
-
-    def _scan_leaf_pair(
-        self,
-        store: ArrayStore,
-        leaf_s: int,
-        leaf_t: int,
-        anchor: int,
-        neighbor_set: set[int],
-        gamma: float,
-        candidates: dict[tuple[int, int], float],
-        pruned_leaf,
-    ) -> None:
-        """Fig. 4, lines 16-21: pairwise point checks inside a leaf pair."""
         gene_ids = store.entry_gene_ids
         source_ids = store.entry_source_ids
         points = store.entry_points
-        s0 = int(store.node_child_start[leaf_s])
-        s1 = s0 + int(store.node_child_count[leaf_s])
-        anchor_rows = s0 + np.nonzero(gene_ids[s0:s1] == anchor)[0]
-        if anchor_rows.size == 0:
-            return
-        t0 = int(store.node_child_start[leaf_t])
-        t1 = t0 + int(store.node_child_count[leaf_t])
-        for row_t in range(t0, t1):
-            gene_t = int(gene_ids[row_t])
-            if gene_t not in neighbor_set:
-                continue
-            source_t = int(source_ids[row_t])
-            for row_s in anchor_rows:
-                if int(source_ids[row_s]) != source_t:
-                    continue
-                key = (source_t, gene_t)
+        gene_dim = 2 * d
+
+        def expand(s_nodes: np.ndarray, t_nodes: np.ndarray):
+            """Surviving child pairs of one slice of internal node pairs.
+
+            The gene-range and ``V_f`` tests are one-sided: they filter
+            each gathered child, and only the cross products of the
+            survivors are materialized. Per pair, ``n_s * n_t - a * b``
+            cells fail the gene range (``a``, ``b`` children in range on
+            each side) and ``a * b - a' * b'`` the signatures, the counts
+            a filter over the full cross product makes.
+            """
+            n_pairs = s_nodes.shape[0]
+            n_s = child_count[s_nodes]
+            n_t = child_count[t_nodes]
+            s_kids = _concat_ranges(child_start[s_nodes], n_s)
+            t_kids = _concat_ranges(child_start[t_nodes], n_t)
+            s_pair = np.repeat(np.arange(n_pairs), n_s)
+            t_pair = np.repeat(np.arange(n_pairs), n_t)
+            s_ok = (lows[s_kids, gene_dim] <= anchor) & (
+                anchor <= highs[s_kids, gene_dim]
+            )
+            # Some query neighbor lies in the t child's gene-ID range.
+            idx = np.searchsorted(neighbor_arr, lows[t_kids, gene_dim])
+            t_ok = (idx <= last_neighbor) & (
+                neighbor_arr[np.minimum(idx, last_neighbor)]
+                <= highs[t_kids, gene_dim]
+            )
+            s_kids, s_pair = s_kids[s_ok], s_pair[s_ok]
+            t_kids, t_pair = t_kids[t_ok], t_pair[t_ok]
+            in_range = np.bincount(s_pair, minlength=n_pairs) * np.bincount(
+                t_pair, minlength=n_pairs
+            )
+            pruned_gene_range.inc(int((n_s * n_t).sum() - in_range.sum()))
+            s_ok = (vf_words[s_kids] & qa_vf).any(axis=1)
+            t_ok = (vf_words[t_kids] & qn_vf).any(axis=1)
+            s_kids, s_pair = s_kids[s_ok], s_pair[s_ok]
+            t_kids, t_pair = t_kids[t_ok], t_pair[t_ok]
+            a = np.bincount(s_pair, minlength=n_pairs)
+            b = np.bincount(t_pair, minlength=n_pairs)
+            cells = a * b
+            pruned_gene_sig.inc(int(in_range.sum() - cells.sum()))
+            # Each pair's a x b survivor cross product, row-major.
+            local = _concat_ranges(np.zeros_like(cells), cells)
+            width = np.repeat(b, cells)
+            s_out = s_kids[np.repeat(np.cumsum(a) - a, cells) + local // width]
+            t_out = t_kids[np.repeat(np.cumsum(b) - b, cells) + local % width]
+            # Source signatures: the four-way AND must be non-zero.
+            alive = (vd_words[s_out] & q_both_vd & vd_words[t_out]).any(axis=1)
+            pruned_source_sig.inc(int(alive.size - np.count_nonzero(alive)))
+            s_out, t_out = s_out[alive], t_out[alive]
+            prunable = index_pairs_prunable(
+                highs[s_out, 0:gene_dim:2],
+                lows[t_out, 0:gene_dim:2],
+                highs[t_out, 1:gene_dim:2],
+                gamma,
+            )
+            pruned_lemma6.inc(int(np.count_nonzero(prunable)))
+            return s_out[~prunable], t_out[~prunable]
+
+        def scan_leaves(s_nodes: np.ndarray, t_nodes: np.ndarray) -> None:
+            """Fig. 4, lines 16-21, over one slice of leaf pairs."""
+            n_s = child_count[s_nodes]
+            n_t = child_count[t_nodes]
+            s_rows = _concat_ranges(child_start[s_nodes], n_s)
+            s_pair = np.repeat(np.arange(s_nodes.shape[0]), n_s)
+            is_anchor = gene_ids[s_rows] == anchor
+            s_rows, s_pair = s_rows[is_anchor], s_pair[is_anchor]
+            if s_rows.size == 0:
+                return
+            t_rows = _concat_ranges(child_start[t_nodes], n_t)
+            t_pair = np.repeat(np.arange(t_nodes.shape[0]), n_t)
+            is_neighbor = np.isin(gene_ids[t_rows], neighbor_arr)
+            t_rows, t_pair = t_rows[is_neighbor], t_pair[is_neighbor]
+            # Join on (leaf pair, source): a source holds the anchor gene
+            # once, so each neighbor row meets at most one anchor row.
+            sources, rank = np.unique(
+                source_ids[np.concatenate((s_rows, t_rows))], return_inverse=True
+            )
+            keys = np.concatenate((s_pair, t_pair)) * sources.shape[0] + rank
+            s_keys, t_keys = keys[: s_rows.shape[0]], keys[s_rows.shape[0] :]
+            order = np.argsort(s_keys)
+            pos = np.minimum(np.searchsorted(s_keys[order], t_keys), order.size - 1)
+            joined = s_keys[order[pos]] == t_keys
+            rows_s = s_rows[order[pos[joined]]]
+            rows_t = t_rows[joined]
+            for row_s, row_t, source, gene in zip(
+                rows_s.tolist(),
+                rows_t.tolist(),
+                source_ids[rows_t].tolist(),
+                gene_ids[rows_t].tolist(),
+            ):
                 bound = self._leaf_pair_bound(
-                    source_t, anchor, gene_t, points[row_s], points[row_t]
+                    source, anchor, gene, points[row_s], points[row_t]
                 )
                 if edge_inference_prunable(bound, gamma):
                     pruned_leaf.inc()
-                    continue
-                previous = candidates.get(key)
-                if previous is None or bound < previous:
-                    candidates[key] = bound
+                else:
+                    candidates[(source, gene)] = bound
+
+        candidates: dict[tuple[int, int], float] = {}
+        s_nodes = t_nodes = np.zeros(1, dtype=np.int64)  # the root pair
+        for level in range(int(store.node_levels[0]), -1, -1):
+            pages.access_many(
+                np.concatenate(
+                    (page_ids[s_nodes], page_ids[t_nodes[t_nodes != s_nodes]])
+                )
+            )
+            n_s = child_count[s_nodes]
+            n_t = child_count[t_nodes]
+            if level == 0:
+                for part in _slices(n_s + n_t):
+                    scan_leaves(s_nodes[part], t_nodes[part])
+                break
+            survivors = [
+                expand(s_nodes[part], t_nodes[part])
+                for part in _slices(n_s * n_t)
+            ]
+            s_nodes = np.concatenate([s for s, _t in survivors])
+            t_nodes = np.concatenate([t for _s, t in survivors])
+            if s_nodes.size == 0:
+                break
+        return candidates
 
     def _leaf_pair_bound(
         self,

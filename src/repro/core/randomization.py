@@ -36,10 +36,16 @@ __all__ = [
     "expected_randomized_distance_jensen",
     "expected_squared_randomized_distance",
     "MAX_EXACT_LENGTH",
+    "permutation_beaten",
 ]
 
 #: Largest vector length for which exact l! enumeration is permitted (8! = 40320).
 MAX_EXACT_LENGTH = 8
+
+#: Margin, in ulps of the vector length ``l``, by which a permuted dot
+#: product must fall below the observed one to count (see
+#: :func:`permutation_beaten`).
+TIE_ULPS = 8
 
 
 def lemma2_sample_size(epsilon: float, delta: float) -> int:
@@ -54,6 +60,28 @@ def lemma2_sample_size(epsilon: float, delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must be in (0,1), got {delta}")
     return int(math.ceil(3.0 / (epsilon * epsilon) * math.log(2.0 / delta)))
+
+
+def permutation_beaten(
+    observed, sampled: np.ndarray, length: int, semantics: str
+) -> np.ndarray:
+    """Where the observed dot product beats each permuted one.
+
+    ``semantics="one_sided"`` tests ``sampled < observed`` (Eq. 4),
+    ``"two_sided"`` tests ``|sampled| < |observed|`` (Eq. 1); both over
+    standardized vectors of length ``length``. A permutation that ties
+    the observed statistic mathematically -- the identity, or a swap of
+    equal entries -- counts as *not less*: its dot product must fall at
+    least ``TIE_ULPS * length`` machine epsilons below (standardized dot
+    products are bounded by ``length`` in magnitude). Without that margin
+    the scalar, batched-GEMM and enumeration kernels, which round such a
+    tie differently by an ulp or so, could give one pair different
+    probabilities.
+    """
+    margin = TIE_ULPS * length * np.finfo(np.float64).eps
+    if semantics == "one_sided":
+        return sampled < observed - margin
+    return np.abs(sampled) < np.abs(observed) - margin
 
 
 def default_rng(seed: int | np.random.Generator | None) -> np.random.Generator:

@@ -17,6 +17,8 @@ query engines no longer call :meth:`PageManager.reset`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ValidationError
 
 __all__ = ["PageCounter", "PageManager"]
@@ -41,6 +43,18 @@ class PageCounter:
         """Record one read of ``page_id`` on this counter."""
         self._manager.check_allocated(page_id)
         self.accesses += 1
+
+    def access_many(self, page_ids: np.ndarray) -> None:
+        """Record one read of every page in ``page_ids`` on this counter.
+
+        One vectorized bounds check for the whole batch; an unallocated
+        ID raises the same :class:`ValidationError` as :meth:`access`.
+        """
+        ids = np.asarray(page_ids)
+        unallocated = (ids < 0) | (ids >= self._manager.num_pages)
+        if unallocated.any():
+            self._manager.check_allocated(int(ids[np.argmax(unallocated)]))
+        self.accesses += int(ids.size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PageCounter(accesses={self.accesses})"

@@ -31,6 +31,7 @@ asks for a private one.
 from __future__ import annotations
 
 import bisect
+import functools
 import threading
 from collections.abc import Mapping
 
@@ -69,11 +70,34 @@ DEFAULT_BUCKETS = (
 def metric_key(
     name: str, labels: Mapping[str, str] | None = None, suffix: str = ""
 ) -> str:
-    """Flat snapshot key: ``name{k="v",...}suffix`` (labels sorted)."""
-    if labels:
-        inner = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
+    """Flat snapshot key: ``name{k="v",...}suffix`` (labels sorted).
+
+    Keys are memoized, so every snapshot of a series shares one string
+    object instead of building (and retaining) a fresh one per query.
+    """
+    items = tuple((k, str(labels[k])) for k in sorted(labels)) if labels else ()
+    return _interned_key(name, items, suffix)
+
+
+@functools.lru_cache(maxsize=4096)
+def _interned_key(name: str, items: tuple[tuple[str, str], ...], suffix: str) -> str:
+    if items:
+        inner = ",".join(f'{k}="{v}"' for k, v in items)
         return f"{name}{{{inner}}}{suffix}"
     return f"{name}{suffix}"
+
+
+#: Shared float objects for the whole numbers ``0 .. 1023``: most snapshot
+#: values are such counts, and a caller that keeps one snapshot per query
+#: would otherwise keep a private copy of each.
+_WHOLE_FLOATS = tuple(float(i) for i in range(1024))
+
+
+def _shared_float(value: float) -> float:
+    """``float(value)``, as a shared object when it is a small whole number."""
+    if 0 <= value < len(_WHOLE_FLOATS) and value == int(value):
+        return _WHOLE_FLOATS[int(value)]
+    return float(value)
 
 
 def parse_key(key: str) -> tuple[str, str, str]:
@@ -284,10 +308,12 @@ class MetricsRegistry:
         out: dict[str, float] = {}
         for metric in self.collect():
             if isinstance(metric, Histogram):
-                out[metric.key + "_sum"] = metric.sum
-                out[metric.key + "_count"] = float(metric.count)
+                out[metric_key(metric.name, metric.labels, "_sum")] = metric.sum
+                out[metric_key(metric.name, metric.labels, "_count")] = (
+                    _shared_float(metric.count)
+                )
             else:
-                out[metric.key] = float(metric.value)  # type: ignore[attr-defined]
+                out[metric.key] = _shared_float(metric.value)  # type: ignore[attr-defined]
         return out
 
     def mark(self) -> dict[str, float]:

@@ -11,6 +11,7 @@ reload to the same answers.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from repro.index.arraystore import (
 from repro.index.mbr import MBR
 from repro.index.pagemanager import PageManager
 from repro.index.rstartree import RStarTree
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, metric_key
+from repro.obs.names import QUERY_PRUNED
 
 SEED = 11
 
@@ -179,6 +181,106 @@ def _assert_walk_matches_oracle(engine, queries) -> None:
             assert walked == expected, (anchor, neighbors, gamma)
             kept += len(expected)
     assert kept > 0  # the oracle is not vacuously empty
+
+
+#: Recorded walks (see :func:`_write_golden_walk`): per oracle seed and
+#: engine state, every walk's ordered items, pruning counters and page
+#: accesses. The brute-force oracle compares dicts, which hides the
+#: insertion order the Lemma-5 product multiplies its factors in.
+GOLDEN_WALK = Path(__file__).parent / "golden" / "traversal_walk.json"
+WALK_STAGES = (
+    "gene_range",
+    "bitvector_gene",
+    "bitvector_source",
+    "lemma6",
+    "leaf_edge_bound",
+)
+
+
+def _walk_records(engine, queries) -> list[dict]:
+    """Each (query, gamma) walk as JSON-ready data, floats as ``repr``."""
+    records = []
+    for i, query in enumerate(queries):
+        genes = query.gene_ids
+        anchor = genes[i % len(genes)]
+        neighbors = sorted(g for g in genes if g != anchor)
+        for gamma in ORACLE_GAMMAS:
+            pages = engine.pages.counter()
+            metrics = MetricsRegistry()
+            walked = engine._traverse(
+                anchor, neighbors, gamma, pages=pages, metrics=metrics
+            )
+            snapshot = metrics.snapshot()
+            records.append(
+                {
+                    "anchor": anchor,
+                    "gamma": gamma,
+                    "items": [
+                        [source, gene, repr(bound)]
+                        for (source, gene), bound in walked.items()
+                    ],
+                    "pruned": [
+                        snapshot.get(
+                            metric_key(
+                                QUERY_PRUNED, {"engine": "imgrn", "stage": stage}
+                            ),
+                            0.0,
+                        )
+                        for stage in WALK_STAGES
+                    ],
+                    "io_accesses": pages.accesses,
+                }
+            )
+    return records
+
+
+def _golden_states(seed: int):
+    """``(state name, engine, queries)`` for every recorded engine state.
+
+    ``built`` is a fresh build (its ``mmap_index=True`` reload must walk
+    identically); ``added`` builds all but the last matrix and adds it;
+    ``removed`` then removes the fourth source.
+    """
+    database = _oracle_database(seed)
+    built = _oracle_engine(database, seed)
+    built.build()
+    queries = generate_query_workload(
+        database, n_q=5, count=ORACLE_QUERIES, rng=seed
+    )
+    yield "built", built, queries
+    matrices = list(database)
+    head = GeneFeatureDatabase()
+    for matrix in matrices[:-1]:
+        head.add(matrix)
+    maintained = _oracle_engine(head, seed)
+    maintained.build()
+    maintained.add_matrix(matrices[-1])
+    yield "added", maintained, queries
+    maintained.remove_matrix(matrices[3].source_id)
+    yield "removed", maintained, queries
+
+
+def _write_golden_walk() -> None:
+    """Re-record :data:`GOLDEN_WALK` from the current walk.
+
+    Run ``PYTHONPATH=src python tests/test_arraystore.py`` only when the
+    walk's output is meant to change; the fixture pins it otherwise.
+    """
+    golden = {
+        str(seed): {
+            state: _walk_records(engine, queries)
+            for state, engine, queries in _golden_states(seed)
+        }
+        for seed in ORACLE_SEEDS
+    }
+    GOLDEN_WALK.write_text(
+        json.dumps(golden, separators=(",", ":")) + "\n", encoding="utf-8"
+    )
+
+
+@pytest.fixture(scope="module")
+def golden_walk():
+    return json.loads(GOLDEN_WALK.read_text(encoding="utf-8"))
 
 
 @pytest.fixture()
@@ -415,6 +517,22 @@ class TestTraversalOracle:
         _assert_walk_matches_oracle(mapped, queries)
 
 
+class TestTraversalGolden:
+    """The walk's order, pruning counters and page accesses, pinned."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_walk_matches_recording(self, golden_walk, seed, tmp_path):
+        for state, engine, queries in _golden_states(seed):
+            recorded = golden_walk[str(seed)][state]
+            assert _walk_records(engine, queries) == recorded, state
+            if state == "built":
+                save_engine_sharded(engine, tmp_path / "engine")
+                mapped = load_engine_sharded(
+                    tmp_path / "engine", mmap_index=True
+                )
+                assert _walk_records(mapped, queries) == recorded, "mmap"
+
+
 class TestEngineEquivalence:
     """In-memory arrays vs mmap reload vs maintenance: one answer set."""
 
@@ -522,3 +640,7 @@ class TestEngineEquivalence:
         loaded = load_engine_sharded(tmp_path / "engine", mmap_index=False)
         assert loaded.array_index is not None
         assert _answers(loaded, queries) == _answers(array_engine, queries)
+
+
+if __name__ == "__main__":
+    _write_golden_walk()

@@ -8,6 +8,10 @@ makes batching safe to wire through every engine.
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from repro.config import InferenceConfig
 from repro.core.batch_inference import (
     BatchInferenceEngine,
     EdgeProbabilityCache,
+    _permutation_block,
     batched_probability_matrix,
     standardize_columns,
 )
@@ -23,6 +28,7 @@ from repro.core.inference import (
     edge_probability,
     infer_grn,
 )
+from repro.core.randomization import content_seed
 from repro.core.standardize import standardize_vector
 from repro.errors import DimensionMismatchError, ValidationError
 
@@ -177,6 +183,18 @@ class TestCache:
         assert cache.get(("c",)) == 3.0
         assert len(cache) == 2
 
+    def test_pair_keys_are_exact_per_parameter_set(self):
+        cache = EdgeProbabilityCache()
+        seeds = (2**64 - 1, 12345)
+        key_a = cache.pair_key((64, "one_sided", 5, 0), *seeds)
+        key_b = cache.pair_key((32, "one_sided", 5, 0), *seeds)
+        assert key_a != key_b
+        assert cache.pair_key((64, "one_sided", 5, 0), *seeds) == key_a
+        assert cache.pair_key((64, "one_sided", 5, 0), *reversed(seeds)) != key_a
+        cache.put(key_a, 0.25)
+        cache.put(key_b, float("0.25"))
+        assert cache.get(key_a) is cache.get(key_b)  # one shared float
+
     def test_clear_resets_counters(self):
         cache = EdgeProbabilityCache()
         cache.put(("k",), 0.5)
@@ -193,6 +211,47 @@ class TestCache:
     def test_invalid_capacity_raises(self):
         with pytest.raises(ValidationError):
             EdgeProbabilityCache(max_entries=0)
+
+
+class TestPermutationTies:
+    """A permutation that ties the observed statistic never counts."""
+
+    def test_identity_permutation_counts_alike_in_every_kernel(self):
+        rng = np.random.default_rng(78)
+        m = rng.normal(size=(6, 3))
+        m[:, 2] = 0.7 * m[:, 0] + 0.4 * rng.normal(size=6)
+        std = standardize_columns(m)
+        # Column 2's 32-row block at seed 3 holds the identity
+        # permutation, whose dot product the scalar and GEMM kernels
+        # round to opposite sides of the observed one.
+        block = _permutation_block(std[:, 2], content_seed(std[:, 2]), 32, 3)
+        assert any(np.array_equal(row, std[:, 2]) for row in block)
+        estimator = EdgeProbabilityEstimator(n_samples=32, seed=3)
+        engine = BatchInferenceEngine(estimator, InferenceConfig())
+        pairs = [(0, 2), (1, 2)]
+        scalar = [estimator.pair_probability(m[:, s], m[:, t]) for s, t in pairs]
+        blocked = engine.pair_block_probabilities(std, pairs, raw=m)
+        assert [blocked[pair] for pair in pairs] == scalar
+        cached = [engine.pair_probability(m[:, s], m[:, t]) for s, t in pairs]
+        assert cached == scalar
+        assert engine.stats()["cache_hits"] == 2
+        swept = batched_probability_matrix(m, n_samples=32, seed=3)
+        assert [swept[s, t] for s, t in pairs] == scalar
+
+    def test_exact_enumeration_skips_equal_entry_swaps(self):
+        rng = np.random.default_rng(0)
+        x_t = rng.normal(size=6)
+        x_t[1], x_t[3] = x_t[0], x_t[2]  # four orderings reproduce x_t
+        x_s = rng.normal(size=6)
+        xs = [Fraction(v) for v in standardize_vector(x_s)]
+        xt = [Fraction(v) for v in standardize_vector(x_t)]
+        observed = sum(a * b for a, b in zip(xs, xt))
+        strictly_less = sum(
+            sum(a * b for a, b in zip(xs, perm)) < observed
+            for perm in itertools.permutations(xt)
+        )
+        p = edge_probability(x_s, x_t, method="exact")
+        assert p == strictly_less / math.factorial(6)
 
 
 class TestDeterminism:

@@ -160,6 +160,26 @@ class TestMetricsRegistry:
         assert suffix == "_sum"
         assert parse_key("plain") == ("plain", "", "")
 
+    def test_snapshots_share_keys_and_small_counts(self):
+        # A caller keeping one snapshot per query keeps one copy of each
+        # key and of each small whole-number value, not one per query.
+        snapshots = []
+        for _ in range(2):
+            registry = MetricsRegistry()
+            registry.counter("q.count", kind="topk").inc(3)
+            registry.gauge("g").set(-0.5)
+            registry.histogram("q.s", stage="x").observe(0.25)
+            snapshots.append(registry.snapshot())
+        first, second = snapshots
+        assert first == second
+        assert first['q.count{kind="topk"}'] == 3.0
+        for (key_a, value_a), (key_b, value_b) in zip(
+            first.items(), second.items()
+        ):
+            assert key_a is key_b
+            if value_a in (1.0, 3.0):
+                assert value_a is value_b
+
     def test_reset(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()

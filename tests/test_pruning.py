@@ -18,6 +18,7 @@ from repro.core.pruning import (
     graph_existence_prunable,
     graph_existence_upper_bound,
     index_pair_prunable,
+    index_pairs_prunable,
     markov_edge_upper_bound,
     pivot_edge_upper_bound,
     pivot_pruning_condition,
@@ -240,6 +241,22 @@ class TestIndexPruning:
     def test_gamma_domain(self):
         with pytest.raises(ValidationError):
             index_pair_prunable(np.ones(2), np.ones(2), np.ones(2), 1.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+    def test_rows_match_scalar(self, rng, gamma):
+        ea = rng.uniform(0.0, 2.0, size=(300, 3))
+        eb_x = rng.uniform(0.0, 9.0, size=(300, 3))
+        eb_y = rng.uniform(0.0, 3.0, size=(300, 3))
+        rows = index_pairs_prunable(ea, eb_x, eb_y, gamma)
+        assert rows.shape == (300,)
+        assert rows.tolist() == [
+            index_pair_prunable(a, x, y, gamma) for a, x, y in zip(ea, eb_x, eb_y)
+        ]
+        assert gamma == 0.0 or 0 < rows.sum() < 300
+
+    def test_rows_shape_mismatch(self):
+        with pytest.raises(ValidationError):
+            index_pairs_prunable(np.ones((3, 2)), np.ones((4, 2)), np.ones((4, 2)), 0.5)
 
 
 class TestCombineBounds:

@@ -174,6 +174,18 @@ class TestIOAccounting:
         with pytest.raises(ValidationError):
             pages.access(0)
 
+    def test_batched_access_checks_every_id(self):
+        pages = PageManager()
+        for _ in range(4):
+            pages.allocate()
+        counter = pages.counter()
+        counter.access_many(np.array([0, 3, 3, 1]))
+        assert counter.accesses == 4
+        for bad in (4, -1):
+            with pytest.raises(ValidationError, match=f"page {bad} was never"):
+                counter.access_many(np.array([0, 2, bad, 1]))
+        assert counter.accesses == 4  # a rejected batch charges nothing
+
     def test_page_size_domain(self):
         with pytest.raises(ValidationError):
             PageManager(page_size=32)
