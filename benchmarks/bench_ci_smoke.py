@@ -219,21 +219,26 @@ def bench_traversal_micro() -> dict[str, float]:
 
 
 def bench_refine_smoke() -> dict[str, float]:
-    """Batched vs per-pair candidate refinement, bit-identical answers.
+    """Batched candidate refinement vs a per-pair replay, same answers.
 
     A dense-overlap database (small gene pool, so every source survives
     the gene-containment check) queried at low ``gamma`` with a generous
     similarity edge budget: the dense query graph survives refinement
-    nearly everywhere, so both strategies must estimate essentially every
+    nearly everywhere, so refinement must estimate essentially every
     query edge of every candidate. That is the regime batching targets --
     one permutation block per distinct target column via
     ``pair_block_probabilities`` instead of one block per edge. The
-    edge-probability cache is disabled so both strategies do the same
-    arithmetic each round and the ratio measures batching alone.
+    denominator replays the per-pair loop in the bench: one scalar
+    ``pair_probability`` call per query edge of every source holding all
+    query genes (at ``alpha = 0`` and a budget above the anchor's degree
+    that is exactly the engine's candidate set). The edge-probability
+    cache is disabled so both sides do the same arithmetic each round and
+    the ratio measures batching alone.
     """
-    from repro.config import InferenceConfig, RefineConfig
+    from repro.config import InferenceConfig
     from repro.core.spec import QuerySpec
 
+    gamma, alpha, budget = 0.05, 0.0, 10
     database = generate_database(
         SyntheticConfig(
             weights="uni",
@@ -245,50 +250,67 @@ def bench_refine_smoke() -> dict[str, float]:
         12,
     )
     queries = generate_query_workload(database, n_q=10, count=4, rng=SEED)
+    engine = IMGRNEngine(
+        database,
+        EngineConfig(
+            seed=SEED,
+            observability=_OBS,
+            inference=InferenceConfig(cache=False),
+        ),
+    )
+    engine.build()
 
-    def build(strategy: str) -> IMGRNEngine:
-        engine = IMGRNEngine(
-            database,
-            EngineConfig(
-                seed=SEED,
-                observability=_OBS,
-                inference=InferenceConfig(cache=False),
-                refine=RefineConfig(strategy=strategy),
-            ),
-        )
-        engine.build()
-        return engine
-
-    batched_engine = build("batched")
-    perpair_engine = build("perpair")
-
-    def refine_seconds(engine: IMGRNEngine) -> tuple[float, list]:
+    def batched() -> tuple[float, list]:
         total = 0.0
-        outputs = []
+        results = []
         for query in queries:
             result = engine.execute(
                 QuerySpec(
-                    query, 0.05, 0.0, kind="similarity", edge_budget=10
+                    query, gamma, alpha, kind="similarity", edge_budget=budget
                 )
             )
             total += result.stats.refine_seconds
-            outputs.append(
-                [(a.source_id, a.probability) for a in result.answers]
-            )
-        return total, outputs
+            results.append(result)
+        return total, results
 
-    # Interleave the strategies so cache warmth and clock drift land on
-    # both sides evenly.
+    def perpair(query_graph) -> tuple[float, list]:
+        """The per-pair decision loop, one scalar estimate per edge."""
+        started = time.perf_counter()
+        found = []
+        for matrix in database:
+            if any(gene not in matrix for gene in query_graph.gene_ids):
+                continue
+            probability, missing = 1.0, 0
+            for (u, v), _p in query_graph.edges():
+                p = engine._inference.pair_probability(
+                    matrix.column(u), matrix.column(v)
+                )
+                if p <= gamma:
+                    missing += 1
+                    if missing > budget:
+                        break
+                    continue
+                probability *= p
+                if probability <= alpha:
+                    break
+            else:
+                found.append((matrix.source_id, probability))
+        return time.perf_counter() - started, found
+
+    # Interleave the two sides so clock drift lands on both evenly.
     rounds = 3
     batched_seconds = perpair_seconds = 0.0
     answers = 0.0
     for _ in range(rounds):
-        seconds, batched_answers = refine_seconds(batched_engine)
+        seconds, results = batched()
         batched_seconds += seconds
-        seconds, perpair_answers = refine_seconds(perpair_engine)
-        perpair_seconds += seconds
-        assert batched_answers == perpair_answers, "refine strategies diverged"
-        answers = sum(len(found) for found in batched_answers)
+        for result in results:
+            seconds, replayed = perpair(result.query_graph)
+            perpair_seconds += seconds
+            assert sorted(replayed) == sorted(
+                (a.source_id, a.probability) for a in result.answers
+            ), "per-pair replay diverged from batched refinement"
+        answers = sum(len(result.answers) for result in results)
     return {
         "perpair_seconds": perpair_seconds,
         "batched_seconds": batched_seconds,

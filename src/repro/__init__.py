@@ -29,7 +29,6 @@ from .config import (
     InferenceConfig,
     ObservabilityConfig,
     ParameterGrid,
-    RefineConfig,
     SyntheticConfig,
 )
 from .adhoc import AdHocMatchEngine, FeatureCollection
@@ -108,7 +107,6 @@ __all__ = [
     "DaemonConfig",
     "ObservabilityConfig",
     "ParameterGrid",
-    "RefineConfig",
     "SyntheticConfig",
     "BatchInferenceEngine",
     "EdgeProbabilityCache",

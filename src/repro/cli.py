@@ -33,6 +33,7 @@ import sys
 from collections.abc import Sequence
 
 from .eval import experiments
+from .eval.harness.runner import ENGINE_REGISTRY
 from .eval.reporting import format_roc_summary, format_table, render_roc_ascii
 
 __all__ = ["main", "build_parser"]
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--engine",
         default="imgrn",
-        choices=["imgrn", "linear-scan", "baseline", "measure-scan"],
+        choices=list(ENGINE_REGISTRY),
     )
     query.add_argument("--n-matrices", type=int, default=40)
     query.add_argument(
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--engine",
         default="imgrn",
-        choices=["imgrn", "linear-scan", "baseline", "measure-scan"],
+        choices=list(ENGINE_REGISTRY),
     )
     serve.add_argument("--n-matrices", type=int, default=40)
     serve.add_argument(
@@ -580,9 +581,6 @@ def _run_query(args: argparse.Namespace) -> int:
         ObservabilityConfig,
         SyntheticConfig,
     )
-    from .core.baseline import BaselineEngine, LinearScanEngine
-    from .core.measure_engine import MeasureScanEngine
-    from .core.query import IMGRNEngine
     from .core.spec import QuerySpec
     from .data.queries import generate_query_workload
     from .data.synthetic import generate_database
@@ -604,13 +602,7 @@ def _run_query(args: argparse.Namespace) -> int:
         SyntheticConfig(genes_range=tuple(args.genes_range), seed=args.seed),
         args.n_matrices,
     )
-    engines = {
-        "imgrn": IMGRNEngine,
-        "linear-scan": LinearScanEngine,
-        "baseline": BaselineEngine,
-        "measure-scan": MeasureScanEngine,
-    }
-    engine = engines[args.engine](database, config=config)
+    engine = ENGINE_REGISTRY[args.engine](database, config=config)
     build_seconds = engine.build()
     workload = generate_query_workload(
         database, args.n_q, count=args.queries, rng=args.seed
@@ -674,9 +666,6 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
     import time as _time
 
     from .config import EngineConfig, ObservabilityConfig, SyntheticConfig
-    from .core.baseline import BaselineEngine, LinearScanEngine
-    from .core.measure_engine import MeasureScanEngine
-    from .core.query import IMGRNEngine
     from .data.queries import generate_query_workload
     from .data.synthetic import generate_database
     from .obs.exporters import metrics_to_json, write_chrome_trace
@@ -693,13 +682,7 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
         SyntheticConfig(genes_range=tuple(args.genes_range), seed=args.seed),
         args.n_matrices,
     )
-    engines = {
-        "imgrn": IMGRNEngine,
-        "linear-scan": LinearScanEngine,
-        "baseline": BaselineEngine,
-        "measure-scan": MeasureScanEngine,
-    }
-    engine = engines[args.engine](database, config=config)
+    engine = ENGINE_REGISTRY[args.engine](database, config=config)
     build_seconds = engine.build()
     workload = generate_query_workload(
         database, args.n_q, count=args.queries, rng=args.seed

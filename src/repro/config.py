@@ -30,7 +30,6 @@ __all__ = [
     "EngineConfig",
     "InferenceConfig",
     "ObservabilityConfig",
-    "RefineConfig",
     "SyntheticConfig",
     "PAPER_GRID",
     "DEFAULTS",
@@ -140,65 +139,6 @@ class InferenceConfig:
 
 
 @dataclass(frozen=True)
-class RefineConfig:
-    """Knobs of the unified refinement layer (:mod:`repro.core.refine`).
-
-    Controls *how* surviving candidates are verified -- batched versus
-    per-pair estimation, bound prescreens, chunk granularity -- never
-    *what* the verification decides: every setting returns bit-identical
-    answers, probabilities and ``query.*`` pruning counters, because the
-    final decision always replays the per-pair loop over the memoized
-    probabilities in sorted query-edge order (asserted across strategies
-    and engines in ``tests/test_refine.py``). Only the strategy-specific
-    ``refine.*`` diagnostics differ.
-
-    Attributes
-    ----------
-    strategy:
-        ``"batched"`` (default) estimates a candidate's query edges
-        through
-        :meth:`~repro.core.batch_inference.BatchInferenceEngine.pair_block_probabilities`
-        -- one permutation block per distinct target column instead of
-        one scalar call per edge. ``"perpair"`` keeps the historical
-        one-``pair_probability``-per-edge loop (reference path and the
-        denominator of the ``refine_smoke`` benchmark).
-    prescreen:
-        Discard a candidate before *any* Monte-Carlo estimation when its
-        per-edge Markov upper bounds already decide the replay (more
-        certainly-missing edges than the budget, relaxed Lemma-5 product
-        ``<= alpha``, or below the running top-k bound). Sound: bounds
-        only ever discard candidates whose exact refinement must fail.
-    chunk_size:
-        Batched-strategy granularity. ``0`` (the default) estimates all
-        of a candidate's edges in one pass, which maximizes
-        permutation-block sharing across edges with a common target
-        column. A positive value estimates cheapest-upper-bound-first in
-        chunks of that size, re-checking the prescreen with exact values
-        between chunks -- worth it only when mid-refinement pruning
-        (tight ``alpha`` or a hot top-k bound) fires often enough to pay
-        for the fragmented blocks.
-    """
-
-    strategy: str = "batched"
-    prescreen: bool = True
-    chunk_size: int = 0
-
-    def __post_init__(self) -> None:
-        if self.strategy not in ("batched", "perpair"):
-            raise ValidationError(
-                f"strategy must be 'batched' or 'perpair', got {self.strategy!r}"
-            )
-        if self.chunk_size < 0:
-            raise ValidationError(
-                f"chunk_size must be >= 0, got {self.chunk_size}"
-            )
-
-    def with_(self, **changes: object) -> "RefineConfig":
-        """Return a copy with ``changes`` applied (convenience for sweeps)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
 class BuildConfig:
     """Knobs of the sharded, optionally parallel index build.
 
@@ -289,6 +229,9 @@ class ObservabilityConfig:
 class EngineConfig:
     """Knobs of :class:`repro.core.query.IMGRNEngine`.
 
+    Candidate refinement (:mod:`repro.core.refine`) has no knobs: it is
+    always batched, prescreened and single-pass.
+
     Attributes
     ----------
     num_pivots:
@@ -316,10 +259,6 @@ class EngineConfig:
     inference:
         Batching/caching/parallelism knobs of the edge-probability engine
         (:class:`InferenceConfig`); never changes the computed values.
-    refine:
-        Strategy/prescreen/chunking knobs of the unified refinement layer
-        (:class:`RefineConfig`); never changes answers, probabilities or
-        ``query.*`` counters.
     build:
         Sharding/parallelism knobs of the index build
         (:class:`BuildConfig`); never changes the built index.
@@ -341,7 +280,6 @@ class EngineConfig:
     rstar_max_entries: int = 16
     seed: int = 7
     inference: InferenceConfig = InferenceConfig()
-    refine: RefineConfig = RefineConfig()
     build: BuildConfig = BuildConfig()
     observability: ObservabilityConfig = ObservabilityConfig()
 

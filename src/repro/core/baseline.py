@@ -24,9 +24,7 @@ import numpy as np
 from ..config import EngineConfig
 from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
-from ..errors import IndexNotBuiltError, ValidationError
-from ..eval.counters import QueryStats
-from ..obs import MetricsRegistry, Observability
+from ..obs import Observability
 from ..obs import names as _names
 from .batch_inference import BatchInferenceEngine, standardize_columns
 from .inference import EdgeProbabilityEstimator
@@ -38,13 +36,7 @@ from .pruning import (
     markov_edge_upper_bound,
     relaxed_graph_existence_upper_bound,
 )
-from .query import (
-    IMGRNAnswer,
-    IMGRNResult,
-    _check_thresholds,
-    _QueryMixin,
-)
-from .refine import BatchEdgeEvaluator, CandidateRefiner
+from .query import IMGRNAnswer, _check_thresholds, _QueryMixin, _Retrieved
 from .spec import QuerySpec
 from .standardize import standardize_matrix
 
@@ -53,6 +45,16 @@ __all__ = ["BaselineEngine", "LinearScanEngine"]
 #: Bytes per stored probability / feature value (double precision).
 _FLOAT_BYTES = 8
 _PAGE_BYTES = 4096
+
+
+def _pages(values: int) -> int:
+    """Simulated pages read for ``values`` doubles (at least one)."""
+    return max(1, math.ceil(values * _FLOAT_BYTES / _PAGE_BYTES))
+
+
+def _raw_pages(matrix: GeneFeatureMatrix) -> int:
+    """Simulated pages read to scan one raw matrix from disk."""
+    return _pages(matrix.num_samples * matrix.num_genes)
 
 
 def _store_stripe_worker(
@@ -90,17 +92,9 @@ def _store_stripe_worker(
     return out
 
 
-def _stage_timer(metrics, engine: str, stage: str):
-    return metrics.histogram(
-        _names.STAGE_SECONDS,
-        help="per-query stage wall-clock seconds",
-        engine=engine,
-        stage=stage,
-    )
-
-
-class BaselineEngine(_QueryMixin):
-    """Offline-materialization baseline (Section 6.1's ``Baseline``)."""
+class _CompetitorEngine(_QueryMixin):
+    """What the two Section-6.1 competitors share: the batched
+    edge-probability engine and unpruned query-graph inference."""
 
     def __init__(
         self,
@@ -120,6 +114,44 @@ class BaselineEngine(_QueryMixin):
         self._inference = BatchInferenceEngine(
             self._estimator, self.config.inference, obs=self.obs
         )
+
+    def infer_query_graph(
+        self,
+        query_matrix: GeneFeatureMatrix,
+        gamma: float,
+        *,
+        metrics=None,
+    ) -> ProbabilisticGraph:
+        """Query GRN at ``gamma``: every pair estimated in one batched
+        pass (no Lemma-3 pruning, so ``metrics`` records nothing)."""
+        _check_thresholds(gamma)
+        ids = query_matrix.gene_ids
+        std = standardize_columns(query_matrix.values)
+        pairs = [
+            (s, t) for s in range(len(ids)) for t in range(s + 1, len(ids))
+        ]
+        probabilities = self._inference.pair_block_probabilities(
+            std, pairs, raw=query_matrix.values
+        )
+        edges: dict[tuple[int, int], float] = {}
+        for s, t in pairs:
+            p = probabilities[(s, t)]
+            if p > gamma:
+                edges[(ids[s], ids[t])] = p
+        return ProbabilisticGraph(ids, edges)
+
+
+class BaselineEngine(_CompetitorEngine):
+    """Offline-materialization baseline (Section 6.1's ``Baseline``)."""
+
+    _engine_label = "baseline"
+
+    def __init__(
+        self,
+        database: GeneFeatureDatabase,
+        config: EngineConfig | None = None,
+    ):
+        super().__init__(database, config)
         self._store: dict[int, np.ndarray] | None = None
         self.precompute_seconds: float = 0.0
         self.storage_bytes: int = 0
@@ -254,7 +286,9 @@ class BaselineEngine(_QueryMixin):
                     ).observe(seconds)
         return store
 
-    def execute(self, spec: QuerySpec) -> IMGRNResult:
+    def _retrieve(
+        self, spec: QuerySpec, query_graph: ProbabilisticGraph, metrics
+    ) -> _Retrieved:
         """Scan the pre-computed store: materialize each GRN and match.
 
         Faithful to Section 6.1: for *every* matrix, the Baseline reads its
@@ -262,7 +296,8 @@ class BaselineEngine(_QueryMixin):
         the query's ``gamma`` (every matrix is therefore a candidate), and
         runs the label-preserving subgraph match against ``Q``. The GRN
         materialization is what makes this engine slow -- exactly the cost
-        the index avoids.
+        the index avoids. The matcher decides the answers itself, so the
+        scan is the brute-force reference the refiner is checked against.
 
         All three workload kinds reduce to the matcher here:
         ``similarity`` passes ``spec.edge_budget`` through to
@@ -271,80 +306,32 @@ class BaselineEngine(_QueryMixin):
         truncates to ``k`` -- the post-hoc reference the indexed engine's
         bound-aware top-k is verified against.
         """
-        if not isinstance(spec, QuerySpec):
-            raise ValidationError(
-                f"execute() takes a QuerySpec, got {type(spec).__name__}"
-            )
-        if self._store is None:
-            raise IndexNotBuiltError("call build() before execute()")
-        kind = spec.kind
-        gamma = spec.gamma
-        budget = spec.edge_budget or 0
-        match_alpha = 0.0 if kind == "topk" else spec.alpha
-        metrics = MetricsRegistry()  # this query's private delta registry
-        tracer = self.obs.tracer
-        started = time.perf_counter()
-        with tracer.span(
-            "query", engine="baseline", kind=kind, gamma=gamma, alpha=spec.alpha
-        ):
-            with tracer.span("query.infer", genes=spec.matrix.num_genes):
-                infer_started = time.perf_counter()
-                query_graph = _infer_query_graph(
-                    spec.matrix, gamma, self._inference
+        assert self._store is not None
+        match_alpha = 0.0 if spec.kind == "topk" else spec.alpha
+        answers: list[IMGRNAnswer] = []
+        io_pages = 0
+        with self.obs.tracer.span("query.scan", matrices=len(self._store)):
+            for matrix in self.database:
+                probs = self._store[matrix.source_id]
+                # Reading the full pre-computed triangle of this matrix:
+                io_pages += _pages(matrix.num_genes * (matrix.num_genes - 1) // 2)
+                grn = self._materialize_grn(matrix, probs, spec.gamma)
+                embedding = best_embedding(
+                    query_graph,
+                    grn,
+                    alpha=match_alpha,
+                    edge_budget=spec.edge_budget or 0,
                 )
-                _stage_timer(
-                    metrics, "baseline", _names.STAGE_INFERENCE
-                ).observe(time.perf_counter() - infer_started)
-            answers: list[IMGRNAnswer] = []
-            io_pages = 0
-            candidates = 0
-            with tracer.span("query.scan", matrices=len(self._store)):
-                for matrix in self.database:
-                    probs = self._store[matrix.source_id]
-                    # Reading the full pre-computed triangle of this matrix:
-                    pairs = matrix.num_genes * (matrix.num_genes - 1) // 2
-                    io_pages += max(
-                        1, math.ceil(pairs * _FLOAT_BYTES / _PAGE_BYTES)
-                    )
-                    candidates += 1
-                    grn = self._materialize_grn(matrix, probs, gamma)
-                    embedding = best_embedding(
-                        query_graph, grn, alpha=match_alpha, edge_budget=budget
-                    )
-                    if embedding is not None:
-                        answers.append(
-                            IMGRNAnswer(
-                                matrix.source_id, embedding, embedding.probability
-                            )
+                if embedding is not None:
+                    answers.append(
+                        IMGRNAnswer(
+                            matrix.source_id, embedding, embedding.probability
                         )
-            if kind == "topk":
-                answers.sort(key=lambda a: (-a.probability, a.source_id))
-                del answers[spec.k :]
-            _stage_timer(metrics, "baseline", _names.STAGE_RETRIEVE).observe(
-                time.perf_counter() - started
-            )
-            metrics.counter(
-                _names.QUERY_IO, help="simulated pages read", engine="baseline"
-            ).inc(io_pages)
-            metrics.counter(
-                _names.QUERY_CANDIDATES,
-                help="candidates surviving all pruning",
-                engine="baseline",
-            ).inc(candidates)
-            metrics.counter(
-                _names.QUERY_ANSWERS, help="answers returned", engine="baseline"
-            ).inc(len(answers))
-            metrics.counter(
-                _names.QUERY_COUNT,
-                help="queries answered",
-                engine="baseline",
-                kind=kind,
-            ).inc()
-        delta = metrics.snapshot()
-        self.obs.metrics.merge(metrics)
-        return IMGRNResult(
-            query_graph, answers, QueryStats.from_metrics(delta), metrics=delta
-        )
+                    )
+        if spec.kind == "topk":
+            answers.sort(key=lambda a: (-a.probability, a.source_id))
+            del answers[spec.k :]
+        return _Retrieved([], len(self.database), io_pages, answers=answers)
 
     @staticmethod
     def _materialize_grn(
@@ -360,27 +347,17 @@ class BaselineEngine(_QueryMixin):
         return ProbabilisticGraph(ids, edges)
 
 
-class LinearScanEngine(_QueryMixin):
+class LinearScanEngine(_CompetitorEngine):
     """Scan + Section-3.2 pruning, without embedding or index (Section 4.1)."""
+
+    _engine_label = "linear_scan"
 
     def __init__(
         self,
         database: GeneFeatureDatabase,
         config: EngineConfig | None = None,
     ):
-        database.require_non_empty()
-        self.database = database
-        self.config = config or EngineConfig()
-        self.obs = Observability.from_config(self.config.observability)
-        self._estimator = EdgeProbabilityEstimator(
-            n_samples=self.config.mc_samples,
-            epsilon=self.config.epsilon,
-            delta=self.config.delta,
-            seed=self.config.seed,
-        )
-        self._inference = BatchInferenceEngine(
-            self._estimator, self.config.inference, obs=self.obs
-        )
+        super().__init__(database, config)
         self._standardized: dict[int, np.ndarray] = {}
 
     @property
@@ -403,179 +380,68 @@ class LinearScanEngine(_QueryMixin):
         ).observe(elapsed)
         return elapsed
 
-    def execute(self, spec: QuerySpec) -> IMGRNResult:
-        """Scan + Section-3.2 pruning for one typed workload.
+    def _retrieve(
+        self, spec: QuerySpec, query_graph: ProbabilisticGraph, metrics
+    ) -> _Retrieved:
+        """Scan every matrix with Section-3.2 pruning.
 
-        ``similarity`` counts *certainly missing* edges (Markov bound
-        ``<= gamma``) against ``spec.edge_budget`` instead of pruning on
-        the first one, and relaxes Lemma 5 via
+        A matrix survives unless its Markov edge bounds (Lemma 4) leave
+        more than ``spec.edge_budget`` query edges *certainly missing*
+        (``bound <= gamma``; containment and top-k have no budget) or
+        the Lemma-5 product, relaxed via
         :func:`~repro.core.pruning.relaxed_graph_existence_upper_bound`
-        with the leftover budget; refinement counts ``p <= gamma`` edges
-        the same way. ``topk`` filters and refines at ``alpha = 0``, then
-        sorts by ``(-Pr{G}, source_id)`` and truncates to ``k``.
+        with the leftover budget, is ``<= alpha`` (``0`` for top-k).
         """
-        if not isinstance(spec, QuerySpec):
-            raise ValidationError(
-                f"execute() takes a QuerySpec, got {type(spec).__name__}"
-            )
-        if not self._standardized:
-            raise IndexNotBuiltError("call build() before execute()")
-        kind = spec.kind
         gamma = spec.gamma
         budget = spec.edge_budget or 0
         # Top-k has no probability threshold: the ranking replaces it.
-        filter_alpha = 0.0 if kind == "topk" else spec.alpha
-        metrics = MetricsRegistry()  # this query's private delta registry
-        tracer = self.obs.tracer
+        filter_alpha = 0.0 if spec.kind == "topk" else spec.alpha
         pruned_edge = metrics.counter(
             _names.QUERY_PRUNED,
             help="matrices discarded by pruning",
-            engine="linear_scan",
+            engine=self._engine_label,
             stage="edge_bound",
         )
         pruned_existence = metrics.counter(
             _names.QUERY_PRUNED,
             help="matrices discarded by pruning",
-            engine="linear_scan",
+            engine=self._engine_label,
             stage="lemma5",
         )
-        started = time.perf_counter()
-        with tracer.span(
-            "query", engine="linear_scan", kind=kind, gamma=gamma, alpha=spec.alpha
-        ):
-            with tracer.span("query.infer", genes=spec.matrix.num_genes):
-                infer_started = time.perf_counter()
-                query_graph = _infer_query_graph(
-                    spec.matrix, gamma, self._inference
-                )
-                _stage_timer(
-                    metrics, "linear_scan", _names.STAGE_INFERENCE
-                ).observe(time.perf_counter() - infer_started)
-            query_edges = [key for key, _p in query_graph.edges()]
-            candidates: list[int] = []
-            io_pages = 0
-            with tracer.span("query.scan", matrices=len(self._standardized)):
-                for matrix in self.database:
-                    # Reading the raw matrix from disk:
-                    io_pages += max(
-                        1,
-                        math.ceil(
-                            matrix.num_samples
-                            * matrix.num_genes
-                            * _FLOAT_BYTES
-                            / _PAGE_BYTES
-                        ),
-                    )
-                    if any(
-                        gene not in matrix for gene in query_graph.gene_ids
-                    ):
+        query_edges = [key for key, _p in query_graph.edges()]
+        candidates: list[int] = []
+        io_pages = 0
+        with self.obs.tracer.span("query.scan", matrices=len(self._standardized)):
+            for matrix in self.database:
+                io_pages += _raw_pages(matrix)  # reading the raw matrix
+                if any(gene not in matrix for gene in query_graph.gene_ids):
+                    continue
+                std = self._standardized[matrix.source_id]
+                expected = math.sqrt(2.0 * matrix.num_samples)
+                bounds: list[float] = []
+                missing = 0
+                pruned = False
+                for u, v in query_edges:
+                    cu = matrix.column_index(u)
+                    cv = matrix.column_index(v)
+                    distance = float(np.linalg.norm(std[:, cu] - std[:, cv]))
+                    bound = markov_edge_upper_bound(distance, expected)
+                    if edge_inference_prunable(bound, gamma):
+                        # Certainly missing: p <= bound <= gamma.
+                        missing += 1
+                        if missing > budget:
+                            pruned = True
+                            break
                         continue
-                    std = self._standardized[matrix.source_id]
-                    expected = math.sqrt(2.0 * matrix.num_samples)
-                    bounds: list[float] = []
-                    missing = 0
-                    pruned = False
-                    for u, v in query_edges:
-                        cu = matrix.column_index(u)
-                        cv = matrix.column_index(v)
-                        distance = float(np.linalg.norm(std[:, cu] - std[:, cv]))
-                        bound = markov_edge_upper_bound(distance, expected)
-                        if edge_inference_prunable(bound, gamma):
-                            # Certainly missing: p <= bound <= gamma.
-                            missing += 1
-                            if missing > budget:
-                                pruned = True
-                                break
-                            continue
-                        bounds.append(bound)
-                    if pruned:
-                        pruned_edge.inc()
-                        continue
-                    if graph_existence_prunable(
-                        relaxed_graph_existence_upper_bound(
-                            bounds, budget - missing
-                        ),
-                        filter_alpha,
-                    ):
-                        pruned_existence.inc()
-                        continue
-                    candidates.append(matrix.source_id)
-            _stage_timer(metrics, "linear_scan", _names.STAGE_RETRIEVE).observe(
-                time.perf_counter() - started
-            )
-            metrics.counter(
-                _names.QUERY_IO, help="simulated pages read", engine="linear_scan"
-            ).inc(io_pages)
-            metrics.counter(
-                _names.QUERY_CANDIDATES,
-                help="candidates surviving all pruning",
-                engine="linear_scan",
-            ).inc(len(candidates))
-
-            refiner = CandidateRefiner(
-                query_graph,
-                gamma,
-                BatchEdgeEvaluator(self._inference, self.database.get),
-                engine="linear_scan",
-                config=self.config.refine,
-                metrics=metrics,
-                tracer=tracer,
-            )
-            with tracer.span(
-                "query.refine",
-                candidates=len(candidates),
-                strategy=self.config.refine.strategy,
-            ) as refine_span:
-                refine_start = time.perf_counter()
-                if kind == "topk":
-                    refined = refiner.refine_topk_posthoc(candidates, spec.k)
-                else:
-                    # Containment is similarity at budget 0.
-                    refined = refiner.refine_similarity(
-                        candidates, spec.alpha, budget
-                    )
-                answers = [
-                    IMGRNAnswer(r.source_id, r.embedding, r.probability)
-                    for r in refined
-                ]
-                _stage_timer(
-                    metrics, "linear_scan", _names.STAGE_REFINE
-                ).observe(time.perf_counter() - refine_start)
-                refine_span.set(answers=len(answers))
-            metrics.counter(
-                _names.QUERY_ANSWERS, help="answers returned", engine="linear_scan"
-            ).inc(len(answers))
-            metrics.counter(
-                _names.QUERY_COUNT,
-                help="queries answered",
-                engine="linear_scan",
-                kind=kind,
-            ).inc()
-        delta = metrics.snapshot()
-        self.obs.metrics.merge(metrics)
-        return IMGRNResult(
-            query_graph, answers, QueryStats.from_metrics(delta), metrics=delta
-        )
-
-
-def _infer_query_graph(
-    query_matrix: GeneFeatureMatrix,
-    gamma: float,
-    inference: BatchInferenceEngine,
-) -> ProbabilisticGraph:
-    """Shared query-graph inference for the competitor engines (batched)."""
-    _check_thresholds(gamma)
-    ids = query_matrix.gene_ids
-    std = standardize_columns(query_matrix.values)
-    pairs = [
-        (s, t) for s in range(len(ids)) for t in range(s + 1, len(ids))
-    ]
-    probabilities = inference.pair_block_probabilities(
-        std, pairs, raw=query_matrix.values
-    )
-    edges: dict[tuple[int, int], float] = {}
-    for s, t in pairs:
-        p = probabilities[(s, t)]
-        if p > gamma:
-            edges[(ids[s], ids[t])] = p
-    return ProbabilisticGraph(ids, edges)
+                    bounds.append(bound)
+                if pruned:
+                    pruned_edge.inc()
+                    continue
+                if graph_existence_prunable(
+                    relaxed_graph_existence_upper_bound(bounds, budget - missing),
+                    filter_alpha,
+                ):
+                    pruned_existence.inc()
+                    continue
+                candidates.append(matrix.source_id)
+        return _Retrieved(candidates, len(candidates), io_pages)

@@ -17,7 +17,6 @@ index cannot represent at all (see
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -25,28 +24,21 @@ import numpy as np
 from ..config import EngineConfig
 from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
-from ..errors import IndexNotBuiltError, ValidationError
-from ..eval.counters import QueryStats, Stopwatch
-from ..obs import MetricsRegistry, Observability
+from ..errors import ValidationError
+from ..obs import Observability
 from ..obs import names as _names
+from .baseline import _raw_pages
 from .batch_inference import EdgeProbabilityCache
 from .measures import MEASURES, ScoreFunction, randomized_measure_probability
 from .probgraph import ProbabilisticGraph
-from .query import (
-    IMGRNAnswer,
-    IMGRNResult,
-    _check_thresholds,
-    _QueryMixin,
-)
+from .query import _check_thresholds, _QueryMixin, _Retrieved
 from .randomization import content_seed
-from .refine import CandidateRefiner, ScalarEdgeEvaluator
+from .refine import ScalarEdgeEvaluator
 from .spec import QuerySpec
 
 __all__ = ["MeasureScanEngine"]
 
 _ENGINE = "measure_scan"
-_FLOAT_BYTES = 8
-_PAGE_BYTES = 4096
 
 
 class MeasureScanEngine(_QueryMixin):
@@ -62,6 +54,8 @@ class MeasureScanEngine(_QueryMixin):
     config:
         Only ``mc_samples`` and ``seed`` are used (there is no index).
     """
+
+    _engine_label = _ENGINE
 
     def __init__(
         self,
@@ -141,9 +135,14 @@ class MeasureScanEngine(_QueryMixin):
         return value
 
     def infer_query_graph(
-        self, query_matrix: GeneFeatureMatrix, gamma: float
+        self,
+        query_matrix: GeneFeatureMatrix,
+        gamma: float,
+        *,
+        metrics=None,
     ) -> ProbabilisticGraph:
-        """Query GRN under the configured measure at threshold ``gamma``."""
+        """Query GRN under the configured measure at threshold ``gamma``
+        (no pruning, so ``metrics`` records nothing)."""
         _check_thresholds(gamma)
         ids = query_matrix.gene_ids
         edges: dict[tuple[int, int], float] = {}
@@ -156,116 +155,20 @@ class MeasureScanEngine(_QueryMixin):
                     edges[(ids[s], ids[t])] = p
         return ProbabilisticGraph(ids, edges)
 
-    def execute(self, spec: QuerySpec) -> IMGRNResult:
-        """Answer one typed workload under the configured measure.
+    def _edge_evaluator(self) -> ScalarEdgeEvaluator:
+        """Scalar estimation: a randomized measure has no batched kernel."""
+        return ScalarEdgeEvaluator(self._pair_probability, self.database.get)
 
-        The scan applies the same kind semantics as the Pearson engines:
-        ``similarity`` counts ``p <= gamma`` edges against
-        ``spec.edge_budget``, ``topk`` matches at ``alpha = 0`` then sorts
-        by ``(-Pr{G}, source_id)`` and truncates to ``k``.
-        """
-        if not isinstance(spec, QuerySpec):
-            raise ValidationError(
-                f"execute() takes a QuerySpec, got {type(spec).__name__}"
-            )
-        if not self._built:
-            raise IndexNotBuiltError("call build() before execute()")
-        kind = spec.kind
-        gamma = spec.gamma
-        budget = spec.edge_budget or 0
-        metrics = MetricsRegistry()  # this query's private delta registry
-        tracer = self.obs.tracer
-
-        def stage_timer(stage: str):
-            return metrics.histogram(
-                _names.STAGE_SECONDS,
-                help="per-query stage wall-clock seconds",
-                engine=_ENGINE,
-                stage=stage,
-            )
-
-        started = time.perf_counter()
-        with tracer.span(
-            "query", engine=_ENGINE, kind=kind, gamma=gamma, alpha=spec.alpha
-        ):
-            with tracer.span("query.infer", genes=spec.matrix.num_genes):
-                infer_started = time.perf_counter()
-                query_graph = self.infer_query_graph(spec.matrix, gamma)
-                stage_timer(_names.STAGE_INFERENCE).observe(
-                    time.perf_counter() - infer_started
-                )
-            refine = Stopwatch()
-            io_pages = 0
-            candidate_ids: list[int] = []
-            with tracer.span("query.scan"):
-                for matrix in self.database:
-                    io_pages += max(
-                        1,
-                        math.ceil(
-                            matrix.num_samples
-                            * matrix.num_genes
-                            * _FLOAT_BYTES
-                            / _PAGE_BYTES
-                        ),
-                    )
-                    if any(
-                        gene not in matrix for gene in query_graph.gene_ids
-                    ):
-                        continue
-                    candidate_ids.append(matrix.source_id)
-            candidates = len(candidate_ids)
-            refiner = CandidateRefiner(
-                query_graph,
-                gamma,
-                ScalarEdgeEvaluator(self._pair_probability, self.database.get),
-                engine=_ENGINE,
-                config=self.config.refine,
-                metrics=metrics,
-                tracer=tracer,
-            )
-            with tracer.span(
-                "query.refine",
-                candidates=candidates,
-                strategy=self.config.refine.strategy,
-            ) as refine_span:
-                with refine:
-                    if kind == "topk":
-                        refined = refiner.refine_topk_posthoc(
-                            candidate_ids, spec.k
-                        )
-                    else:
-                        # Containment is similarity at budget 0.
-                        refined = refiner.refine_similarity(
-                            candidate_ids, spec.alpha, budget
-                        )
-                answers = [
-                    IMGRNAnswer(r.source_id, r.embedding, r.probability)
-                    for r in refined
-                ]
-                refine_span.set(answers=len(answers))
-            stage_timer(_names.STAGE_REFINE).observe(refine.elapsed)
-            stage_timer(_names.STAGE_RETRIEVE).observe(
-                time.perf_counter() - started - refine.elapsed
-            )
-            metrics.counter(
-                _names.QUERY_IO, help="simulated pages read", engine=_ENGINE
-            ).inc(io_pages)
-            metrics.counter(
-                _names.QUERY_CANDIDATES,
-                help="candidates surviving all pruning",
-                engine=_ENGINE,
-            ).inc(candidates)
-            metrics.counter(
-                _names.QUERY_ANSWERS, help="answers returned", engine=_ENGINE
-            ).inc(len(answers))
-            metrics.counter(
-                _names.QUERY_COUNT,
-                help="queries answered",
-                engine=_ENGINE,
-                kind=kind,
-            ).inc()
-        delta = metrics.snapshot()
-        self.obs.metrics.merge(metrics)
-        return IMGRNResult(
-            query_graph, answers, QueryStats.from_metrics(delta), metrics=delta
-        )
+    def _retrieve(
+        self, spec: QuerySpec, query_graph: ProbabilisticGraph, metrics
+    ) -> _Retrieved:
+        """Gene-containment scan: every matrix holding all query genes is
+        a candidate (no bound exists to prune with)."""
+        io_pages = 0
+        sources: list[int] = []
+        with self.obs.tracer.span("query.scan"):
+            for matrix in self.database:
+                io_pages += _raw_pages(matrix)
+                if all(gene in matrix for gene in query_graph.gene_ids):
+                    sources.append(matrix.source_id)
+        return _Retrieved(sources, len(sources), io_pages)

@@ -22,6 +22,7 @@ import dataclasses
 import io as _io
 import json
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from ..config import (
     EngineConfig,
     InferenceConfig,
     ObservabilityConfig,
-    RefineConfig,
 )
 from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
@@ -57,7 +57,6 @@ _SHARDED_FORMAT_VERSION = 1
 #: Nested config dataclasses reconstructed by name from archive dicts.
 _NESTED_CONFIG_FIELDS = {
     "inference": InferenceConfig,
-    "refine": RefineConfig,
     "build": BuildConfig,
     "observability": ObservabilityConfig,
 }
@@ -432,6 +431,21 @@ def save_engine_sharded(
     return {"written": written, "skipped": skipped, "index_arrays": arrays_state}
 
 
+def _read_meta(target: Path) -> dict:
+    """The parsed, version-checked ``meta.json`` of a sharded save."""
+    meta_path = target / "meta.json"
+    if not meta_path.is_file():
+        raise ValidationError(f"{target}: not a sharded engine save")
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{meta_path}: unreadable meta.json: {exc}") from exc
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != _SHARDED_FORMAT_VERSION:
+        raise ValidationError(f"{target}: unsupported sharded format {version!r}")
+    return meta
+
+
 def sharded_save_fingerprint(directory: str | Path) -> str:
     """Content fingerprint of a sharded save, cheap enough to poll.
 
@@ -452,19 +466,7 @@ def sharded_save_fingerprint(directory: str | Path) -> str:
     """
     import hashlib
 
-    target = Path(directory)
-    meta_path = target / "meta.json"
-    if not meta_path.is_file():
-        raise ValidationError(f"{target}: not a sharded engine save")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValidationError(f"{target}: unreadable meta.json: {exc}") from exc
-    if meta.get("format_version") != _SHARDED_FORMAT_VERSION:
-        raise ValidationError(
-            f"{target}: unsupported sharded format "
-            f"{meta.get('format_version')!r}"
-        )
+    meta = _read_meta(Path(directory))
     digest = hashlib.sha256()
     digest.update(
         json.dumps(meta.get("embedding_config"), sort_keys=True).encode("utf-8")
@@ -510,20 +512,13 @@ def load_engine_sharded(
     Raises
     ------
     ValidationError
-        If the directory is not a sharded engine save, or
+        If the directory is not a sharded engine save, a file it reads
+        is unreadable (truncated or corrupt; the message names it), or
         ``mmap_index=True`` with no (or a stale) array snapshot, or with
         a ``database``.
     """
     target = Path(directory)
-    meta_path = target / "meta.json"
-    if not meta_path.is_file():
-        raise ValidationError(f"{target}: not a sharded engine save")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if meta.get("format_version") != _SHARDED_FORMAT_VERSION:
-        raise ValidationError(
-            f"{target}: unsupported sharded format "
-            f"{meta.get('format_version')!r}"
-        )
+    meta = _read_meta(target)
     config = _config_from_dict(meta["config"])
     if mmap_index and database is not None:
         raise ValidationError(
@@ -538,12 +533,15 @@ def load_engine_sharded(
         shard_path = target / entry["file"]
         if not shard_path.is_file():
             raise ValidationError(f"{target}: missing shard {entry['file']}")
-        with np.load(shard_path) as archive:
-            for sid in entry["sources"]:
-                matrix, embedded = _restore_matrix(archive, sid)
-                restored.add(matrix)
-                stored_embeddings[int(sid)] = embedded
-                stored_fingerprints[int(sid)] = entry["fingerprints"][str(sid)]
+        try:
+            with np.load(shard_path) as archive:
+                shard = [_restore_matrix(archive, sid) for sid in entry["sources"]]
+        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{shard_path}: unreadable shard: {exc}") from exc
+        for sid, (matrix, embedded) in zip(entry["sources"], shard):
+            restored.add(matrix)
+            stored_embeddings[int(sid)] = embedded
+            stored_fingerprints[int(sid)] = entry["fingerprints"][str(sid)]
 
     if database is None:
         engine = IMGRNEngine(restored, config)

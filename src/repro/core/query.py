@@ -147,14 +147,41 @@ class IMGRNResult:
         return sorted(a.source_id for a in self.answers)
 
 
-class _QueryMixin:
-    """``query()`` / ``query_topk()`` for every engine, over ``execute()``.
+@dataclass
+class _Retrieved:
+    """What an engine's retrieval step hands to the shared pipeline.
 
-    Both conveniences build one :class:`~repro.core.spec.QuerySpec` and
-    hand it to the engine's own :meth:`execute`. Thresholds are
-    keyword-only: the positional form completed its deprecation cycle
-    and raises :class:`TypeError` with a migration hint.
+    ``sources`` are refined in this order; ``candidates`` and
+    ``io_pages`` feed ``query.candidates`` and ``query.io_accesses``.
+    The indexed engine also passes each source's Lemma-5
+    ``upper_bounds`` (they enable the bound-ordered top-k) and the
+    traversal's per-edge ``seed_bounds``. A retrieval that already
+    decided the query -- the materializing Baseline -- sets ``answers``
+    and the pipeline skips refinement.
     """
+
+    sources: list[int]
+    candidates: int
+    io_pages: int
+    upper_bounds: list[float] | None = None
+    seed_bounds: dict[tuple[int, tuple[int, int]], float] | None = None
+    answers: list[IMGRNAnswer] | None = None
+
+
+class _QueryMixin:
+    """The one query pipeline (Fig. 4) every engine runs.
+
+    :meth:`execute` infers ``Q``, retrieves candidates and refines them;
+    an engine supplies only its ``_engine_label`` (the ``engine`` metric
+    label), ``is_built``, ``infer_query_graph(matrix, gamma, *,
+    metrics)`` and the retrieval step ``_retrieve(spec, query_graph,
+    metrics)``. ``query()`` / ``query_topk()`` are conveniences that
+    build one :class:`~repro.core.spec.QuerySpec`; thresholds are
+    keyword-only (the positional form raises :class:`TypeError` with a
+    migration hint).
+    """
+
+    _engine_label: str
 
     def query(
         self,
@@ -202,6 +229,133 @@ class _QueryMixin:
             )
         return self.execute(QuerySpec(query_matrix, gamma, kind="topk", k=k))
 
+    def execute(self, spec: QuerySpec) -> IMGRNResult:
+        """Answer one typed :class:`~repro.core.spec.QuerySpec`.
+
+        The single pipeline behind all three workload kinds: infer ``Q``
+        (stage ``inference``), let the engine retrieve its candidates
+        (stage ``retrieve``, timed from the start of the query), then
+        refine them with exact probabilities (stage ``refine``):
+
+        * ``containment``: exact refinement of Definition 4 at ``alpha``.
+        * ``similarity``: refinement counts ``p <= gamma`` edges against
+          ``edge_budget`` (``0`` is containment).
+        * ``topk``: with per-source upper bounds, refinement visits
+          candidates in descending bound order while maintaining the
+          running k-th-best probability as a dynamic pruning bound
+          (stage ``topk_kth_bound``); without them it refines everything
+          at ``alpha = 0``, sorts by ``(-Pr{G}, source_id)`` and cuts at
+          ``k``. Both return the same answers.
+
+        The read path is reentrant: all per-query accounting lives in a
+        private :class:`~repro.obs.MetricsRegistry`, merged into the
+        engine's shared registry at the end -- any number of threads may
+        call ``execute()`` on one built engine concurrently and every
+        result carries exactly its own stats.
+        """
+        if not isinstance(spec, QuerySpec):
+            raise ValidationError(
+                f"execute() takes a QuerySpec, got {type(spec).__name__}"
+            )
+        if not self.is_built:
+            raise IndexNotBuiltError("call build() before execute()")
+        engine = self._engine_label
+        local = MetricsRegistry()  # this query's private delta registry
+        tracer = self.obs.tracer
+        started = time.perf_counter()
+        with tracer.span(
+            "query", engine=engine, kind=spec.kind, gamma=spec.gamma, alpha=spec.alpha
+        ):
+            with tracer.span("query.infer", genes=spec.matrix.num_genes):
+                query_graph = self.infer_query_graph(
+                    spec.matrix, spec.gamma, metrics=local
+                )
+                self._stage_timer(_names.STAGE_INFERENCE, local).observe(
+                    time.perf_counter() - started
+                )
+            found = self._retrieve(spec, query_graph, local)
+            self._stage_timer(_names.STAGE_RETRIEVE, local).observe(
+                time.perf_counter() - started
+            )
+            local.counter(_names.QUERY_IO, help="pages read", engine=engine).inc(
+                found.io_pages
+            )
+            local.counter(
+                _names.QUERY_CANDIDATES,
+                help="candidates surviving all pruning",
+                engine=engine,
+            ).inc(found.candidates)
+            answers = found.answers
+            if answers is None:
+                answers = self._refine(spec, query_graph, found, local)
+            local.counter(
+                _names.QUERY_ANSWERS, help="answers returned", engine=engine
+            ).inc(len(answers))
+            local.counter(
+                _names.QUERY_COUNT,
+                help="queries answered",
+                engine=engine,
+                kind=spec.kind,
+            ).inc()
+        delta = local.snapshot()
+        self.obs.metrics.merge(local)
+        return IMGRNResult(
+            query_graph, answers, QueryStats.from_metrics(delta), metrics=delta
+        )
+
+    def _stage_timer(self, stage: str, metrics):
+        """The ``query.stage_seconds`` histogram for ``stage`` on ``metrics``."""
+        return metrics.histogram(
+            _names.STAGE_SECONDS,
+            help="per-query stage wall-clock seconds",
+            engine=self._engine_label,
+            stage=stage,
+        )
+
+    def _edge_evaluator(self):
+        """How refinement estimates edge probabilities: the batched engine."""
+        return BatchEdgeEvaluator(self._inference, self.database.get)
+
+    def _refine(
+        self,
+        spec: QuerySpec,
+        query_graph: ProbabilisticGraph,
+        found: _Retrieved,
+        metrics,
+    ) -> list[IMGRNAnswer]:
+        """Refine ``found.sources`` for ``spec.kind`` (Fig. 4, lines 28-30)."""
+        tracer = self.obs.tracer
+        refiner = CandidateRefiner(
+            query_graph,
+            spec.gamma,
+            self._edge_evaluator(),
+            engine=self._engine_label,
+            metrics=metrics,
+            tracer=tracer,
+            seed_bounds=found.seed_bounds,
+        )
+        with tracer.span("query.refine", candidates=len(found.sources)) as span:
+            started = time.perf_counter()
+            if spec.kind != "topk":
+                refined = refiner.refine(
+                    found.sources, spec.alpha, spec.edge_budget or 0
+                )
+            elif found.upper_bounds is None:
+                refined = refiner.refine_topk_posthoc(found.sources, spec.k)
+            else:
+                refined = refiner.refine_topk(
+                    zip(found.sources, found.upper_bounds), spec.k
+                )
+            answers = [
+                IMGRNAnswer(r.source_id, r.embedding, r.probability)
+                for r in refined
+            ]
+            self._stage_timer(_names.STAGE_REFINE, metrics).observe(
+                time.perf_counter() - started
+            )
+            span.set(answers=len(answers))
+        return answers
+
 
 @dataclass
 class _MatrixEntry:
@@ -214,6 +368,8 @@ class _MatrixEntry:
 
 class IMGRNEngine(_QueryMixin):
     """The indexed IM-GRN query engine of Section 5."""
+
+    _engine_label = _ENGINE
 
     def __init__(
         self,
@@ -517,7 +673,7 @@ class IMGRNEngine(_QueryMixin):
         ``p > gamma`` survive.
 
         ``metrics`` is the registry the Lemma-3 pruning counter records
-        into -- :meth:`query` passes its per-query registry; direct
+        into -- :meth:`execute` passes its per-query registry; direct
         callers default to the engine's shared one.
         """
         _check_thresholds(gamma)
@@ -557,195 +713,85 @@ class IMGRNEngine(_QueryMixin):
         return ProbabilisticGraph(ids, edges)
 
     # ------------------------------------------------------------------
-    # Query (Fig. 4)
+    # Retrieval (Fig. 4, lines 2-27)
     # ------------------------------------------------------------------
-    def _stage_timer(self, stage: str, metrics):
-        """The ``query.stage_seconds`` histogram for ``stage`` on ``metrics``."""
-        return metrics.histogram(
-            _names.STAGE_SECONDS,
-            help="per-query stage wall-clock seconds",
-            engine=_ENGINE,
-            stage=stage,
-        )
+    def _retrieve(
+        self, spec: QuerySpec, query_graph: ProbabilisticGraph, metrics
+    ) -> _Retrieved:
+        """Traverse the index, then apply the existence filter.
 
-    def execute(self, spec: QuerySpec) -> IMGRNResult:
-        """Answer one typed :class:`~repro.core.spec.QuerySpec`.
-
-        The single pipeline behind all three workload kinds (Fig. 4):
-        infer -> traverse -> existence filter -> refine, with the filter
-        and refinement stages parameterized by ``spec.kind``:
-
-        * ``containment``: Lemma-5 filter at ``alpha``, exact refinement
-          of Definition 4.
+        * ``containment``: Lemma-5 filter at ``alpha``.
         * ``similarity``: the filter tolerates up to ``edge_budget``
           *certainly missing* anchor edges per source and relaxes the
           Lemma-5 product via
-          :func:`~repro.core.pruning.relaxed_graph_existence_upper_bound`;
-          refinement counts ``p <= gamma`` edges against the budget. When
-          the budget covers every anchor edge, sources invisible to the
-          traversal (all their anchor edges certainly missing) are
+          :func:`~repro.core.pruning.relaxed_graph_existence_upper_bound`.
+          When the budget covers every anchor edge, sources invisible to
+          the traversal (all their anchor edges certainly missing) are
           recovered from the exact gene-holder sets, so the search has no
           false dismissals versus brute force.
-        * ``topk``: filter at ``alpha = 0``; refinement visits candidates
-          in descending upper-bound order while maintaining the running
-          k-th-best probability as a dynamic pruning bound (stage
-          ``topk_kth_bound``), so it refines no more candidates than the
-          post-hoc sort while returning bit-identical answers.
+        * ``topk``: filter at ``alpha = 0``; the surviving sources' upper
+          bounds order the refinement.
 
-        The read path is reentrant: all per-query accounting lives in a
-        private :class:`~repro.obs.MetricsRegistry` and a private
-        :class:`~repro.index.pagemanager.PageCounter`, merged into the
-        engine's shared registry at the end -- any number of threads may
-        call ``execute()`` on one built engine concurrently and every
-        result carries exactly its own stats.
+        Page accesses go to a private
+        :class:`~repro.index.pagemanager.PageCounter`, so concurrent
+        queries never share a tally.
         """
-        if not isinstance(spec, QuerySpec):
-            raise ValidationError(
-                f"execute() takes a QuerySpec, got {type(spec).__name__}"
+        if query_graph.num_edges == 0:
+            # Degenerate query: every edge-free query is contained (with
+            # empty-product probability 1) in any matrix holding its genes.
+            sources = self._sources_with_all_genes(query_graph.gene_ids)
+            return _Retrieved(
+                sources, len(sources), 0, upper_bounds=[1.0] * len(sources)
             )
-        if self.inverted_file is None or self.array_index is None:
-            raise IndexNotBuiltError("call build() before execute()")
-        kind = spec.kind
-        gamma = spec.gamma
         budget = spec.edge_budget or 0
-        # Top-k has no probability threshold: the ranking replaces it.
-        filter_alpha = 0.0 if kind == "topk" else spec.alpha
-        local = MetricsRegistry()  # this query's private delta registry
-        pages = self.pages.counter()  # this query's private I/O tally
+        pages = self.pages.counter()
         tracer = self.obs.tracer
-        seed_bounds: dict[tuple[int, tuple[int, int]], float] = {}
-        started = time.perf_counter()
+        anchor = self._pick_anchor(query_graph)
+        neighbor_genes = sorted(query_graph.neighbors(anchor))
         with tracer.span(
-            "query", engine=_ENGINE, kind=kind, gamma=gamma, alpha=spec.alpha
+            "query.traverse", anchor=anchor, neighbors=len(neighbor_genes)
         ):
-            with tracer.span("query.infer", genes=spec.matrix.num_genes):
-                infer_started = time.perf_counter()
-                query_graph = self.infer_query_graph(
-                    spec.matrix, gamma, metrics=local
-                )
-                self._stage_timer(_names.STAGE_INFERENCE, local).observe(
-                    time.perf_counter() - infer_started
-                )
-            if query_graph.num_edges == 0:
-                # Degenerate query: every edge-free query is contained (with
-                # empty-product probability 1) in any matrix holding its
-                # genes.
-                survivors = [
-                    (source, 1.0)
-                    for source in self._sources_with_all_genes(
-                        query_graph.gene_ids
-                    )
-                ]
-                candidates = len(survivors)
-            else:
-                anchor = self._pick_anchor(query_graph)
-                neighbor_genes = sorted(query_graph.neighbors(anchor))
-                with tracer.span(
-                    "query.traverse",
-                    anchor=anchor,
-                    neighbors=len(neighbor_genes),
-                ):
-                    candidate_pairs = self._traverse(
-                        anchor, neighbor_genes, gamma, pages=pages, metrics=local
-                    )  # {(source_id, neighbor_gene): edge upper bound}
-                # Candidate reuse: the traversal's leaf-level anchor-edge
-                # bounds seed the refiner's bound table, so its prescreen
-                # never recomputes what the index walk already paid for.
-                seed_bounds = {
-                    (source, edge_key(anchor, gene)): bound
-                    for (source, gene), bound in candidate_pairs.items()
-                }
-                with tracer.span("query.filter", pairs=len(candidate_pairs)):
-                    survivors = self._graph_existence_filter(
-                        candidate_pairs,
-                        neighbor_genes,
-                        filter_alpha,
-                        metrics=local,
-                        edge_budget=budget if kind == "similarity" else 0,
-                    )
-                survivor_set = {source for source, _ub in survivors}
-                candidates = sum(
-                    1
-                    for (source, _g) in candidate_pairs
-                    if source in survivor_set
-                )
-                if kind == "similarity" and budget >= len(neighbor_genes):
-                    # Discovery hole: a source with *every* anchor edge
-                    # certainly missing never enters candidate_pairs, yet
-                    # the budget absorbs all of them. Recover such sources
-                    # from the exact gene-holder sets with the vacuous
-                    # bound 1.0 (an empty relaxed product).
-                    seen = {source for source, _g in candidate_pairs}
-                    recovered = [
-                        (source, 1.0)
-                        for source in self._sources_with_all_genes(
-                            query_graph.gene_ids
-                        )
-                        if source not in seen
-                    ]
-                    if recovered:
-                        survivors = sorted(survivors + recovered)
-                        candidates += len(recovered)
-            self._stage_timer(_names.STAGE_RETRIEVE, local).observe(
-                time.perf_counter() - started
+            candidate_pairs = self._traverse(
+                anchor, neighbor_genes, spec.gamma, pages=pages, metrics=metrics
+            )  # {(source_id, neighbor_gene): edge upper bound}
+        with tracer.span("query.filter", pairs=len(candidate_pairs)):
+            survivors = self._graph_existence_filter(
+                candidate_pairs,
+                neighbor_genes,
+                0.0 if spec.kind == "topk" else spec.alpha,
+                metrics=metrics,
+                edge_budget=budget,
             )
-            local.counter(
-                _names.QUERY_IO, help="page accesses", engine=_ENGINE
-            ).inc(pages.accesses)
-            local.counter(
-                _names.QUERY_CANDIDATES,
-                help="candidates surviving all pruning",
-                engine=_ENGINE,
-            ).inc(candidates)
-            refiner = CandidateRefiner(
-                query_graph,
-                gamma,
-                BatchEdgeEvaluator(self._inference, self.database.get),
-                engine=_ENGINE,
-                config=self.config.refine,
-                metrics=local,
-                tracer=tracer,
-                seed_bounds=seed_bounds,
-            )
-            with tracer.span(
-                "query.refine",
-                candidates=len(survivors),
-                strategy=self.config.refine.strategy,
-            ) as refine_span:
-                refine_started = time.perf_counter()
-                if kind == "topk":
-                    refined = refiner.refine_topk(survivors, spec.k)
-                elif kind == "similarity":
-                    refined = refiner.refine_similarity(
-                        [source for source, _ub in survivors],
-                        spec.alpha,
-                        budget,
-                    )
-                else:
-                    refined = refiner.refine_containment(
-                        [source for source, _ub in survivors], spec.alpha
-                    )
-                answers = [
-                    IMGRNAnswer(r.source_id, r.embedding, r.probability)
-                    for r in refined
-                ]
-                self._stage_timer(_names.STAGE_REFINE, local).observe(
-                    time.perf_counter() - refine_started
-                )
-                refine_span.set(answers=len(answers))
-            local.counter(
-                _names.QUERY_ANSWERS, help="answers returned", engine=_ENGINE
-            ).inc(len(answers))
-            local.counter(
-                _names.QUERY_COUNT,
-                help="queries answered",
-                engine=_ENGINE,
-                kind=kind,
-            ).inc()
-        delta = local.snapshot()
-        self.obs.metrics.merge(local)
-        return IMGRNResult(
-            query_graph, answers, QueryStats.from_metrics(delta), metrics=delta
+        survivor_set = {source for source, _ub in survivors}
+        candidates = sum(
+            1 for (source, _g) in candidate_pairs if source in survivor_set
+        )
+        if budget >= len(neighbor_genes):
+            # Discovery hole: a source with *every* anchor edge certainly
+            # missing never enters candidate_pairs, yet the budget absorbs
+            # all of them. Recover such sources from the exact gene-holder
+            # sets with the vacuous bound 1.0 (an empty relaxed product).
+            seen = {source for source, _g in candidate_pairs}
+            recovered = [
+                (source, 1.0)
+                for source in self._sources_with_all_genes(query_graph.gene_ids)
+                if source not in seen
+            ]
+            if recovered:
+                survivors = sorted(survivors + recovered)
+                candidates += len(recovered)
+        return _Retrieved(
+            [source for source, _ub in survivors],
+            candidates,
+            pages.accesses,
+            upper_bounds=[upper for _s, upper in survivors],
+            # Candidate reuse: the traversal's leaf-level anchor-edge
+            # bounds seed the refiner's bound table, so its prescreen
+            # never recomputes what the index walk already paid for.
+            seed_bounds={
+                (source, edge_key(anchor, gene)): bound
+                for (source, gene), bound in candidate_pairs.items()
+            },
         )
 
     def add_matrix(self, matrix: GeneFeatureMatrix) -> None:

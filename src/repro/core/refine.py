@@ -2,38 +2,34 @@
 
 Refinement is the last stage of the Fig.-4 pipeline: every candidate
 that survived index pruning has its query edges verified with exact
-Monte-Carlo probabilities (Definition 4). Historically each engine
-carried its own copy of the per-pair loop -- containment, similarity and
-top-k variants -- estimating one edge at a time through
-``pair_probability`` and ignoring the batched estimator.
+Monte-Carlo probabilities (Definition 4). :class:`CandidateRefiner` is
+the one refinement path every engine but the materializing Baseline
+runs:
 
-:class:`CandidateRefiner` centralizes the stage:
-
-* **batched evaluation** -- a candidate's surviving (source, query-edge)
-  pairs are estimated through
+* **batched evaluation** -- a candidate's un-memoized (source,
+  query-edge) pairs are estimated in one pass through
   :meth:`~repro.core.batch_inference.BatchInferenceEngine.pair_block_probabilities`
   (one permutation block per distinct target column serves all of its
-  partner edges) instead of one scalar call per edge;
+  partner edges);
 * **query-scoped memoization** -- per-``(source, edge)`` probabilities
   live in one table shared by every kind's decision loop, so top-k's
   bound-ordered revisits and similarity's budget accounting never
   recompute an edge;
-* **cheapest-upper-bound-first ordering with sound prescreens** --
-  Markov upper bounds (seeded from the traversal's anchor-edge bounds
-  where available) order edge estimation so the early exits
-  (``p <= gamma``, product ``<= alpha``, k-th best) fire on the fewest
-  estimations, and candidates whose bounds alone already decide the
-  replay are discarded without touching the estimator at all.
+* **sound prescreen, cheapest upper bound first** -- Markov upper
+  bounds (seeded from the traversal's anchor-edge bounds where
+  available) discard a candidate whose bounds alone already decide the
+  replay before the estimator is touched, and order the edges handed to
+  the estimator.
 
-Bit-identity contract: whatever the strategy, answers are decided by
-replaying the historical per-pair loop over the memoized probabilities
-in sorted query-edge order -- the same multiplication order and the same
-comparisons -- so answers, probabilities and the ``query.*`` pruning
-counters are identical across strategies and engines. All probability
-factors lie in ``[0, 1]``, so partial products are monotone
-non-increasing; a bound-based discard therefore only ever removes a
-candidate whose replay must fail (``refine.*`` diagnostics are
-strategy-dependent by design; see ``docs/observability.md``).
+Bit-identity contract: answers are decided by replaying the historical
+per-pair loop over the memoized probabilities in sorted query-edge
+order -- the same multiplication order and the same comparisons -- so
+answers, probabilities and the ``query.*`` pruning counters equal the
+per-pair reference. All probability factors lie in ``[0, 1]``, so
+partial products are monotone non-increasing; a bound-based discard
+therefore only ever removes a candidate whose replay must fail
+(``refine.*`` are diagnostics of this path; see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import RefineConfig
 from ..obs import MetricsRegistry
 from ..obs import names as _names
 from .batch_inference import standardize_columns
@@ -149,13 +144,6 @@ class BatchEdgeEvaluator:
         )
         return {edge: block[pair] for edge, pair in zip(edges, pairs)}
 
-    def evaluate_single(self, source: int, edge: EdgeKey) -> float:
-        """One scalar ``pair_probability`` call (the historical path)."""
-        matrix = self.matrix(source)
-        return self._inference.pair_probability(
-            matrix.column(edge[0]), matrix.column(edge[1])
-        )
-
 
 class ScalarEdgeEvaluator:
     """Scalar fallback for engines without a batched estimator.
@@ -197,20 +185,13 @@ class ScalarEdgeEvaluator:
             for u, v in edges
         }
 
-    def evaluate_single(self, source: int, edge: EdgeKey) -> float:
-        matrix = self.matrix(source)
-        return self._pair_probability(
-            matrix.column(edge[0]), matrix.column(edge[1])
-        )
-
 
 class CandidateRefiner:
     """Query-scoped refinement of surviving candidates.
 
     One refiner serves one query: its memo table, bound cache and
     standardized matrices are keyed by source and shared across every
-    kind-specific entry point (:meth:`refine_containment`,
-    :meth:`refine_similarity`, :meth:`refine_topk`,
+    kind-specific entry point (:meth:`refine`, :meth:`refine_topk`,
     :meth:`refine_topk_posthoc`).
 
     Parameters
@@ -226,8 +207,6 @@ class CandidateRefiner:
     engine:
         Engine label for the ``refine.*`` / ``query.pruned_pairs``
         series.
-    config:
-        :class:`~repro.config.RefineConfig` strategy knobs.
     metrics:
         The query's private :class:`~repro.obs.MetricsRegistry`.
     tracer:
@@ -247,9 +226,8 @@ class CandidateRefiner:
         evaluator,
         *,
         engine: str,
-        config: RefineConfig | None = None,
         metrics: MetricsRegistry,
-        tracer=None,
+        tracer,
         seed_bounds: dict[tuple[int, EdgeKey], float] | None = None,
     ) -> None:
         self._edges = [key for key, _p in query_graph.edges()]
@@ -257,51 +235,57 @@ class CandidateRefiner:
         self._mapping = tuple((g, g) for g in sorted(query_graph.gene_ids))
         self._gamma = gamma
         self._evaluator = evaluator
-        self._config = config or RefineConfig()
         self._metrics = metrics
         self._tracer = tracer
         self._engine = engine
         self._memo: dict[tuple[int, EdgeKey], float] = {}
         self._bounds: dict[tuple[int, EdgeKey], float] = dict(seed_bounds or {})
-        labels = {"engine": engine, "strategy": self._config.strategy}
         self._sources = metrics.counter(
-            _names.REFINE_SOURCES, help="candidates refined", **labels
+            _names.REFINE_SOURCES, help="candidates refined", engine=engine
         )
         self._evaluated = metrics.counter(
             _names.REFINE_EDGES,
             help="edge probabilities estimated during refinement",
-            **labels,
+            engine=engine,
         )
         self._memo_hits = metrics.counter(
-            _names.REFINE_MEMO_HITS, help="refinement memo-table hits", **labels
+            _names.REFINE_MEMO_HITS, help="refinement memo-table hits", engine=engine
         )
         self._prescreened = metrics.counter(
             _names.REFINE_PRESCREENED,
             help="candidates discarded by bounds alone",
-            **labels,
+            engine=engine,
         )
         self._batches = metrics.counter(
-            _names.REFINE_BATCHES, help="batched estimator calls", **labels
+            _names.REFINE_BATCHES, help="batched estimator calls", engine=engine
         )
 
     # -- kind-specific entry points ------------------------------------
-    def refine_containment(
-        self, sources: Iterable[int], alpha: float
-    ) -> list[RefinedAnswer]:
-        """Definition-4 containment: no budget, threshold ``alpha``."""
-        return self._refine_all(sources, alpha=alpha, budget=0)
-
-    def refine_similarity(
+    def refine(
         self, sources: Iterable[int], alpha: float, edge_budget: int
     ) -> list[RefinedAnswer]:
-        """Budget-aware similarity; ``edge_budget=0`` is containment."""
-        return self._refine_all(sources, alpha=alpha, budget=edge_budget)
+        """Budget-aware similarity; ``edge_budget=0`` is Definition-4
+        containment."""
+        answers: list[RefinedAnswer] = []
+        for source in sources:
+            matched, probability = self._refine_source(
+                source, alpha=alpha, budget=edge_budget, kth_best=0.0, bounded=False
+            )
+            if matched:
+                answers.append(
+                    RefinedAnswer(
+                        source,
+                        Embedding(self._mapping, probability),
+                        probability,
+                    )
+                )
+        return answers
 
     def refine_topk_posthoc(
         self, sources: Iterable[int], k: int
     ) -> list[RefinedAnswer]:
         """Scan-engine top-k: refine everything at ``alpha=0``, sort, cut."""
-        answers = self._refine_all(sources, alpha=0.0, budget=0)
+        answers = self.refine(sources, 0.0, 0)
         answers.sort(key=lambda a: (-a.probability, a.source_id))
         del answers[k:]
         return answers
@@ -353,24 +337,6 @@ class CandidateRefiner:
         return answers
 
     # -- shared machinery ----------------------------------------------
-    def _refine_all(
-        self, sources: Iterable[int], *, alpha: float, budget: int
-    ) -> list[RefinedAnswer]:
-        answers: list[RefinedAnswer] = []
-        for source in sources:
-            matched, probability = self._refine_source(
-                source, alpha=alpha, budget=budget, kth_best=0.0, bounded=False
-            )
-            if matched:
-                answers.append(
-                    RefinedAnswer(
-                        source,
-                        Embedding(self._mapping, probability),
-                        probability,
-                    )
-                )
-        return answers
-
     def _refine_source(
         self,
         source: int,
@@ -384,33 +350,33 @@ class CandidateRefiner:
         if any(gene not in matrix for gene in self._gene_ids):
             return False, 0.0
         self._sources.inc()
-        if self._config.strategy == "perpair":
-            probe = self._perpair_probe(source)
-        else:
-            probabilities = self._batched_probabilities(
-                source,
-                alpha=alpha,
-                budget=budget,
-                kth_best=kth_best,
-                bounded=bounded,
-            )
-            if probabilities is None:  # bounds alone decided the replay
-                return False, 0.0
-            probe = probabilities.__getitem__
+        probabilities = self._probabilities(
+            source,
+            alpha=alpha,
+            budget=budget,
+            kth_best=kth_best,
+            bounded=bounded,
+        )
+        if probabilities is None:  # bounds alone decided the replay
+            return False, 0.0
         return self._decide(
-            probe, alpha=alpha, budget=budget, kth_best=kth_best, bounded=bounded
+            probabilities,
+            alpha=alpha,
+            budget=budget,
+            kth_best=kth_best,
+            bounded=bounded,
         )
 
     def _decide(
         self,
-        probe: Callable[[EdgeKey], float],
+        probabilities: dict[EdgeKey, float],
         *,
         alpha: float,
         budget: int,
         kth_best: float,
         bounded: bool,
     ) -> tuple[bool, float]:
-        """Replay of the per-pair decision loop over ``probe``'s values.
+        """Replay of the per-pair decision loop over ``probabilities``.
 
         Multiplication runs in sorted query-edge order regardless of the
         order probabilities were *estimated* in, so matched products are
@@ -422,7 +388,7 @@ class CandidateRefiner:
         probability = 1.0
         missing = 0
         for edge in self._edges:
-            p = probe(edge)
+            p = probabilities[edge]
             if p <= self._gamma:  # the edge does not exist in G_i
                 missing += 1
                 if missing > budget:
@@ -435,21 +401,7 @@ class CandidateRefiner:
                 return False, probability
         return True, probability
 
-    def _perpair_probe(self, source: int) -> Callable[[EdgeKey], float]:
-        def probe(edge: EdgeKey) -> float:
-            key = (source, edge)
-            p = self._memo.get(key)
-            if p is None:
-                p = self._evaluator.evaluate_single(source, edge)
-                self._memo[key] = p
-                self._evaluated.inc()
-            else:
-                self._memo_hits.inc()
-            return p
-
-        return probe
-
-    def _batched_probabilities(
+    def _probabilities(
         self,
         source: int,
         *,
@@ -471,13 +423,7 @@ class CandidateRefiner:
                 known[edge] = p
         if not needed:
             return known
-        config = self._config
-        chunk = config.chunk_size or len(needed)
-        bounds: dict[EdgeKey, float] = {}
-        use_bounds = self._evaluator.supports_bounds and (
-            config.prescreen or chunk < len(needed)
-        )
-        if use_bounds:
+        if self._evaluator.supports_bounds:
             unseeded = [e for e in needed if (source, e) not in self._bounds]
             if unseeded:
                 for edge, bound in self._evaluator.bounds(
@@ -485,7 +431,7 @@ class CandidateRefiner:
                 ).items():
                     self._bounds[(source, edge)] = bound
             bounds = {e: self._bounds[(source, e)] for e in needed}
-            if config.prescreen and self._prunable(
+            if self._prunable(
                 {**bounds, **known},
                 alpha=alpha,
                 budget=budget,
@@ -494,41 +440,19 @@ class CandidateRefiner:
             ):
                 self._prescreened.inc()
                 return None
-            # Cheapest (smallest) upper bound first: the edges most
-            # likely to be missing or to drag the product under alpha
-            # are estimated earliest, so the inter-chunk discard fires
-            # with the fewest Monte-Carlo estimations spent.
+            # Cheapest (smallest) upper bound first: the order the
+            # estimator sees the edges in, which fixes its cache traffic.
             needed.sort(key=lambda e: (bounds[e], e))
-        span = (
-            self._tracer.span(
-                _names.REFINE_SOURCE_SPAN, source=source, edges=len(needed)
-            )
-            if self._tracer is not None
-            else None
-        )
-        with span if span is not None else _NULL_SPAN:
-            for start in range(0, len(needed), chunk):
-                part = needed[start : start + chunk]
-                evaluated = self._evaluator.evaluate(source, part)
-                self._batches.inc()
-                self._evaluated.inc(len(part))
-                for edge in part:
-                    p = evaluated[edge]
-                    self._memo[(source, edge)] = p
-                    known[edge] = p
-                remaining = needed[start + chunk :]
-                if use_bounds and remaining:
-                    outlook = {e: bounds[e] for e in remaining}
-                    outlook.update(known)
-                    if self._prunable(
-                        outlook,
-                        alpha=alpha,
-                        budget=budget,
-                        kth_best=kth_best,
-                        bounded=bounded,
-                    ):
-                        self._prescreened.inc()
-                        return None
+        with self._tracer.span(
+            _names.REFINE_SOURCE_SPAN, source=source, edges=len(needed)
+        ):
+            evaluated = self._evaluator.evaluate(source, needed)
+            self._batches.inc()
+            self._evaluated.inc(len(needed))
+        for edge in needed:
+            p = evaluated[edge]
+            self._memo[(source, edge)] = p
+            known[edge] = p
         return known
 
     def _prunable(
@@ -568,14 +492,3 @@ class CandidateRefiner:
         if relaxed <= alpha:
             return True
         return bounded and relaxed < kth_best
-
-
-class _NullSpan:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()

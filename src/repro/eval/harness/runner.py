@@ -138,7 +138,7 @@ class ExperimentRunner:
         if key not in self._engines:
             engine = ENGINE_REGISTRY[name](
                 self._database(weights, scale),
-                EngineConfig(
+                config=EngineConfig(
                     seed=self.config.seed, observability=self._observability
                 ),
             )

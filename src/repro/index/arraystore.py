@@ -320,13 +320,17 @@ class ArrayStore:
         ------
         ValidationError
             If the directory is not an array store, the format version is
-            unsupported, or an array is missing / has the wrong shape.
+            unsupported, or a file is unreadable (truncated, corrupt) or
+            an array is missing / has the wrong shape.
         """
         target = Path(directory)
         header_path = target / _HEADER_NAME
         if not header_path.is_file():
             raise ValidationError(f"{target}: not an array-store directory")
-        header = json.loads(header_path.read_text(encoding="utf-8"))
+        try:
+            header = json.loads(header_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValidationError(f"{header_path}: unreadable header: {exc}") from exc
         if header.get("format_version") != FORMAT_VERSION:
             raise ValidationError(
                 f"{target}: unsupported array-store version "
@@ -338,7 +342,11 @@ class ArrayStore:
             spec = header.get("arrays", {}).get(name)
             if spec is None:
                 raise ValidationError(f"{target}: header misses array {name!r}")
-            array = np.load(target / spec["file"], mmap_mode=mode)
+            path = target / spec["file"]
+            try:
+                array = np.load(path, mmap_mode=mode)
+            except (OSError, ValueError, EOFError) as exc:
+                raise ValidationError(f"{path}: unreadable array: {exc}") from exc
             if list(array.shape) != list(spec["shape"]) or array.dtype != np.dtype(
                 dtype
             ):

@@ -13,11 +13,11 @@ carries a ``kind`` label naming the workload
 fired -- including ``missing_edge`` (more certainly-missing edges than
 the kind's edge budget allows) and ``topk_kth_bound`` (top-k: upper
 bound strictly below the running k-th best probability). The
-``refine.*`` series belong to the unified refinement layer
-(:class:`repro.core.refine.CandidateRefiner`) and carry ``engine`` and
-``strategy`` labels; they are strategy-dependent diagnostics (batch
-counts, memo hits, bound discards), unlike the ``query.*`` counters
-which are bit-identical across refine strategies. The
+``refine.*`` series belong to the refinement layer
+(:class:`repro.core.refine.CandidateRefiner`) and carry the ``engine``
+label; they diagnose how refinement spent its work (estimator calls,
+memo hits, bound discards). Every ``query.*`` series is produced once,
+by the shared ``execute()`` of :mod:`repro.core.query`. The
 ``serve.*`` series belong to :class:`repro.serve.QueryServer` and the
 network daemon (:mod:`repro.serve.daemon`) and carry the wrapped
 engine's label; ``serve.queries`` adds a ``status`` label (``ok`` /
@@ -77,21 +77,19 @@ QUERY_ANSWERS = "query.answers"
 QUERY_PRUNED = "query.pruned_pairs"
 #: Edge probabilities actually estimated (cache misses + uncached).
 INFERENCE_PAIRS = "inference.pairs"
-#: Candidates whose edges the refinement layer verified (labels: engine,
-#: strategy). Excludes candidates dropped by the gene-containment check.
+#: Candidates whose edges the refinement layer verified (label: engine).
+#: Excludes candidates dropped by the gene-containment check.
 REFINE_SOURCES = "refine.sources"
 #: (source, query-edge) probabilities estimated during refinement
-#: (labels: engine, strategy). Memoized edges are not re-counted.
+#: (label: engine). Memoized edges are not re-counted.
 REFINE_EDGES = "refine.edges_evaluated"
 #: Refinement memo-table hits: a kind's decision loop reused a
-#: probability another pass already estimated (labels: engine, strategy).
+#: probability another pass already estimated (label: engine).
 REFINE_MEMO_HITS = "refine.memo_hits"
-#: Candidates discarded by per-edge upper bounds alone -- prescreen or
-#: mid-chunk re-check -- before exhausting their Monte-Carlo estimations
-#: (labels: engine, strategy).
+#: Candidates discarded by per-edge upper bounds alone, before any
+#: Monte-Carlo estimation (label: engine).
 REFINE_PRESCREENED = "refine.prescreened"
-#: Batched estimator calls issued by the refinement layer (labels:
-#: engine, strategy).
+#: Estimator calls issued by the refinement layer (label: engine).
 REFINE_BATCHES = "refine.batches"
 #: Edge-probability cache hits / misses of the batched engine.
 INFERENCE_CACHE_HITS = "inference.cache_hits"

@@ -21,8 +21,7 @@ from repro.data.synthetic import generate_database
 TEST_CONFIG = EngineConfig(mc_samples=64, seed=11)
 
 
-@pytest.fixture(scope="session")
-def small_database() -> GeneFeatureDatabase:
+def make_small_database() -> GeneFeatureDatabase:
     """A 24-matrix synthetic database with overlapping gene sets."""
     config = SyntheticConfig(
         genes_range=(10, 16),
@@ -31,6 +30,21 @@ def small_database() -> GeneFeatureDatabase:
         seed=11,
     )
     return generate_database(config, 24)
+
+
+def make_query_workload(
+    database: GeneFeatureDatabase,
+) -> list[GeneFeatureMatrix]:
+    """Five connected 3-gene queries cut from ``database``."""
+    return generate_query_workload(
+        database, n_q=3, count=5, rng=11, threshold=0.5
+    )
+
+
+@pytest.fixture(scope="session")
+def small_database() -> GeneFeatureDatabase:
+    """A 24-matrix synthetic database with overlapping gene sets."""
+    return make_small_database()
 
 
 @pytest.fixture(scope="session")
@@ -52,9 +66,7 @@ def baseline_engine(small_database: GeneFeatureDatabase) -> BaselineEngine:
 @pytest.fixture(scope="session")
 def query_workload(small_database: GeneFeatureDatabase) -> list[GeneFeatureMatrix]:
     """Five connected 3-gene queries cut from ``small_database``."""
-    return generate_query_workload(
-        small_database, n_q=3, count=5, rng=11, threshold=0.5
-    )
+    return make_query_workload(small_database)
 
 
 @pytest.fixture()

@@ -625,6 +625,62 @@ class TestEngineEquivalence:
         assert loaded.array_index is not None
         assert loaded.config == array_engine.config
 
+    @pytest.mark.parametrize("mmap_index", [False, True])
+    def test_save_with_refine_config_key_loads(
+        self, array_engine, queries, tmp_path, mmap_index
+    ):
+        # Older saves carry the deleted refinement-knob block as a nested
+        # config dict; the unknown key is dropped on load.
+        save_engine_sharded(array_engine, tmp_path / "engine")
+        meta_path = tmp_path / "engine" / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["config"]["refine"] = {
+            "strategy": "perpair",
+            "prescreen": False,
+            "chunk_size": 2,
+        }
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        loaded = load_engine_sharded(tmp_path / "engine", mmap_index=mmap_index)
+        assert loaded.config == array_engine.config
+        assert _answers(loaded, queries) == _answers(array_engine, queries)
+
+    @pytest.mark.parametrize(
+        "name,mmap_index",
+        [
+            ("meta.json", False),
+            ("meta.json", True),
+            ("shard_0000.npz", False),
+            ("shard_0000.npz", True),
+            ("index_arrays/header.json", True),
+        ],
+    )
+    def test_truncated_file_raises_validation_error(
+        self, array_engine, tmp_path, name, mmap_index
+    ):
+        # A half-written file (a crash mid-save) is reported as a
+        # ValidationError naming it, never as a raw decoder exception.
+        save_engine_sharded(array_engine, tmp_path / "engine")
+        path = tmp_path / "engine" / name
+        _truncate(path)
+        with pytest.raises(ValidationError, match=path.name):
+            load_engine_sharded(tmp_path / "engine", mmap_index=mmap_index)
+
+    def test_truncated_index_array_raises_validation_error(
+        self, array_engine, tmp_path
+    ):
+        # Only the mmap load reads index_arrays/*.npy; check every array.
+        save_engine_sharded(array_engine, tmp_path / "pristine")
+        arrays = sorted((tmp_path / "pristine" / "index_arrays").glob("*.npy"))
+        assert arrays
+        for array in arrays:
+            target = tmp_path / array.stem
+            save_engine_sharded(array_engine, target)
+            path = target / "index_arrays" / array.name
+            _truncate(path)
+            with pytest.raises(ValidationError, match=path.name):
+                load_engine_sharded(target, mmap_index=True)
+
     def test_save_without_array_snapshot(self, array_engine, queries, tmp_path):
         # A save whose meta.json has no index_arrays entry (one written
         # with the array view switched off) cannot be memory-mapped but
@@ -640,6 +696,12 @@ class TestEngineEquivalence:
         loaded = load_engine_sharded(tmp_path / "engine", mmap_index=False)
         assert loaded.array_index is not None
         assert _answers(loaded, queries) == _answers(array_engine, queries)
+
+
+def _truncate(path: Path) -> None:
+    """Cut ``path`` to half its size, as an interrupted write leaves it."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import EngineConfig, MeasureScanEngine, ObservabilityConfig, QuerySpec
 from repro.cli import main
 from repro.errors import ValidationError
 from repro.eval.harness import (
@@ -167,6 +168,40 @@ class TestRunner:
         results = primed.run()
         assert primed._engines[("imgrn", "uni", scale.label)] is engine
         assert all(row["build_seconds"] == 0.0 for row in results.rows)
+
+    def test_measure_scan_runs_with_its_default_measure(self):
+        """The registry's engines take ``config`` by keyword: passed
+        positionally it would land in MeasureScanEngine's ``measure``."""
+        config = tiny_config(
+            engines=("imgrn", "measure-scan"), baseline_engine="imgrn", repeats=1
+        )
+        runner = ExperimentRunner(config)
+        results = runner.run()
+        scale = config.scales[0]
+        database = runner._database("uni", scale)
+        reference = MeasureScanEngine(
+            database,
+            config=EngineConfig(
+                seed=config.seed,
+                observability=ObservabilityConfig(shared_registry=False),
+            ),
+        )
+        reference.build()
+        expected = [
+            reference.execute(QuerySpec(q, 0.5, 0.5))
+            for q in runner._workload("uni", scale)
+        ]
+        engine = runner._engines[("measure-scan", "uni", scale.label)]
+        got = [
+            engine.execute(QuerySpec(q, 0.5, 0.5))
+            for q in runner._workload("uni", scale)
+        ]
+        assert [
+            [(a.source_id, a.probability) for a in r.answers] for r in got
+        ] == [[(a.source_id, a.probability) for a in r.answers] for r in expected]
+        (row,) = results.frame.filter(engine="measure-scan").records()
+        assert row["answers"] == sum(len(r.answers) for r in expected)
+        assert row["candidates"] == sum(r.stats.candidates for r in expected)
 
     def test_topk_axis_has_no_alpha(self):
         config = tiny_config(kinds=("topk",), repeats=1)

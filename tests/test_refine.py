@@ -1,8 +1,7 @@
 """Refinement-layer conformance: the batched `CandidateRefiner` is
-bit-identical to the per-pair reference strategy and to brute-force
-`find_embeddings` over materialized GRNs, across all three workload
-kinds, `edge_budget in {0, 1, 2}` and all four engines -- answers,
-probabilities and `query.*` pruning counters alike."""
+bit-identical to brute-force `find_embeddings` over materialized GRNs,
+across all three workload kinds, `edge_budget in {0, 1, 2}` and all four
+engines. Its counters are pinned by `tests/test_engine_surface.py`."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from repro import (
     MeasureScanEngine,
     ObservabilityConfig,
     QuerySpec,
-    RefineConfig,
 )
 from repro.core.matching import find_embeddings
 from repro.core.probgraph import ProbabilisticGraph, edge_key
@@ -68,15 +66,6 @@ def _answers(result) -> list[tuple[int, float]]:
     return [(a.source_id, a.probability) for a in result.answers]
 
 
-def _query_counters(result) -> dict[str, float]:
-    """The ``query.*`` counters (not timings): the bit-identity surface."""
-    return {
-        key: value
-        for key, value in result.metrics.items()
-        if key.startswith("query.") and "seconds" not in key
-    }
-
-
 def _pair_probability_fn(engine):
     inference = getattr(engine, "_inference", None)
     if inference is not None:
@@ -117,20 +106,12 @@ def _brute_force(engine, database, query_graph, kind, budget):
 
 
 @pytest.fixture(scope="module")
-def strategy_engines(small_database):
-    """Per engine name: one built engine per refine strategy."""
+def engines(small_database):
+    """One built engine per engine name."""
     built = {}
     for name in ENGINE_NAMES:
-        pair = {}
-        for strategy in ("batched", "perpair"):
-            engine = _make_engine(
-                name,
-                small_database,
-                BASE_CONFIG.with_(refine=RefineConfig(strategy=strategy)),
-            )
-            engine.build()
-            pair[strategy] = engine
-        built[name] = pair
+        built[name] = _make_engine(name, small_database, BASE_CONFIG)
+        built[name].build()
     return built
 
 
@@ -139,23 +120,11 @@ def strategy_engines(small_database):
     "kind,budget", WORKLOADS, ids=lambda value: str(value)
 )
 class TestRefinementConformance:
-    def test_batched_bit_identical_to_perpair(
-        self, strategy_engines, query_workload, name, kind, budget
-    ):
-        """Same answers, same probabilities, same query.* counters."""
-        batched = strategy_engines[name]["batched"]
-        perpair = strategy_engines[name]["perpair"]
-        for query in query_workload[:2]:
-            got = batched.execute(_spec(query, kind, budget))
-            reference = perpair.execute(_spec(query, kind, budget))
-            assert _answers(got) == _answers(reference)
-            assert _query_counters(got) == _query_counters(reference)
-
     def test_batched_bit_identical_to_brute_force(
-        self, strategy_engines, small_database, query_workload, name, kind, budget
+        self, engines, small_database, query_workload, name, kind, budget
     ):
         """Property: refinement == find_embeddings over materialized GRNs."""
-        engine = strategy_engines[name]["batched"]
+        engine = engines[name]
         for query in query_workload[:2]:
             result = engine.execute(_spec(query, kind, budget))
             expected = _brute_force(
@@ -165,37 +134,11 @@ class TestRefinementConformance:
 
 
 class TestStrategyKnobs:
-    @pytest.mark.parametrize(
-        "refine",
-        [
-            RefineConfig(strategy="batched", prescreen=False, chunk_size=0),
-            RefineConfig(strategy="batched", prescreen=True, chunk_size=0),
-            RefineConfig(strategy="batched", prescreen=False, chunk_size=1),
-            RefineConfig(strategy="batched", prescreen=True, chunk_size=1),
-            RefineConfig(strategy="batched", prescreen=True, chunk_size=2),
-        ],
-        ids=lambda c: f"prescreen={c.prescreen},chunk={c.chunk_size}",
-    )
-    def test_knobs_never_change_answers(
-        self, small_database, query_workload, strategy_engines, refine
-    ):
-        """Chunking/prescreen settings are pure strategy: answers and
-        query.* counters stay bit-identical to the per-pair reference."""
-        engine = IMGRNEngine(small_database, BASE_CONFIG.with_(refine=refine))
-        engine.build()
-        reference_engine = strategy_engines["imgrn"]["perpair"]
-        for query in query_workload[:2]:
-            for kind, budget in WORKLOADS:
-                got = engine.execute(_spec(query, kind, budget))
-                reference = reference_engine.execute(_spec(query, kind, budget))
-                assert _answers(got) == _answers(reference)
-                assert _query_counters(got) == _query_counters(reference)
-
-    def test_refine_metrics_recorded(self, strategy_engines, query_workload):
-        """refine.* diagnostics carry engine+strategy labels per query."""
-        engine = strategy_engines["imgrn"]["batched"]
+    def test_refine_metrics_recorded(self, engines, query_workload):
+        """refine.* diagnostics carry the engine label per query."""
+        engine = engines["imgrn"]
         result = engine.execute(QuerySpec(query_workload[0], GAMMA, ALPHA))
-        labels = 'engine="imgrn",strategy="batched"'
+        labels = 'engine="imgrn"'
         sources = result.metrics.get(f"refine.sources{{{labels}}}", 0.0)
         assert sources >= len(result.answers)
         if sources:
@@ -211,21 +154,6 @@ class TestStrategyKnobs:
             assert evaluated + prescreened > 0.0
             if evaluated:
                 assert batches >= 1.0
-
-
-class TestRefineConfigValidation:
-    def test_bad_strategy(self):
-        with pytest.raises(ValidationError, match="strategy"):
-            RefineConfig(strategy="bogus")
-
-    def test_negative_chunk_size(self):
-        with pytest.raises(ValidationError, match="chunk_size"):
-            RefineConfig(chunk_size=-1)
-
-    def test_with_copies(self):
-        config = RefineConfig().with_(strategy="perpair")
-        assert config.strategy == "perpair"
-        assert RefineConfig().strategy == "batched"
 
 
 class TestPayloadKeyValidation:
