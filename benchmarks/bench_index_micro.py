@@ -1,107 +1,35 @@
-"""Micro-benchmarks of the R*-tree substrate (insert / search / kNN / delete).
+"""Micro-benchmark of the index substrate: STR pack throughput.
 
 Not a paper figure -- operational visibility into the access method that
 every IM-GRN query rides on, at the embedded-space dimensionality (2d+1=5).
+Every index change (build, add, remove) is one :func:`str_pack` call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.index.mbr import MBR
-from repro.index.node import LeafEntry
-from repro.index.rstartree import RStarTree
+from repro.index.packer import str_pack
 
 DIM = 5
 N_POINTS = 2000
 
 
-@pytest.fixture(scope="module")
-def points(bench_seed):
-    return np.random.default_rng(bench_seed).uniform(0, 10, size=(N_POINTS, DIM))
+def test_pack_throughput(benchmark, bench_seed):
+    rng = np.random.default_rng(bench_seed)
+    points = rng.uniform(0, 10, size=(N_POINTS, DIM))
+    points[:, -1] = rng.integers(0, 200, N_POINTS)  # gene-ID axis
+    rows = np.arange(N_POINTS)
 
-
-@pytest.fixture(scope="module")
-def loaded_tree(points):
-    tree = RStarTree(dim=DIM, max_entries=16)
-    tree.bulk_load(
-        [
-            LeafEntry(point, gene_id=i, source_id=i % 50, payload=i)
-            for i, point in enumerate(points)
-        ]
-    )
-    tree.finalize()
-    return tree
-
-
-def test_insert_throughput(benchmark, points):
-    def build():
-        tree = RStarTree(dim=DIM, max_entries=16)
-        for i, point in enumerate(points[:500]):
-            tree.insert(point, i, i % 50, i)
-        return tree
-
-    tree = benchmark.pedantic(build, rounds=2, iterations=1)
-    assert len(tree) == 500
-
-
-def test_bulk_load_throughput(benchmark, points):
-    entries = [
-        LeafEntry(point, gene_id=i, source_id=i % 50, payload=i)
-        for i, point in enumerate(points)
-    ]
-
-    def build():
-        tree = RStarTree(dim=DIM, max_entries=16)
-        tree.bulk_load(list(entries))
-        return tree
-
-    tree = benchmark.pedantic(build, rounds=2, iterations=1)
-    assert len(tree) == N_POINTS
-
-
-def test_range_search_throughput(benchmark, loaded_tree, bench_seed):
-    rng = np.random.default_rng(bench_seed + 1)
-    boxes = []
-    for _ in range(50):
-        low = rng.uniform(0, 8, size=DIM)
-        boxes.append(MBR(low, low + 2.0))
-
-    def run():
-        return sum(len(loaded_tree.search(box)) for box in boxes)
-
-    total = benchmark(run)
-    assert total > 0
-
-
-def test_knn_throughput(benchmark, loaded_tree, bench_seed):
-    rng = np.random.default_rng(bench_seed + 2)
-    probes = rng.uniform(0, 10, size=(50, DIM))
-
-    def run():
-        return sum(len(loaded_tree.nearest(p, k=5)) for p in probes)
-
-    total = benchmark(run)
-    assert total == 50 * 5
-
-
-def test_delete_throughput(benchmark, points, bench_seed):
-    rng = np.random.default_rng(bench_seed + 3)
-    victims = rng.choice(N_POINTS, size=200, replace=False).tolist()
-
-    def run():
-        tree = RStarTree(dim=DIM, max_entries=16)
-        tree.bulk_load(
-            [
-                LeafEntry(point, gene_id=i, source_id=i % 50, payload=i)
-                for i, point in enumerate(points)
-            ]
+    def pack():
+        return str_pack(
+            points,
+            points[:, -1].astype(np.int64),
+            rows % 50,
+            rows,
+            max_entries=16,
+            bitvector_bits=1024,
         )
-        for payload in victims:
-            tree.delete(int(payload))
-        return tree
 
-    tree = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert len(tree) == N_POINTS - 200
-    tree.check_invariants()
+    store = benchmark.pedantic(pack, rounds=5, iterations=1)
+    assert store.num_entries == N_POINTS

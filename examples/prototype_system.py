@@ -56,12 +56,12 @@ def main() -> None:
     engine.add_matrix(new_matrix)
     print(
         f"[3] added source 1000 ({new_matrix.num_genes} genes); "
-        f"index now holds {len(engine.tree)} points"
+        f"index now holds {len(engine.array_index)} points"
     )
 
     # --- 4. a retraction --------------------------------------------------
     engine.remove_matrix(7)
-    print(f"[4] removed retracted source 7; index holds {len(engine.tree)} points")
+    print(f"[4] removed retracted source 7; index holds {len(engine.array_index)} points")
 
     # --- 5. ranked ad-hoc queries ------------------------------------------
     query = extract_query(new_matrix, n_q=4, rng=51, threshold=0.6)

@@ -5,7 +5,7 @@ Run with::
     python examples/quickstart.py
 
 Walks the full public API surface in one minute: generate a synthetic
-database (the paper's Section-6.1 linear model), build the pivot/R*-tree
+database (the paper's Section-6.1 linear model), build the pivot/STR
 index, cut a connected query matrix out of one source, and answer the
 ad-hoc inference-and-matching query at a user-chosen (gamma, alpha).
 """
@@ -31,13 +31,13 @@ def main() -> None:
     print("database:", database.describe())
 
     # 2. Build the IM-GRN engine: per-matrix pivot selection (Fig. 3),
-    #    2d+1-dimensional embedding, one R*-tree + inverted bit-vector file.
+    #    2d+1-dimensional embedding, one STR-packed index + inverted file.
     engine = IMGRNEngine(database, EngineConfig(num_pivots=2, seed=42))
     seconds = engine.build()
     print(
         f"index built in {seconds:.2f}s: "
-        f"{len(engine.tree)} points, {engine.pages.num_pages} pages, "
-        f"height {engine.tree.height}"
+        f"{len(engine.array_index)} points, {engine.pages.num_pages} pages, "
+        f"height {engine.array_index.height}"
     )
 
     # 3. A query matrix M_Q: 4 genes cut from a random source such that the

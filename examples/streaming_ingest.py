@@ -8,12 +8,12 @@ The prototype-system scenario from the paper's conclusion: gene feature
 matrices keep arriving from institutions, and the system must index them
 without taking the query service down. One process (here: one loop
 iteration) plays the *builder* -- it owns the live engine, ingests each
-arrival with ``add_matrix()`` (pivot embedding + R*-tree insert, no
-rebuild), and republishes the index with the sharded incremental save,
-which rewrites only the shard the new matrix landed in. A network
-daemon serves the published index from mmap-backed workers the whole
-time; after each republish one ``/reload`` hot-swaps the new index in
-without dropping admitted requests. Queries of every workload kind
+arrival with ``add_matrix()`` (embeds only the new matrix, then
+repacks the index), and republishes the index with the sharded
+incremental save, which rewrites only the shard the new matrix landed
+in. A network daemon serves the published index from mmap-backed
+workers the whole time; after each republish one ``/reload`` hot-swaps
+the new index in without dropping admitted requests. Queries of every workload kind
 (containment, top-k by Pr{G}, edge-budget similarity) are answered
 throughout, and the freshly streamed source is queryable immediately
 after its reload.

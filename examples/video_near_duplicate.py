@@ -10,7 +10,7 @@ engine retrieves videos whose inferred scene-similarity graphs contain the
 query's pattern -- candidate copyright violations.
 
 Uses the generalized :mod:`repro.adhoc` facade (the same measure, pruning,
-embedding and R*-tree as IM-GRN, with domain-neutral vocabulary).
+embedding and index as IM-GRN, with domain-neutral vocabulary).
 """
 
 from __future__ import annotations

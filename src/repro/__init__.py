@@ -11,7 +11,7 @@ Typical usage::
 
     database = GeneFeatureDatabase([...])        # l_i x n_i matrices
     engine = IMGRNEngine(database, EngineConfig(num_pivots=2))
-    engine.build()                               # pivots + R*-tree + IF
+    engine.build()                               # pivots + STR index + IF
     result = engine.query(query_matrix, gamma=0.5, alpha=0.5)
     print(result.answer_sources(), result.stats.io_accesses)
 

@@ -14,7 +14,7 @@ as a domain-neutral facade over the IM-GRN machinery:
 * an :class:`AdHocMatchEngine` indexes many collections (of possibly
   different vector lengths) and answers pattern-matching queries over the
   graphs inferred at query time, with the same randomized measure,
-  pruning stack, pivot embedding and R*-tree as IM-GRN.
+  pruning stack, pivot embedding and index as IM-GRN.
 
 Labels are matched exactly (like gene names); the measure is the
 randomization test of Definition 2, which is invariant to per-item affine

@@ -165,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard execution backend",
     )
     pbuild.add_argument(
-        "--bulk",
-        action="store_true",
-        help="bulk-load the R*-tree (STR) instead of R* insertion",
-    )
-    pbuild.add_argument(
         "--compare-serial",
         action="store_true",
         help="also time a serial build and report the speedup",
@@ -540,7 +535,7 @@ def _run_build(args: argparse.Namespace) -> int:
         args.n_matrices,
     )
     engine = IMGRNEngine(database, config)
-    seconds = engine.build(bulk=args.bulk)
+    seconds = engine.build()
     shards = -(-len(database) // args.shard_size)
     print(
         f"built {len(database)} matrices ({database.total_genes()} points) "
@@ -551,7 +546,7 @@ def _run_build(args: argparse.Namespace) -> int:
         serial = IMGRNEngine(
             database, config.with_(build=config.build.with_(workers=0))
         )
-        serial_seconds = serial.build(bulk=args.bulk)
+        serial_seconds = serial.build()
         speedup = serial_seconds / seconds if seconds > 0 else float("inf")
         print(f"serial build: {serial_seconds:.3f}s (speedup {speedup:.2f}x)")
     if args.save:

@@ -253,7 +253,8 @@ class EngineConfig:
         How the traversal picks its anchor query gene: ``"highest_degree"``
         (Fig. 4's choice), ``"random"`` or ``"first"`` (ablations).
     rstar_max_entries:
-        R*-tree node fan-out (one node == one page for I/O accounting).
+        Index node fan-out ``M`` (one node == one page for I/O
+        accounting); the name keeps the paper's R*-tree parameter.
     seed:
         Seed for every stochastic component of the engine.
     inference:

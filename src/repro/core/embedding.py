@@ -8,9 +8,9 @@ embeds every gene vector ``X_s`` as
 
 where ``x_s[r] = dist(X_s, piv_r)`` and ``y_s[r] = E[dist(X_s^R, piv_r)]``.
 All embedded points -- regardless of the source matrix's dimensions -- live
-in the same ``2d+1``-dimensional space and go into one R*-tree. The gene-ID
-coordinate groups equal genes from different sources together, which is what
-makes the bit-vector + MBR filters effective.
+in the same ``2d+1``-dimensional space and go into one index tree. The
+gene-ID coordinate groups equal genes from different sources together,
+which is what makes the bit-vector + MBR filters effective.
 """
 
 from __future__ import annotations

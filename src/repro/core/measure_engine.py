@@ -1,6 +1,6 @@
 """Ad-hoc matching under arbitrary randomized measures (future work, §2.2).
 
-The pivot/R*-tree machinery provably bounds only the Euclidean-reduced
+The pivot/index machinery provably bounds only the Euclidean-reduced
 Pearson measure. For the *other* measures the paper defers to future work
 (mutual information, Fisher's z, Student's t, or any user-supplied score),
 this module provides a correct scan-based engine: the same Definition-4

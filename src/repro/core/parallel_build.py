@@ -18,8 +18,8 @@ fans that work out with:
   :mod:`repro.core.batch_inference`), returning the embedded matrices plus
   per-shard wall seconds.
 
-Merging shard outputs back into the R*-tree stays in the parent process
-and follows database order, so the parallel build is bit-identical to the
+Packing shard outputs into the index stays in the parent process and
+follows database order, so the parallel build is bit-identical to the
 serial one (asserted in ``tests/test_parallel_build.py``).
 """
 

@@ -9,8 +9,8 @@ the build artifacts to survive process restarts. This module serializes
 * every matrix's embedding (pivot indices, x/y coordinates),
 
 into one compressed ``.npz`` archive. Loading restores the database and
-embeddings and re-inserts the (already-embedded) points into a fresh
-R*-tree -- skipping pivot selection and expectation computation, the
+embeddings and packs the (already-embedded) points into a fresh index --
+skipping pivot selection and expectation computation, the
 numerically heavy part of :meth:`IMGRNEngine.build`. Because every
 component is deterministic given the archive, a loaded engine answers
 queries identically to the one that was saved (asserted in tests).
@@ -183,27 +183,18 @@ def load_engine(path: str | Path) -> IMGRNEngine:
 def _install_index(
     engine: IMGRNEngine, embeddings: dict[int, EmbeddedMatrix]
 ) -> None:
-    """Insert stored embeddings into a fresh tree + inverted file.
+    """Pack stored embeddings into a fresh index + inverted file.
 
-    Insertion follows database order -- the same order :meth:`build` merges
-    shard outputs -- so a restored engine's index is bit-identical to a
-    freshly built one.
+    Sources are packed in database order -- the order :meth:`build`
+    merges shard outputs in -- so a restored engine's index is
+    byte-identical to a freshly built one.
     """
     from ..index.invertedfile import InvertedBitVectorFile
     from ..index.pagemanager import PageManager
-    from ..index.rstartree import RStarTree
 
-    config = engine.config
     started = time.perf_counter()
     engine.pages = PageManager()
-    engine.pages.pause()
-    tree = RStarTree(
-        dim=2 * config.num_pivots + 1,
-        max_entries=config.rstar_max_entries,
-        pages=engine.pages,
-        bitvector_bits=config.bitvector_bits,
-    )
-    inverted = InvertedBitVectorFile(config.bitvector_bits)
+    inverted = InvertedBitVectorFile(engine.config.bitvector_bits)
     for matrix in engine.database:
         embedded = embeddings[matrix.source_id]
         engine._entries[matrix.source_id] = _MatrixEntry(
@@ -211,16 +202,10 @@ def _install_index(
             embedded=embedded,
             standardized=standardize_matrix(matrix.values),
         )
-        points = embedded.points()
-        for gene_index, gene_id in enumerate(embedded.gene_ids):
-            payload = engine._payload_key(matrix.source_id, gene_index)
-            tree.insert(points[gene_index], gene_id, matrix.source_id, payload)
+        for gene_id in embedded.gene_ids:
             inverted.add(gene_id, matrix.source_id)
-    tree.finalize()
-    engine.pages.resume()
-    engine.tree = tree
     engine.inverted_file = inverted
-    engine._recompact()
+    engine._repack()
     engine.build_seconds = time.perf_counter() - started
 
 
@@ -232,8 +217,8 @@ def _install_mmap_index(
 ) -> None:
     """Install a memmapped array-store snapshot as the engine's index.
 
-    No object tree is built: the snapshot's arrays are mapped read-only
-    and become the traversal's read path directly. The page-ID space is
+    Nothing is packed: the snapshot's arrays are mapped read-only and
+    become the traversal's read path directly. The page-ID space is
     reserved on a fresh :class:`PageManager` so I/O accounting against
     the snapshot's original page IDs still validates, and the inverted
     file is rebuilt from the snapshot's (gene, source) entry columns --
@@ -271,7 +256,6 @@ def _install_mmap_index(
             embedded=embeddings[matrix.source_id],
             standardized=standardize_matrix(matrix.values),
         )
-    engine.tree = None
     engine.array_index = store
     engine.inverted_file = inverted
     engine.build_seconds = time.perf_counter() - started
@@ -496,9 +480,9 @@ def load_engine_sharded(
     its stored embedding when its content fingerprint still matches --
     only changed or new matrices re-run pivot selection and embedding.
     The resulting engine is bit-identical to a fresh serial build over the
-    same database (insertion order is database order either way).
+    same database (packing order is database order either way).
 
-    ``mmap_index=True`` skips the object-tree rebuild entirely and maps
+    ``mmap_index=True`` skips the repack entirely and maps
     the save's array-store snapshot (``index_arrays/``) read-only via
     ``np.memmap``: loading the index becomes an mmap call, N worker
     processes share one page-cache copy, and queries return bit-identical

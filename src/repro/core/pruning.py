@@ -10,7 +10,7 @@ random distance ``Z = dist(X_s, X_t^R)``:
 * **Pivot-based pruning** (Section 4.2, Eq. 7-9): the same bound computed
   purely from the ``2d``-dimensional embedded coordinates -- no access to
   the raw vectors -- via the triangle inequality through pivots.
-* **Index pruning** (Lemma 6): the pivot bound lifted to R*-tree MBRs, so
+* **Index pruning** (Lemma 6): the pivot bound lifted to index-node MBRs, so
   whole node pairs are discarded at once.
 
 Soundness: every bound here *over*-estimates the true probability, so a

@@ -3,8 +3,9 @@
 :class:`IMGRNEngine` owns the whole indexed pipeline:
 
 * **build**: per matrix, select pivots (Fig. 3), embed every gene vector
-  into ``2d+1`` dims (Section 4.2), insert the points into one R*-tree,
-  and register gene/source IDs in the inverted bit-vector file.
+  into ``2d+1`` dims (Section 4.2), pack all points into one STR-packed
+  tree (:func:`~repro.index.packer.str_pack`), and register gene/source
+  IDs in the inverted bit-vector file.
 * **query**: infer the query GRN ``Q`` from ``M_Q`` (with edge-inference
   pruning), anchor the traversal at the highest-degree query gene, walk
   the tree one level of node *pairs* at a time -- applying bit-vector
@@ -31,7 +32,6 @@ from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
 from ..errors import (
     IndexNotBuiltError,
-    InternalError,
     UnknownGeneError,
     ValidationError,
 )
@@ -39,8 +39,8 @@ from ..eval.counters import QueryStats
 from ..index.arraystore import ArrayStore, int_to_words
 from ..index.bitvector import signature
 from ..index.invertedfile import InvertedBitVectorFile
+from ..index.packer import concat_ranges, str_pack
 from ..index.pagemanager import PageManager
-from ..index.rstartree import RStarTree
 from ..obs import MetricsRegistry, Observability
 from ..obs import names as _names
 from .batch_inference import BatchInferenceEngine, standardize_columns
@@ -65,7 +65,7 @@ __all__ = ["IMGRNAnswer", "IMGRNResult", "IMGRNEngine"]
 
 _ENGINE = "imgrn"
 
-#: Gene-column capacity of one source in the packed R*-tree payload key:
+#: Gene-column capacity of one source in the packed index payload key:
 #: ``(source, column)`` pairs pack as ``source * LIMIT + column``, so any
 #: column index at or past the limit (or a negative source) would alias
 #: another entry's payload.
@@ -76,14 +76,6 @@ _PAYLOAD_GENE_LIMIT = 1_000_000
 #: the traversal materializes; a wider tree level is processed slice by
 #: slice, in order, so the walk's transient memory stays bounded.
 _SLICE_CELLS = 1 << 14
-
-
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``arange(start, start + count)`` for each pair, concatenated."""
-    offsets = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
-        starts - offsets, counts
-    )
 
 
 def _slices(costs: np.ndarray):
@@ -381,11 +373,9 @@ class IMGRNEngine(_QueryMixin):
         self.config = config or EngineConfig()
         self.obs = Observability.from_config(self.config.observability)
         self.pages = PageManager()
-        self.tree: RStarTree | None = None
-        #: Read-path structure-of-arrays view of the finalized tree (see
-        #: :mod:`repro.index.arraystore`); refreshed by :meth:`_recompact`
-        #: after every index mutation, or installed directly by the
-        #: persistence layer when reloading via ``np.memmap``.
+        #: The index (see :mod:`repro.index.arraystore`): repacked by
+        #: :meth:`_repack` after every index change, or installed directly
+        #: by the persistence layer when reloading via ``np.memmap``.
         self.array_index: ArrayStore | None = None
         self.inverted_file: InvertedBitVectorFile | None = None
         self.build_seconds: float = 0.0
@@ -410,127 +400,108 @@ class IMGRNEngine(_QueryMixin):
     def is_built(self) -> bool:
         return self.array_index is not None
 
-    def _recompact(self) -> None:
-        """Refresh the array-backed read view after any index mutation.
+    def _repack(self) -> None:
+        """STR-pack every indexed source's points into a fresh index.
 
-        The R*-tree is only the mutable builder behind :meth:`build`,
-        :meth:`add_matrix` and :meth:`remove_matrix`; every query reads
-        the :class:`~repro.index.arraystore.ArrayStore` compacted from
-        the finalized tree here.
+        Sources are packed in indexing order (database order, added
+        sources last), each source's genes in column order -- the order a
+        fresh :meth:`build` over the same sources uses, so maintenance
+        and rebuild give byte-identical stores. The page-ID space only
+        grows, so a query still holding the previous store keeps passing
+        its page bounds checks.
         """
-        assert self.tree is not None
-        self.array_index = ArrayStore.from_tree(self.tree)
+        embedded = [entry.embedded for entry in self._entries.values()]
+        for e in embedded:  # validates the source and its last column's key
+            self._payload_key(e.source_id, max(len(e.gene_ids) - 1, 0))
+        sources = np.array([e.source_id for e in embedded], dtype=np.int64)
+        sizes = np.array([len(e.gene_ids) for e in embedded], dtype=np.int64)
+        dim = 2 * self.config.num_pivots + 1
+        with self.obs.tracer.span("build.index_insert", points=int(sizes.sum())):
+            store = str_pack(
+                np.concatenate([np.empty((0, dim))] + [e.points() for e in embedded]),
+                np.fromiter(
+                    itertools.chain.from_iterable(e.gene_ids for e in embedded),
+                    dtype=np.int64,
+                ),
+                np.repeat(sources, sizes),
+                concat_ranges(sources * _PAYLOAD_GENE_LIMIT, sizes),
+                max_entries=self.config.rstar_max_entries,
+                bitvector_bits=self.config.bitvector_bits,
+            )
+        self.pages.reserve(store.pages_allocated)
+        self.array_index = store
+
+    def _require_mutable(self, operation: str) -> None:
+        """Refuse index changes on unbuilt or mmap-loaded engines."""
+        store = self.array_index
+        # A store always has a root node, so node_levels is never an
+        # empty (unmappable) array: it is a memmap exactly when mapped.
+        if store is not None and isinstance(store.node_levels, np.memmap):
+            raise IndexNotBuiltError(
+                "this engine holds a read-only mmap-loaded array index; "
+                "reload with mmap_index=False (or rebuild) to mutate"
+            )
+        if store is None or self.inverted_file is None:
+            raise IndexNotBuiltError(f"call build() before {operation}()")
 
     def inference_stats(self) -> dict[str, float]:
         """Edge-probability cache counters of the batched inference engine."""
         return self._inference.stats()
 
-    def build(self, pivot_strategy: str = "cost_model", bulk: bool = False) -> float:
-        """Embed every matrix, build the R*-tree and inverted file.
+    def build(self, pivot_strategy: str = "cost_model") -> float:
+        """Embed every matrix, then pack the index and the inverted file.
 
         The numerically heavy per-matrix work (pivot selection, embedding,
         expected-distance computation) runs in shards of
         ``config.build.shard_size`` matrices; with ``config.build.workers
         > 1`` the shards are striped round-robin across a
-        ``ProcessPoolExecutor``. Shard outputs are merged into the tree in
-        database order, so every ``BuildConfig`` setting produces a
-        bit-identical index (see :mod:`repro.core.parallel_build`).
-
-        ``bulk=True`` packs the tree with Sort-Tile-Recursive loading
-        instead of one-at-a-time R* insertion -- much faster to build,
-        slightly worse node quality at query time (see
-        ``bench_ablation_bulkload``).
+        ``ProcessPoolExecutor``. Shard outputs are merged in database
+        order, so every ``BuildConfig`` setting produces a bit-identical
+        index (see :mod:`repro.core.parallel_build`). The points are then
+        STR-packed in one pass (:meth:`_repack`) -- a deliberate departure
+        from the paper's one-at-a-time R* insertion (§5.1) with identical
+        answers and fewer pages read per query.
 
         Returns the wall-clock build time in seconds (what Fig. 13 plots).
         """
-        from ..index.node import LeafEntry
         from .parallel_build import partition_shards
 
         config = self.config
         tracer = self.obs.tracer
         metrics = self.obs.metrics
-        built_matrices = metrics.counter(
-            _names.BUILD_MATRICES, help="matrices indexed", engine=_ENGINE
-        )
-        built_points = metrics.counter(
-            _names.BUILD_POINTS, help="index points inserted", engine=_ENGINE
-        )
-        dim = 2 * config.num_pivots + 1
         started = time.perf_counter()
         self.pages = PageManager()
-        self.pages.pause()  # build I/O is not part of the query metric
-        tree = RStarTree(
-            dim=dim,
-            max_entries=config.rstar_max_entries,
-            pages=self.pages,
-            bitvector_bits=config.bitvector_bits,
-        )
         inverted = InvertedBitVectorFile(config.bitvector_bits)
         self._entries = {}
-        pending: list[LeafEntry] = []
         matrices = list(self.database)
         shards = partition_shards(matrices, config.build.shard_size)
         with tracer.span(
             "build",
             engine=_ENGINE,
-            bulk=bulk,
             workers=config.build.workers,
             shards=len(shards),
         ):
             embedded_by_source = self._embed_shards(shards, pivot_strategy)
             with tracer.span("build.merge", engine=_ENGINE, matrices=len(matrices)):
                 for matrix in matrices:
-                    embedded = embedded_by_source[matrix.source_id]
-                    standardized = standardize_matrix(matrix.values)
                     self._entries[matrix.source_id] = _MatrixEntry(
                         matrix=matrix,
-                        embedded=embedded,
-                        standardized=standardized,
+                        embedded=embedded_by_source[matrix.source_id],
+                        standardized=standardize_matrix(matrix.values),
                     )
-                    points = embedded.points()
-                    with tracer.span(
-                        "build.index_insert", source=matrix.source_id
-                    ):
-                        for gene_index, gene_id in enumerate(embedded.gene_ids):
-                            payload = self._payload_key(
-                                matrix.source_id, gene_index
-                            )
-                            if bulk:
-                                pending.append(
-                                    LeafEntry(
-                                        points[gene_index],
-                                        gene_id,
-                                        matrix.source_id,
-                                        payload,
-                                    )
-                                )
-                            else:
-                                tree.insert(
-                                    points[gene_index],
-                                    gene_id,
-                                    matrix.source_id,
-                                    payload,
-                                )
-                    with tracer.span(
-                        "build.inverted_file", source=matrix.source_id
-                    ):
-                        for gene_id in embedded.gene_ids:
+                with tracer.span("build.inverted_file", matrices=len(matrices)):
+                    for matrix in matrices:
+                        for gene_id in matrix.gene_ids:
                             inverted.add(gene_id, matrix.source_id)
-                    built_matrices.inc()
-                    built_points.inc(matrix.num_genes)
-                if bulk:
-                    # Tile the gene-ID dimension first: it is the
-                    # traversal's most discriminative axis (exact
-                    # anchor/neighbor range checks).
-                    with tracer.span("build.bulk_load", points=len(pending)):
-                        gene_first = [dim - 1] + list(range(dim - 1))
-                        tree.bulk_load(pending, axis_order=gene_first)
-                tree.finalize()
-        self.pages.resume()
-        self.tree = tree
+                self._repack()
         self.inverted_file = inverted
-        self._recompact()
         self.build_seconds = time.perf_counter() - started
+        metrics.counter(
+            _names.BUILD_MATRICES, help="matrices indexed", engine=_ENGINE
+        ).inc(len(matrices))
+        metrics.counter(
+            _names.BUILD_POINTS, help="index points inserted", engine=_ENGINE
+        ).inc(sum(m.num_genes for m in matrices))
         metrics.histogram(
             _names.BUILD_SECONDS, help="index build seconds", engine=_ENGINE
         ).observe(self.build_seconds)
@@ -799,9 +770,9 @@ class IMGRNEngine(_QueryMixin):
 
         Supports the prototype-system scenario of the paper's conclusion:
         gene feature data keeps arriving from institutions; the engine
-        embeds the new matrix with its own pivots, inserts its points into
-        the existing R*-tree, updates the inverted file, and recomputes the
-        node signatures -- no full rebuild.
+        embeds only the new matrix with its own pivots, updates the
+        inverted file, and repacks the index with the new source's rows
+        appended -- the store equals a fresh build over the same sources.
 
         Raises
         ------
@@ -810,13 +781,7 @@ class IMGRNEngine(_QueryMixin):
         ValidationError
             If the source ID already exists (via the database).
         """
-        if self.array_index is not None and self.tree is None:
-            raise IndexNotBuiltError(
-                "this engine holds a read-only mmap-loaded array index; "
-                "reload with mmap_index=False (or rebuild) to mutate"
-            )
-        if self.tree is None or self.inverted_file is None:
-            raise IndexNotBuiltError("call build() before add_matrix()")
+        self._require_mutable("add_matrix")
         tracer = self.obs.tracer
         with tracer.span(
             "build.add_matrix",
@@ -832,18 +797,9 @@ class IMGRNEngine(_QueryMixin):
                 embedded=embedded,
                 standardized=standardize_matrix(matrix.values),
             )
-            self.pages.pause()
-            self.tree.reopen()
-            points = embedded.points()
-            for gene_index, gene_id in enumerate(embedded.gene_ids):
-                payload = self._payload_key(matrix.source_id, gene_index)
-                self.tree.insert(
-                    points[gene_index], gene_id, matrix.source_id, payload
-                )
+            for gene_id in embedded.gene_ids:
                 self.inverted_file.add(gene_id, matrix.source_id)
-            self.tree.finalize()
-            self.pages.resume()
-            self._recompact()
+            self._repack()
         self.obs.metrics.counter(
             _names.BUILD_MATRICES, help="matrices indexed", engine=_ENGINE
         ).inc()
@@ -852,7 +808,7 @@ class IMGRNEngine(_QueryMixin):
         ).inc(matrix.num_genes)
 
     def remove_matrix(self, source_id: int) -> None:
-        """Remove one data source from the index (tree + inverted file).
+        """Remove one data source from the index and the inverted file.
 
         The dual of :meth:`add_matrix` for the prototype-system scenario:
         a retracted study or revoked data-sharing agreement takes its
@@ -867,13 +823,7 @@ class IMGRNEngine(_QueryMixin):
         UnknownGeneError
             If the source is not indexed.
         """
-        if self.array_index is not None and self.tree is None:
-            raise IndexNotBuiltError(
-                "this engine holds a read-only mmap-loaded array index; "
-                "reload with mmap_index=False (or rebuild) to mutate"
-            )
-        if self.tree is None or self.inverted_file is None:
-            raise IndexNotBuiltError("call build() before remove_matrix()")
+        self._require_mutable("remove_matrix")
         try:
             entry = self._entries.pop(source_id)
         except KeyError:
@@ -884,18 +834,8 @@ class IMGRNEngine(_QueryMixin):
             source=source_id,
             genes=entry.matrix.num_genes,
         ):
-            self.pages.pause()
-            for gene_index in range(entry.matrix.num_genes):
-                payload = self._payload_key(source_id, gene_index)
-                removed = self.tree.delete(payload)
-                if not removed:
-                    raise InternalError(
-                        f"index entry for source {source_id} gene {gene_index} "
-                        "was missing during removal"
-                    )
             self.inverted_file.remove_source(source_id, entry.matrix.gene_ids)
-            self.pages.resume()
-            self._recompact()
+            self._repack()
 
     def _pick_anchor(self, query_graph: ProbabilisticGraph) -> int:
         """Anchor gene for the traversal (Fig. 4 line 2, or an ablation).
@@ -1009,8 +949,8 @@ class IMGRNEngine(_QueryMixin):
             n_pairs = s_nodes.shape[0]
             n_s = child_count[s_nodes]
             n_t = child_count[t_nodes]
-            s_kids = _concat_ranges(child_start[s_nodes], n_s)
-            t_kids = _concat_ranges(child_start[t_nodes], n_t)
+            s_kids = concat_ranges(child_start[s_nodes], n_s)
+            t_kids = concat_ranges(child_start[t_nodes], n_t)
             s_pair = np.repeat(np.arange(n_pairs), n_s)
             t_pair = np.repeat(np.arange(n_pairs), n_t)
             s_ok = (lows[s_kids, gene_dim] <= anchor) & (
@@ -1037,7 +977,7 @@ class IMGRNEngine(_QueryMixin):
             cells = a * b
             pruned_gene_sig.inc(int(in_range.sum() - cells.sum()))
             # Each pair's a x b survivor cross product, row-major.
-            local = _concat_ranges(np.zeros_like(cells), cells)
+            local = concat_ranges(np.zeros_like(cells), cells)
             width = np.repeat(b, cells)
             s_out = s_kids[np.repeat(np.cumsum(a) - a, cells) + local // width]
             t_out = t_kids[np.repeat(np.cumsum(b) - b, cells) + local % width]
@@ -1058,13 +998,13 @@ class IMGRNEngine(_QueryMixin):
             """Fig. 4, lines 16-21, over one slice of leaf pairs."""
             n_s = child_count[s_nodes]
             n_t = child_count[t_nodes]
-            s_rows = _concat_ranges(child_start[s_nodes], n_s)
+            s_rows = concat_ranges(child_start[s_nodes], n_s)
             s_pair = np.repeat(np.arange(s_nodes.shape[0]), n_s)
             is_anchor = gene_ids[s_rows] == anchor
             s_rows, s_pair = s_rows[is_anchor], s_pair[is_anchor]
             if s_rows.size == 0:
                 return
-            t_rows = _concat_ranges(child_start[t_nodes], n_t)
+            t_rows = concat_ranges(child_start[t_nodes], n_t)
             t_pair = np.repeat(np.arange(t_nodes.shape[0]), n_t)
             is_neighbor = np.isin(gene_ids[t_rows], neighbor_arr)
             t_rows, t_pair = t_rows[is_neighbor], t_pair[is_neighbor]

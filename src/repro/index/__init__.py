@@ -1,24 +1,20 @@
-"""Index substrate: MBRs, R*-tree, bit-vector signatures, inverted file."""
+"""Index substrate: the STR-packed array store, bit-vector signatures,
+inverted file, page accounting."""
 
 from .arraystore import ArrayStore
 from .bitvector import hash_bit, signature, signature_many, signatures_overlap
 from .invertedfile import InvertedBitVectorFile
-from .mbr import MBR
-from .node import LeafEntry, Node
+from .packer import str_pack
 from .pagemanager import PageCounter, PageManager
-from .rstartree import RStarTree
 
 __all__ = [
-    "MBR",
     "ArrayStore",
-    "LeafEntry",
-    "Node",
     "PageCounter",
     "PageManager",
-    "RStarTree",
     "InvertedBitVectorFile",
     "hash_bit",
     "signature",
     "signature_many",
     "signatures_overlap",
+    "str_pack",
 ]

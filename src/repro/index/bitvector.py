@@ -1,7 +1,7 @@
 """Bit-vector signatures for gene IDs and data-source IDs (Section 5.1).
 
 Each embedded point carries two size-``B`` bit vectors: ``V_f`` hashes its
-gene ID, ``V_d`` hashes its data-source ID. Intermediate R*-tree nodes hold
+gene ID, ``V_d`` hashes its data-source ID. Intermediate index nodes hold
 the bit-OR of their subtree's vectors, so one AND against a query signature
 can rule out a whole subtree. Like any Bloom-style filter the signatures
 admit false positives (hash collisions) but never false negatives -- pruned
@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from ..errors import ValidationError
 
 __all__ = [
     "hash_bit",
+    "hash_bits",
     "signature",
     "signature_many",
     "signatures_overlap",
@@ -48,6 +51,26 @@ def hash_bit(value: int, bits: int, salt: int = 0) -> int:
     if bits < 1:
         raise ValidationError(f"bits must be >= 1, got {bits}")
     return _mix(int(value), salt) % bits
+
+
+def hash_bits(values: np.ndarray, bits: int, salt: int = 0) -> np.ndarray:
+    """:func:`hash_bit` of every value at once, in ``uint64`` arithmetic.
+
+    The same mix modulo ``2**64`` (negative values wrap the same way),
+    so each position equals ``hash_bit(value, bits, salt)``.
+    """
+    if bits < 1:
+        raise ValidationError(f"bits must be >= 1, got {bits}")
+    z = np.asarray(values, dtype=np.int64).astype(np.uint64)
+    z = z * np.uint64(0x9E3779B97F4A7C15) + np.uint64(
+        (salt * 0xD1B54A32D192ED03) & _MASK64
+    )
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z % np.uint64(bits)
 
 
 def signature(value: int, bits: int, salt: int = 0) -> int:

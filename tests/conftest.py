@@ -15,10 +15,50 @@ from repro import (
 from repro.config import SyntheticConfig
 from repro.data.queries import generate_query_workload
 from repro.data.synthetic import generate_database
+from repro.index.bitvector import signature
+from repro.index.invertedfile import SOURCE_SALT
+from repro.index.packer import min_fanout
 
 #: One engine configuration shared by the integration tests (small MC count
 #: keeps the suite fast; determinism comes from the content-keyed streams).
 TEST_CONFIG = EngineConfig(mc_samples=64, seed=11)
+
+
+def assert_store_invariants(store, max_entries: int) -> None:
+    """Structural invariants of an STR-packed :class:`ArrayStore`.
+
+    Every node but the root holds ``[m, M]`` children; each child sits
+    one level below its parent; every MBR is the exact min/max of what it
+    covers; a leaf's ``V_f`` / ``V_d`` are the OR of its entries'
+    signatures, and every child's signature bits are within its parent's.
+    """
+    bits = store.bitvector_bits
+    for node in range(store.num_nodes):
+        start = int(store.node_child_start[node])
+        stop = start + int(store.node_child_count[node])
+        level = int(store.node_levels[node])
+        assert stop - start <= max_entries, node
+        if node:
+            assert stop - start >= min_fanout(max_entries), node
+        if stop == start:  # the empty index: one childless root
+            assert store.num_nodes == 1 and store.num_entries == 0
+            continue
+        if level == 0:
+            lows = highs = store.entry_points[start:stop]
+            vf = vd = 0
+            for row in range(start, stop):
+                vf |= signature(int(store.entry_gene_ids[row]), bits)
+                vd |= signature(int(store.entry_source_ids[row]), bits, SOURCE_SALT)
+            assert store.node_vf(node) == vf and store.node_vd(node) == vd
+        else:
+            assert (store.node_levels[start:stop] == level - 1).all()
+            lows = store.node_lows[start:stop]
+            highs = store.node_highs[start:stop]
+            for child in range(start, stop):
+                assert store.node_vf(child) & ~store.node_vf(node) == 0
+                assert store.node_vd(child) & ~store.node_vd(node) == 0
+        assert store.node_lows[node].tobytes() == lows.min(axis=0).tobytes()
+        assert store.node_highs[node].tobytes() == highs.max(axis=0).tobytes()
 
 
 def make_small_database() -> GeneFeatureDatabase:

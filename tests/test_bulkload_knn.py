@@ -1,44 +1,41 @@
-"""Tests for STR bulk loading and best-first kNN search."""
+"""Tests for STR bulk loading (the packer) and best-first kNN search."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import IMGRNEngine
+from repro import IMGRNEngine, LinearScanEngine
 from repro.errors import ValidationError
-from repro.index.mbr import MBR
-from repro.index.node import LeafEntry
-from repro.index.rstartree import RStarTree
+from repro.index.packer import str_pack
+from repro.index.pagemanager import PageManager
 
-from conftest import TEST_CONFIG
+from conftest import TEST_CONFIG, assert_store_invariants
 
 
-def make_entries(points):
-    return [
-        LeafEntry(point, gene_id=i, source_id=i % 3, payload=i)
-        for i, point in enumerate(points)
-    ]
+def pack(points, max_entries=16):
+    rows = np.arange(points.shape[0])
+    return str_pack(
+        points, rows, rows % 3, rows, max_entries=max_entries, bitvector_bits=64
+    )
 
 
 class TestBulkLoad:
     @pytest.mark.parametrize("n", [1, 4, 5, 17, 100, 333])
     def test_invariants_at_many_sizes(self, rng, n):
-        points = rng.normal(size=(n, 3))
-        tree = RStarTree(dim=3, max_entries=8)
-        tree.bulk_load(make_entries(points))
-        tree.finalize()
-        tree.check_invariants()
-        assert len(tree) == n
+        store = pack(rng.normal(size=(n, 3)), max_entries=8)
+        assert_store_invariants(store, 8)
+        assert len(store) == n
 
     def test_search_matches_brute_force(self, rng):
         points = rng.uniform(0, 10, size=(400, 4))
-        tree = RStarTree(dim=4, max_entries=8)
-        tree.bulk_load(make_entries(points))
+        store = pack(points, max_entries=8)
         for _ in range(15):
             low = rng.uniform(0, 8, size=4)
             high = low + rng.uniform(0.5, 4.0, size=4)
-            found = sorted(e.payload for e in tree.search(MBR(low, high)))
+            found = sorted(
+                int(store.entry_payloads[row]) for row in store.search(low, high)
+            )
             expected = sorted(
                 i
                 for i in range(400)
@@ -46,111 +43,82 @@ class TestBulkLoad:
             )
             assert found == expected
 
-    def test_higher_utilization_than_insertion(self, rng):
-        points = rng.normal(size=(500, 3))
-        bulk = RStarTree(dim=3, max_entries=8)
-        bulk.bulk_load(make_entries(points))
-        one_by_one = RStarTree(dim=3, max_entries=8)
-        for i, p in enumerate(points):
-            one_by_one.insert(p, i, i % 3, i)
-        bulk_leaves = sum(1 for n in bulk.iter_nodes() if n.is_leaf)
-        incremental_leaves = sum(
-            1 for n in one_by_one.iter_nodes() if n.is_leaf
-        )
-        # STR packs leaves (near-)full; incremental insertion cannot beat it.
-        assert bulk_leaves <= incremental_leaves
-
     def test_duplicate_points(self, rng):
         points = np.repeat(rng.normal(size=(5, 2)), 30, axis=0)
-        tree = RStarTree(dim=2, max_entries=6)
-        tree.bulk_load(make_entries(points))
-        tree.check_invariants()
-        assert len(tree) == 150
-
-    def test_rejects_non_empty_tree(self, rng):
-        tree = RStarTree(dim=2)
-        tree.insert(np.zeros(2), 0, 0, 0)
-        with pytest.raises(ValidationError):
-            tree.bulk_load(make_entries(rng.normal(size=(5, 2))))
+        store = pack(points, max_entries=6)
+        assert_store_invariants(store, 6)
+        assert len(store) == 150
 
     def test_rejects_wrong_dim(self, rng):
-        tree = RStarTree(dim=3)
         with pytest.raises(ValidationError):
-            tree.bulk_load(make_entries(rng.normal(size=(5, 2))))
+            str_pack(
+                rng.normal(size=5), [0], [0], [0], max_entries=8, bitvector_bits=64
+            )
 
     def test_empty_load_is_noop(self):
-        tree = RStarTree(dim=2)
-        tree.bulk_load([])
-        assert len(tree) == 0
+        store = pack(np.empty((0, 2)))
+        assert len(store) == 0
+        assert store.num_nodes == 1
 
     def test_engine_bulk_build_same_answers(self, small_database, query_workload):
-        incremental = IMGRNEngine(small_database, TEST_CONFIG)
-        incremental.build()
-        bulk = IMGRNEngine(small_database, TEST_CONFIG)
-        bulk.build(bulk=True)
-        bulk.tree.check_invariants()
+        packed = IMGRNEngine(small_database, TEST_CONFIG)
+        packed.build()
+        assert_store_invariants(packed.array_index, TEST_CONFIG.rstar_max_entries)
+        scan = LinearScanEngine(small_database, TEST_CONFIG)
+        scan.build()
         for query in query_workload:
             assert (
-                bulk.query(query, gamma=0.5, alpha=0.2).answer_sources()
-                == incremental.query(query, gamma=0.5, alpha=0.2).answer_sources()
+                packed.query(query, gamma=0.5, alpha=0.2).answer_sources()
+                == scan.query(query, gamma=0.5, alpha=0.2).answer_sources()
             )
 
 
 class TestNearest:
     def test_matches_brute_force(self, rng):
         points = rng.normal(size=(300, 3))
-        tree = RStarTree(dim=3, max_entries=8)
-        tree.bulk_load(make_entries(points))
+        store = pack(points, max_entries=8)
         for _ in range(10):
             probe = rng.normal(size=3)
-            found = tree.nearest(probe, k=5)
+            found = store.nearest(probe, k=5)
             assert len(found) == 5
             distances = np.linalg.norm(points - probe, axis=1)
             expected = np.sort(distances)[:5]
             np.testing.assert_allclose(
-                [d for d, _e in found], expected, rtol=1e-9
+                [d for d, _row in found], expected, rtol=1e-9
             )
 
     def test_sorted_by_distance(self, rng):
-        points = rng.normal(size=(100, 2))
-        tree = RStarTree(dim=2)
-        tree.bulk_load(make_entries(points))
-        found = tree.nearest(np.zeros(2), k=10)
-        dists = [d for d, _e in found]
+        store = pack(rng.normal(size=(100, 2)))
+        dists = [d for d, _row in store.nearest(np.zeros(2), k=10)]
         assert dists == sorted(dists)
 
     def test_k_larger_than_tree(self, rng):
-        points = rng.normal(size=(7, 2))
-        tree = RStarTree(dim=2)
-        tree.bulk_load(make_entries(points))
-        assert len(tree.nearest(np.zeros(2), k=50)) == 7
+        store = pack(rng.normal(size=(7, 2)))
+        assert len(store.nearest(np.zeros(2), k=50)) == 7
 
     def test_exact_hit_is_first(self, rng):
         points = rng.normal(size=(50, 3))
-        tree = RStarTree(dim=3)
-        tree.bulk_load(make_entries(points))
-        dist, entry = tree.nearest(points[13], k=1)[0]
+        store = pack(points)
+        dist, row = store.nearest(points[13], k=1)[0]
         assert dist == pytest.approx(0.0, abs=1e-12)
-        assert entry.payload == 13
+        assert store.entry_payloads[row] == 13
 
     def test_empty_tree(self):
-        tree = RStarTree(dim=2)
-        assert tree.nearest(np.zeros(2), k=3) == []
+        assert pack(np.empty((0, 2))).nearest(np.zeros(2), k=3) == []
 
-    def test_domain_checks(self, rng):
-        tree = RStarTree(dim=2)
-        tree.insert(np.zeros(2), 0, 0, 0)
+    def test_domain_checks(self):
+        store = pack(np.zeros((1, 2)))
         with pytest.raises(ValidationError):
-            tree.nearest(np.zeros(2), k=0)
+            store.nearest(np.zeros(2), k=0)
         with pytest.raises(ValidationError):
-            tree.nearest(np.zeros(3), k=1)
+            store.nearest(np.zeros(3), k=1)
 
     def test_charges_io(self, rng):
-        points = rng.normal(size=(200, 2))
-        tree = RStarTree(dim=2, max_entries=6)
-        tree.bulk_load(make_entries(points))
-        tree.pages.reset()
-        tree.nearest(np.zeros(2), k=3)
-        assert tree.pages.accesses >= 1
+        store = pack(rng.normal(size=(200, 2)), max_entries=6)
+        pages = PageManager()
+        pages.reserve(store.pages_allocated)
+        counter = pages.counter()
+        store.nearest(np.zeros(2), k=3, pages=counter)
+        assert counter.accesses >= 1
         # Best-first expands far fewer nodes than a full scan.
-        assert tree.pages.accesses < tree.pages.num_pages
+        assert counter.accesses < store.num_nodes

@@ -15,7 +15,7 @@ from repro.core.inference import edge_probability
 from repro.data.queries import extract_query
 from repro.errors import DegenerateVectorError, ValidationError
 
-from conftest import TEST_CONFIG
+from conftest import TEST_CONFIG, assert_store_invariants
 
 
 class TestQueryGenesAbsentFromDatabase:
@@ -81,7 +81,7 @@ class TestDegenerateShapes:
             EngineConfig(num_pivots=4, mc_samples=32, seed=1),
         )
         engine.build()
-        engine.tree.check_invariants()
+        assert_store_invariants(engine.array_index, engine.config.rstar_max_entries)
         result = engine.query(matrices[1].submatrix([0, 1]), gamma=0.2, alpha=0.0)
         assert 1 in result.answer_sources()
 

@@ -16,7 +16,7 @@ from repro.core.inference import EdgeProbabilityEstimator
 from repro.data.matrix import GeneFeatureMatrix
 from repro.errors import IndexNotBuiltError, ValidationError
 
-from conftest import TEST_CONFIG
+from conftest import TEST_CONFIG, assert_store_invariants
 
 
 def brute_force_answers(database, estimator, query_graph, gamma, alpha):
@@ -41,12 +41,14 @@ def brute_force_answers(database, estimator, query_graph, gamma, alpha):
 
 class TestBuild:
     def test_build_registers_all_points(self, built_engine, small_database):
-        assert len(built_engine.tree) == small_database.total_genes()
+        assert len(built_engine.array_index) == small_database.total_genes()
         assert built_engine.is_built
         assert built_engine.build_seconds > 0.0
 
     def test_tree_invariants(self, built_engine):
-        built_engine.tree.check_invariants()
+        assert_store_invariants(
+            built_engine.array_index, built_engine.config.rstar_max_entries
+        )
 
     def test_inverted_file_complete(self, built_engine, small_database):
         for matrix in small_database:
@@ -239,7 +241,7 @@ class TestPivotPadding:
         db = GeneFeatureDatabase([tiny, wide])
         engine = IMGRNEngine(db, EngineConfig(num_pivots=4, mc_samples=64, seed=1))
         engine.build()
-        assert engine.tree.dim == 9
+        assert engine.array_index.dim == 9
         query = wide.submatrix([0, 1])
         result = engine.query(query, gamma=0.2, alpha=0.0)
         estimator = EdgeProbabilityEstimator(n_samples=64, seed=1)

@@ -11,7 +11,7 @@ from repro.data.synthetic import generate_matrix
 from repro.config import SyntheticConfig
 from repro.errors import IndexNotBuiltError, ValidationError
 
-from conftest import TEST_CONFIG
+from conftest import TEST_CONFIG, assert_store_invariants
 
 
 class TestQueryTopK:
@@ -67,7 +67,7 @@ class TestAddMatrix:
     ):
         engine, new_matrix = engine_and_new_matrix
         engine.add_matrix(new_matrix)
-        engine.tree.check_invariants()
+        assert_store_invariants(engine.array_index, engine.config.rstar_max_entries)
 
         rebuilt = IMGRNEngine(engine.database, TEST_CONFIG)
         rebuilt.build()
@@ -86,9 +86,9 @@ class TestAddMatrix:
 
     def test_tree_size_grows(self, engine_and_new_matrix):
         engine, new_matrix = engine_and_new_matrix
-        before = len(engine.tree)
+        before = len(engine.array_index)
         engine.add_matrix(new_matrix)
-        assert len(engine.tree) == before + new_matrix.num_genes
+        assert len(engine.array_index) == before + new_matrix.num_genes
 
     def test_duplicate_source_rejected(self, engine_and_new_matrix):
         engine, new_matrix = engine_and_new_matrix

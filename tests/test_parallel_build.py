@@ -35,41 +35,8 @@ def _config(workers: int = 0, shard_size: int = 3) -> EngineConfig:
     )
 
 
-def _tree_signature(tree) -> list[tuple]:
-    """A canonical, bytes-exact walk of the whole tree."""
-    signature: list[tuple] = []
-
-    def visit(node, path):
-        signature.append(
-            (
-                path,
-                node.level,
-                node.vf,
-                node.vd,
-                node.mbr.low.tobytes() if node.mbr is not None else b"",
-                node.mbr.high.tobytes() if node.mbr is not None else b"",
-            )
-        )
-        for position, entry in enumerate(node.entries):
-            if node.is_leaf:
-                signature.append(
-                    (
-                        path + (position,),
-                        entry.point.tobytes(),
-                        entry.gene_id,
-                        entry.source_id,
-                        entry.payload,
-                    )
-                )
-            else:
-                visit(entry, path + (position,))
-
-    visit(tree.root, ())
-    return signature
-
-
 def _assert_engines_identical(a: IMGRNEngine, b: IMGRNEngine) -> None:
-    assert _tree_signature(a.tree) == _tree_signature(b.tree)
+    assert a.array_index.fingerprint() == b.array_index.fingerprint()
     assert a.inverted_file._entries == b.inverted_file._entries
     assert a.inverted_file._exact_sources == b.inverted_file._exact_sources
     for sid in a._entries:

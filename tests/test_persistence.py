@@ -9,7 +9,7 @@ from repro import IMGRNEngine
 from repro.core.persistence import load_engine, save_engine
 from repro.errors import IndexNotBuiltError, ValidationError
 
-from conftest import TEST_CONFIG
+from conftest import TEST_CONFIG, assert_store_invariants
 
 
 class TestSaveLoad:
@@ -43,7 +43,7 @@ class TestSaveLoad:
         loaded = load_engine(path)
         assert loaded.config == built_engine.config
         assert loaded.database.source_ids == built_engine.database.source_ids
-        loaded.tree.check_invariants()
+        assert_store_invariants(loaded.array_index, loaded.config.rstar_max_entries)
 
     def test_loaded_engine_supports_updates(
         self, built_engine, tmp_path, query_workload

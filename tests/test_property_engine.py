@@ -4,8 +4,8 @@ Hypothesis drives the whole stack: random tiny databases (random shapes,
 random gene overlaps), random query cut-outs and random thresholds — the
 indexed engine's answer set must always equal a direct evaluation of
 Definition 4 over every matrix. This is the single strongest guarantee in
-the suite: it exercises inference, embedding, pivot selection, the R*-tree,
-bit vectors, all four pruning lemmas and refinement together.
+the suite: it exercises inference, embedding, pivot selection, the packed
+index, bit vectors, all four pruning lemmas and refinement together.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from repro import EngineConfig, GeneFeatureDatabase, GeneFeatureMatrix, IMGRNEngine
 from repro.core.inference import EdgeProbabilityEstimator
+
+from conftest import assert_store_invariants
 
 CONFIG = EngineConfig(mc_samples=32, seed=3)
 ESTIMATOR = EdgeProbabilityEstimator(n_samples=32, seed=3)
@@ -87,7 +89,7 @@ def test_engine_equals_brute_force(case):
     assert result.answer_sources() == brute_force(
         database, result.query_graph, gamma, alpha
     )
-    engine.tree.check_invariants()
+    assert_store_invariants(engine.array_index, engine.config.rstar_max_entries)
 
 
 @given(database_and_query())

@@ -157,7 +157,7 @@ class TestStrategyKnobs:
 
 
 class TestPayloadKeyValidation:
-    """The packed R*-tree payload key must refuse aliasing inputs."""
+    """The packed index payload key must refuse aliasing inputs."""
 
     def test_packing_is_pinned(self):
         assert _PAYLOAD_GENE_LIMIT == 1_000_000
