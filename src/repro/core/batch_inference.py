@@ -26,13 +26,13 @@ and estimator parameters, in any evaluation order.
 from __future__ import annotations
 
 import threading
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..config import InferenceConfig
-from ..errors import DimensionMismatchError, ValidationError
+from ..errors import DegenerateVectorError, DimensionMismatchError, ValidationError
 from ..obs import Observability
 from ..obs import names as _names
 from .randomization import MAX_EXACT_LENGTH, content_seed, permutation_beaten
@@ -52,23 +52,39 @@ _SEMANTICS = ("one_sided", "two_sided")
 
 
 def standardize_columns(matrix: np.ndarray) -> np.ndarray:
-    """Standardize every column via :func:`standardize_vector`.
+    """Standardize every column, byte-identical to :func:`standardize_vector`.
 
-    Unlike the vectorized :func:`repro.core.standardize.standardize_matrix`
-    (whose axis-0 reductions can differ from the single-vector path in the
-    last ulp), this produces columns byte-identical to standardizing each
-    column alone -- which keeps the content-keyed permutation streams, and
-    therefore the probability estimates, identical between the single-pair
-    and the all-pairs code paths.
+    The columns are copied into a contiguous ``genes x samples`` array and
+    reduced along its last axis, so each column's sums run over exactly the
+    contiguous sequence (and pairwise-summation blocking) the single-vector
+    path sees. The axis-0 reductions of
+    :func:`repro.core.standardize.standardize_matrix` add row by row
+    instead and can differ in the last ulp. Byte identity keeps the
+    content-keyed permutation streams, and therefore the probability
+    estimates, identical between the single-pair and the block paths.
+    Raises the errors :func:`standardize_vector` raises on any column.
+    The result is the ``samples x genes`` transpose of that array, so each
+    column is a contiguous view.
     """
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatchError(
             f"expected a 2-D matrix, got shape {arr.shape}"
         )
-    return np.column_stack(
-        [standardize_vector(arr[:, j]) for j in range(arr.shape[1])]
-    )
+    if arr.shape[0] < 2:
+        raise DimensionMismatchError(
+            f"need at least 2 samples to standardize, got {arr.shape[0]}"
+        )
+    rows = np.ascontiguousarray(arr.T)
+    if not np.all(np.isfinite(rows)):
+        raise DegenerateVectorError("vector contains non-finite values")
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    scale = np.sqrt(np.mean(centered * centered, axis=1, keepdims=True))
+    if not np.all((scale > 0.0) & np.isfinite(scale)):
+        raise DegenerateVectorError(
+            "constant vector has zero variance; cannot standardize"
+        )
+    return (centered / scale).T
 
 
 def _check_batch_args(n_samples: int, semantics: str) -> None:
@@ -255,15 +271,22 @@ class EdgeProbabilityCache:
         return (ident << 128) | (seed_s << 64) | seed_t
 
     def get(self, key: Hashable) -> object | None:
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys: Iterable[Hashable]) -> list[object | None]:
+        """Cached values for ``keys`` (``None`` where absent), one lock."""
+        out: list[object | None] = []
         with self._lock:
-            try:
-                value = self._data.pop(key)
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data[key] = value  # re-inserted as most recently used
-            self.hits += 1
-            return value
+            data = self._data
+            for key in keys:
+                value = data.pop(key, None)
+                if value is None:
+                    self.misses += 1
+                else:
+                    data[key] = value  # re-inserted as most recently used
+                    self.hits += 1
+                out.append(value)
+        return out
 
     def put(self, key: Hashable, value: object) -> None:
         with self._lock:
@@ -388,11 +411,37 @@ class BatchInferenceEngine:
     # ------------------------------------------------------------------
     # Pair blocks (sparse pair sets over one matrix)
     # ------------------------------------------------------------------
+    def cached_pairs(
+        self, std: np.ndarray, pairs: Sequence[tuple[int, int]]
+    ) -> tuple[list[int] | None, list[float | None]]:
+        """Cache keys and cached estimates of column pairs, one lookup.
+
+        ``std`` must come from :func:`standardize_columns`; only the
+        columns named in ``pairs`` are hashed. Returns ``(keys, values)``
+        aligned with ``pairs``: a value is ``None`` where the pair is not
+        cached, and ``keys`` is ``None`` when caching is off. Every pair
+        counts once as a hit or a miss.
+        """
+        if self.cache is None:
+            return None, [None] * len(pairs)
+        columns = {col for pair in pairs for col in pair}
+        seeds = {col: content_seed(std[:, col]) for col in columns}
+        params = self._params_key()
+        keys = [self.cache.pair_key(params, seeds[s], seeds[t]) for s, t in pairs]
+        values = self.cache.get_many(keys)
+        hits = sum(value is not None for value in values)
+        if hits:
+            self._cache_hit_count.inc(hits)
+        if hits < len(keys):
+            self._cache_miss_count.inc(len(keys) - hits)
+        return keys, values  # type: ignore[return-value]
+
     def pair_block_probabilities(
         self,
         std: np.ndarray,
         pairs: list[tuple[int, int]],
         raw: np.ndarray | None = None,
+        keys: list[int] | None = None,
     ) -> dict[tuple[int, int], float]:
         """Probabilities for selected column pairs of a standardized matrix.
 
@@ -402,68 +451,60 @@ class BatchInferenceEngine:
         partners; cached pairs are not recomputed. ``raw`` (the
         unstandardized matrix) is only consulted in the exact-enumeration
         regime, where the estimator enumerates raw columns.
+
+        ``keys`` are the pairs' cache keys when the caller already looked
+        them up with :meth:`cached_pairs` and found none of them: every
+        pair is then estimated and stored without a second lookup.
         """
         est = self.estimator
-        if self._exact_regime(int(std.shape[0])):
-            # Exact-enumeration regime: delegate per pair (enumeration is
-            # already column-batched internally and l is tiny here).
-            source = std if raw is None else np.asarray(raw, dtype=np.float64)
-            return {
-                (s, t): self.pair_probability(source[:, s], source[:, t])
-                for s, t in pairs
-            }
-        n_samples = est.resolved_samples()
-        params = self._params_key()
-        col_seeds: dict[int, int] = {}
-
-        def seed_of(col: int) -> int:
-            if col not in col_seeds:
-                col_seeds[col] = content_seed(std[:, col])
-            return col_seeds[col]
-
         out: dict[tuple[int, int], float] = {}
+        if keys is None:
+            keys, cached = self.cached_pairs(std, pairs)
+            missing = []
+            for index, (pair, value) in enumerate(zip(pairs, cached)):
+                if value is None:
+                    missing.append(index)
+                else:
+                    out[pair] = float(value)  # type: ignore[arg-type]
+        else:
+            missing = list(range(len(pairs)))
+        self._pairs_estimated.inc(len(missing))
+
+        def store(index: int, value: float) -> None:
+            out[pairs[index]] = value
+            if keys is not None:
+                self.cache.put(keys[index], value)  # type: ignore[union-attr]
+
+        if self._exact_regime(int(std.shape[0])):
+            # Exact-enumeration regime: per pair (enumeration is already
+            # column-batched internally and l is tiny here).
+            source = std if raw is None else np.asarray(raw, dtype=np.float64)
+            for index in missing:
+                s, t = pairs[index]
+                store(index, est.pair_probability(source[:, s], source[:, t]))
+            return out
+        n_samples = est.resolved_samples()
         missing_by_t: dict[int, list[int]] = {}
-        keys: dict[tuple[int, int], int] = {}
-        # Tally hits locally and update the shared counters once per call:
-        # concurrent queries would interleave (and lose) per-pair adds.
-        hits = 0
-        for s, t in pairs:
-            if self.cache is not None:
-                key = self.cache.pair_key(params, seed_of(s), seed_of(t))
-                keys[(s, t)] = key
-                hit = self.cache.get(key)
-                if hit is not None:
-                    hits += 1
-                    out[(s, t)] = float(hit)  # type: ignore[arg-type]
-                    continue
-            missing_by_t.setdefault(t, []).append(s)
-        computed = sum(len(v) for v in missing_by_t.values())
-        if self.cache is not None:
-            if hits:
-                self._cache_hit_count.inc(hits)
-            if computed:
-                self._cache_miss_count.inc(computed)
-        self._pairs_estimated.inc(computed)
+        for index in missing:
+            missing_by_t.setdefault(pairs[index][1], []).append(index)
         with self.obs.tracer.span(
-            "inference.pair_block", pairs=len(pairs), computed=computed
+            "inference.pair_block", pairs=len(pairs), computed=len(missing)
         ):
             for t in sorted(missing_by_t):
-                partners = sorted(missing_by_t[t])
+                indices = sorted(missing_by_t[t], key=lambda i: pairs[i][0])
+                partners = [pairs[i][0] for i in indices]
+                column = std[:, t]
                 block = _permutation_block(
-                    std[:, t], seed_of(t), n_samples, est.seed
+                    column, content_seed(column), n_samples, est.seed
                 )
                 cols = std[:, partners]
                 scores = block @ cols
-                observed = std[:, t] @ cols
+                observed = column @ cols
                 beaten = permutation_beaten(
                     observed[np.newaxis, :], scores, std.shape[0], est.semantics
                 )
-                probs = np.mean(beaten, axis=0)
-                for s, p in zip(partners, probs):
-                    value = float(p)
-                    out[(s, t)] = value
-                    if self.cache is not None:
-                        self.cache.put(keys[(s, t)], value)
+                for index, p in zip(indices, np.mean(beaten, axis=0)):
+                    store(index, float(p))
         return out
 
     # ------------------------------------------------------------------

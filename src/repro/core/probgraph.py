@@ -16,10 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import UnknownGeneError, ValidationError
+
+if TYPE_CHECKING:  # networkx adds ~13 MB of RSS; only the converters use it
+    import networkx as nx
 
 __all__ = ["EdgeKey", "edge_key", "ProbabilisticGraph", "PossibleWorld"]
 
@@ -259,6 +261,8 @@ class ProbabilisticGraph:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """Export as a :class:`networkx.Graph` with a ``p`` edge attribute."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._gene_ids)
         for (u, v), p in self._edges.items():

@@ -4,32 +4,33 @@ Refinement is the last stage of the Fig.-4 pipeline: every candidate
 that survived index pruning has its query edges verified with exact
 Monte-Carlo probabilities (Definition 4). :class:`CandidateRefiner` is
 the one refinement path every engine but the materializing Baseline
-runs:
+runs. Per candidate it is cache-first and columnar:
 
-* **batched evaluation** -- a candidate's un-memoized (source,
-  query-edge) pairs are estimated in one pass through
+* **query columns only** -- the candidate's query-gene columns are
+  standardized in one vectorized pass
+  (:func:`~repro.core.batch_inference.standardize_columns`) and only
+  they are content-hashed;
+* **decide from the cache first** -- all query edges are resolved from
+  the engine's content-keyed
+  :class:`~repro.core.batch_inference.EdgeProbabilityCache` in one
+  locked lookup; the exact cached estimates (each its own upper bound)
+  and sound Markov bounds (Lemma 4, or the traversal's anchor-edge
+  bounds) for the rest feed one discard check, so a candidate the
+  cache already rejects never reaches the estimator;
+* **batched evaluation** -- a candidate still undecided has its
+  uncached edges estimated in one pass through
   :meth:`~repro.core.batch_inference.BatchInferenceEngine.pair_block_probabilities`
-  (one permutation block per distinct target column serves all of its
-  partner edges);
-* **query-scoped memoization** -- per-``(source, edge)`` probabilities
-  live in one table shared by every kind's decision loop, so top-k's
-  bound-ordered revisits and similarity's budget accounting never
-  recompute an edge;
-* **sound prescreen, cheapest upper bound first** -- Markov upper
-  bounds (seeded from the traversal's anchor-edge bounds where
-  available) discard a candidate whose bounds alone already decide the
-  replay before the estimator is touched, and order the edges handed to
-  the estimator.
+  (one permutation block per distinct target column), reusing the
+  lookup's cache keys.
 
 Bit-identity contract: answers are decided by replaying the historical
-per-pair loop over the memoized probabilities in sorted query-edge
-order -- the same multiplication order and the same comparisons -- so
-answers, probabilities and the ``query.*`` pruning counters equal the
-per-pair reference. All probability factors lie in ``[0, 1]``, so
-partial products are monotone non-increasing; a bound-based discard
-therefore only ever removes a candidate whose replay must fail
-(``refine.*`` are diagnostics of this path; see
-``docs/observability.md``).
+per-pair loop over the probabilities in sorted query-edge order -- the
+same multiplication order and the same comparisons -- so answers,
+probabilities and the ``query.*`` pruning counters equal the per-pair
+reference. All probability factors lie in ``[0, 1]``, so partial
+products are monotone non-increasing; a bound-based discard therefore
+only ever removes a candidate whose replay must fail (``refine.*`` are
+diagnostics of this path; see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ from ..obs import names as _names
 from .batch_inference import standardize_columns
 from .matching import Embedding
 from .probgraph import ProbabilisticGraph
-from .pruning import (
-    markov_edge_upper_bound,
-    relaxed_graph_existence_upper_bound,
-)
+from .pruning import relaxed_graph_existence_upper_bound
 
 __all__ = [
     "BatchEdgeEvaluator",
@@ -76,17 +74,44 @@ class RefinedAnswer:
     probability: float
 
 
+@dataclass(frozen=True)
+class QueryColumns:
+    """One candidate's query-gene columns, as an evaluator looked them up.
+
+    ``pairs[i]`` are the column positions of the ``i``-th query edge;
+    ``cached[i]`` is its cached estimate, ``None`` when not cached.
+    ``std`` and ``keys`` (the pairs' cache keys) are what the batched
+    evaluator needs to estimate the rest without a second lookup.
+    """
+
+    raw: np.ndarray
+    pairs: list[tuple[int, int]]
+    cached: list[float | None]
+    std: np.ndarray | None = None
+    keys: list[int] | None = None
+
+
+def _query_columns(
+    matrix, genes: Sequence[int], edges: Sequence[EdgeKey]
+) -> tuple[np.ndarray, list[tuple[int, int]]] | None:
+    """The raw query-gene columns of ``matrix`` and each edge's column
+    pair, or ``None`` when a query gene is missing from the source."""
+    if any(gene not in matrix for gene in genes):
+        return None
+    raw = matrix.values[:, [matrix.column_index(gene) for gene in genes]]
+    position = {gene: i for i, gene in enumerate(genes)}
+    return raw, [(position[u], position[v]) for u, v in edges]
+
+
 class BatchEdgeEvaluator:
     """Edge evaluation against raw data matrices via the batched engine.
 
-    A source's matrix is standardized once per query with
-    :func:`~repro.core.batch_inference.standardize_columns` -- the
-    per-column path, byte-identical to what ``pair_probability`` applies
-    to each vector, so batched probabilities and their content-seeded
-    cache keys equal the scalar calls exactly. ``bounds`` derives the
-    sound Markov upper bounds (Lemma 4) from the same standardized
-    columns, keeping ordering and prescreen decisions consistent with
-    the values they bound.
+    Only a candidate's query-gene columns are standardized, with the
+    vectorized :func:`~repro.core.batch_inference.standardize_columns`
+    -- byte-identical to what ``pair_probability`` applies to each
+    vector, so batched probabilities and their content-seeded cache keys
+    equal the scalar calls exactly. :meth:`bounds` derives the sound
+    Markov upper bounds (Lemma 4) from the same standardized columns.
     """
 
     supports_bounds = True
@@ -98,60 +123,49 @@ class BatchEdgeEvaluator:
     ) -> None:
         self._inference = inference
         self._get_matrix = get_matrix
-        self._matrices: dict[int, object] = {}
-        self._std: dict[int, np.ndarray] = {}
 
-    def matrix(self, source: int):
-        got = self._matrices.get(source)
-        if got is None:
-            got = self._matrices[source] = self._get_matrix(source)
-        return got
+    def lookup(
+        self, source: int, genes: Sequence[int], edges: Sequence[EdgeKey]
+    ) -> QueryColumns | None:
+        """The candidate's query columns and its edges' cached estimates,
+        in one cache lookup; ``None`` when a query gene is missing."""
+        found = _query_columns(self._get_matrix(source), genes, edges)
+        if found is None:
+            return None
+        raw, pairs = found
+        std = standardize_columns(raw)
+        keys, cached = self._inference.cached_pairs(std, pairs)
+        return QueryColumns(raw, pairs, cached, std, keys)
 
-    def _standardized(self, source: int) -> np.ndarray:
-        std = self._std.get(source)
-        if std is None:
-            std = self._std[source] = standardize_columns(
-                self.matrix(source).values
-            )
-        return std
+    def bounds(self, columns: QueryColumns, edges: Sequence[int]) -> list[float]:
+        """Markov upper bounds on the existence probabilities of the
+        query edges at positions ``edges``, in one vectorized pass."""
+        std = columns.std
+        s = [columns.pairs[i][0] for i in edges]
+        t = [columns.pairs[i][1] for i in edges]
+        distance = np.linalg.norm(std[:, s] - std[:, t], axis=0)
+        expected = math.sqrt(2.0 * std.shape[0])  # Jensen, standardized
+        with np.errstate(divide="ignore"):  # distance 0: vacuous bound 1
+            return np.minimum(1.0, expected / distance).tolist()
 
-    def bounds(
-        self, source: int, edges: Sequence[EdgeKey]
-    ) -> dict[EdgeKey, float]:
-        """Markov upper bounds on the edges' existence probabilities."""
-        matrix = self.matrix(source)
-        std = self._standardized(source)
-        expected = math.sqrt(2.0 * matrix.num_samples)
-        out: dict[EdgeKey, float] = {}
-        for u, v in edges:
-            cu = matrix.column_index(u)
-            cv = matrix.column_index(v)
-            distance = float(np.linalg.norm(std[:, cu] - std[:, cv]))
-            out[(u, v)] = markov_edge_upper_bound(distance, expected)
-        return out
-
-    def evaluate(
-        self, source: int, edges: Sequence[EdgeKey]
-    ) -> dict[EdgeKey, float]:
-        """Exact probabilities for ``edges``, one batched pass."""
-        matrix = self.matrix(source)
-        std = self._standardized(source)
-        pairs = [
-            (matrix.column_index(u), matrix.column_index(v)) for u, v in edges
-        ]
+    def evaluate(self, columns: QueryColumns, edges: Sequence[int]) -> list[float]:
+        """Estimates for the (uncached) query edges at positions ``edges``,
+        one batched pass."""
+        pairs = [columns.pairs[i] for i in edges]
+        keys = None if columns.keys is None else [columns.keys[i] for i in edges]
         block = self._inference.pair_block_probabilities(
-            std, pairs, raw=matrix.values
+            columns.std, pairs, raw=columns.raw, keys=keys
         )
-        return {edge: block[pair] for edge, pair in zip(edges, pairs)}
+        return [block[pair] for pair in pairs]
 
 
 class ScalarEdgeEvaluator:
     """Scalar fallback for engines without a batched estimator.
 
     The measure engine's randomized-measure probabilities have neither a
-    block evaluator nor a closed-form sound bound, so this evaluator
-    reports ``supports_bounds = False``; the refiner still provides the
-    shared memo table and the unified decision replay.
+    block evaluator, a shared cache nor a closed-form sound bound, so
+    this evaluator finds nothing cached and reports ``supports_bounds =
+    False``; the refiner still runs the unified decision replay.
     """
 
     supports_bounds = False
@@ -163,36 +177,34 @@ class ScalarEdgeEvaluator:
     ) -> None:
         self._pair_probability = pair_probability
         self._get_matrix = get_matrix
-        self._matrices: dict[int, object] = {}
 
-    def matrix(self, source: int):
-        got = self._matrices.get(source)
-        if got is None:
-            got = self._matrices[source] = self._get_matrix(source)
-        return got
+    def lookup(
+        self, source: int, genes: Sequence[int], edges: Sequence[EdgeKey]
+    ) -> QueryColumns | None:
+        found = _query_columns(self._get_matrix(source), genes, edges)
+        if found is None:
+            return None
+        raw, pairs = found
+        return QueryColumns(raw, pairs, [None] * len(pairs))
 
-    def bounds(
-        self, source: int, edges: Sequence[EdgeKey]
-    ) -> dict[EdgeKey, float]:
+    def bounds(self, columns: QueryColumns, edges: Sequence[int]) -> list[float]:
         raise NotImplementedError("scalar evaluator has no sound bounds")
 
-    def evaluate(
-        self, source: int, edges: Sequence[EdgeKey]
-    ) -> dict[EdgeKey, float]:
-        matrix = self.matrix(source)
-        return {
-            (u, v): self._pair_probability(matrix.column(u), matrix.column(v))
-            for u, v in edges
-        }
+    def evaluate(self, columns: QueryColumns, edges: Sequence[int]) -> list[float]:
+        raw = columns.raw
+        return [
+            self._pair_probability(raw[:, s], raw[:, t])
+            for s, t in (columns.pairs[i] for i in edges)
+        ]
 
 
 class CandidateRefiner:
     """Query-scoped refinement of surviving candidates.
 
-    One refiner serves one query: its memo table, bound cache and
-    standardized matrices are keyed by source and shared across every
-    kind-specific entry point (:meth:`refine`, :meth:`refine_topk`,
-    :meth:`refine_topk_posthoc`).
+    One refiner serves one query and every kind-specific entry point
+    (:meth:`refine`, :meth:`refine_topk`, :meth:`refine_topk_posthoc`).
+    It keeps no per-source state: each candidate is looked up, decided
+    and dropped.
 
     Parameters
     ----------
@@ -214,9 +226,8 @@ class CandidateRefiner:
         that reaches the batched estimator.
     seed_bounds:
         Optional ``{(source, edge): upper bound}`` table reused from the
-        index traversal (the leaf-level anchor-edge bounds), so the
-        prescreen never recomputes a bound the traversal already paid
-        for.
+        index traversal (the leaf-level anchor-edge bounds), used in
+        place of the Markov bound for the edges it covers.
     """
 
     def __init__(
@@ -231,29 +242,25 @@ class CandidateRefiner:
         seed_bounds: dict[tuple[int, EdgeKey], float] | None = None,
     ) -> None:
         self._edges = [key for key, _p in query_graph.edges()]
-        self._gene_ids = query_graph.gene_ids
-        self._mapping = tuple((g, g) for g in sorted(query_graph.gene_ids))
+        self._genes = sorted(query_graph.gene_ids)
+        self._mapping = tuple((g, g) for g in self._genes)
         self._gamma = gamma
         self._evaluator = evaluator
         self._metrics = metrics
         self._tracer = tracer
         self._engine = engine
-        self._memo: dict[tuple[int, EdgeKey], float] = {}
-        self._bounds: dict[tuple[int, EdgeKey], float] = dict(seed_bounds or {})
+        self._seed_bounds = seed_bounds or {}
         self._sources = metrics.counter(
             _names.REFINE_SOURCES, help="candidates refined", engine=engine
         )
         self._evaluated = metrics.counter(
             _names.REFINE_EDGES,
-            help="edge probabilities estimated during refinement",
+            help="edge probabilities obtained (cached or estimated)",
             engine=engine,
-        )
-        self._memo_hits = metrics.counter(
-            _names.REFINE_MEMO_HITS, help="refinement memo-table hits", engine=engine
         )
         self._prescreened = metrics.counter(
             _names.REFINE_PRESCREENED,
-            help="candidates discarded by bounds alone",
+            help="candidates discarded by cached estimates and bounds alone",
             engine=engine,
         )
         self._batches = metrics.counter(
@@ -346,19 +353,33 @@ class CandidateRefiner:
         kth_best: float,
         bounded: bool,
     ) -> tuple[bool, float]:
-        matrix = self._evaluator.matrix(source)
-        if any(gene not in matrix for gene in self._gene_ids):
+        columns = self._evaluator.lookup(source, self._genes, self._edges)
+        if columns is None:  # a query gene is missing from the source
             return False, 0.0
         self._sources.inc()
-        probabilities = self._probabilities(
-            source,
-            alpha=alpha,
-            budget=budget,
-            kth_best=kth_best,
-            bounded=bounded,
-        )
-        if probabilities is None:  # bounds alone decided the replay
-            return False, 0.0
+        probabilities = list(columns.cached)
+        uncached = [i for i, p in enumerate(probabilities) if p is None]
+        self._evaluated.inc(len(probabilities) - len(uncached))
+        if probabilities:  # an edge-free query has nothing to verify
+            if self._evaluator.supports_bounds and self._prunable(
+                self._upper_bounds(source, columns, uncached),
+                alpha=alpha,
+                budget=budget,
+                kth_best=kth_best,
+                bounded=bounded,
+            ):
+                self._prescreened.inc()
+                return False, 0.0
+            # One estimator call per undecided candidate, even when the
+            # cache held every edge: the span marks a verified candidate.
+            with self._tracer.span(
+                _names.REFINE_SOURCE_SPAN, source=source, edges=len(uncached)
+            ):
+                estimated = self._evaluator.evaluate(columns, uncached)
+                self._batches.inc()
+                self._evaluated.inc(len(uncached))
+            for i, p in zip(uncached, estimated):
+                probabilities[i] = p
         return self._decide(
             probabilities,
             alpha=alpha,
@@ -367,9 +388,26 @@ class CandidateRefiner:
             bounded=bounded,
         )
 
+    def _upper_bounds(
+        self, source: int, columns: QueryColumns, uncached: list[int]
+    ) -> list[float]:
+        """Per-edge upper bounds: cached estimates are their own bound;
+        uncached edges take the traversal's bound or the Markov bound."""
+        bounds = list(columns.cached)
+        unseeded = []
+        for i in uncached:
+            bounds[i] = self._seed_bounds.get((source, self._edges[i]))
+            if bounds[i] is None:
+                unseeded.append(i)
+        if unseeded:
+            markov = self._evaluator.bounds(columns, unseeded)
+            for i, bound in zip(unseeded, markov):
+                bounds[i] = bound
+        return bounds
+
     def _decide(
         self,
-        probabilities: dict[EdgeKey, float],
+        probabilities: list[float],
         *,
         alpha: float,
         budget: int,
@@ -378,17 +416,16 @@ class CandidateRefiner:
     ) -> tuple[bool, float]:
         """Replay of the per-pair decision loop over ``probabilities``.
 
-        Multiplication runs in sorted query-edge order regardless of the
-        order probabilities were *estimated* in, so matched products are
-        bit-identical to the historical loops. Covers all kinds at once:
-        containment is ``budget=0``, top-k is ``alpha=0.0`` (a product
-        of positives hits ``<= 0`` exactly when it is ``0.0``) plus the
-        running k-th-best cut.
+        ``probabilities[i]`` belongs to the ``i``-th query edge in sorted
+        key order, so matched products are bit-identical to the
+        historical loops. Covers all kinds at once: containment is
+        ``budget=0``, top-k is ``alpha=0.0`` (a product of positives hits
+        ``<= 0`` exactly when it is ``0.0``) plus the running k-th-best
+        cut.
         """
         probability = 1.0
         missing = 0
-        for edge in self._edges:
-            p = probabilities[edge]
+        for p in probabilities:
             if p <= self._gamma:  # the edge does not exist in G_i
                 missing += 1
                 if missing > budget:
@@ -401,63 +438,9 @@ class CandidateRefiner:
                 return False, probability
         return True, probability
 
-    def _probabilities(
-        self,
-        source: int,
-        *,
-        alpha: float,
-        budget: int,
-        kth_best: float,
-        bounded: bool,
-    ) -> dict[EdgeKey, float] | None:
-        """All of ``source``'s edge probabilities, or ``None`` when the
-        per-edge upper bounds alone already decide the replay."""
-        known: dict[EdgeKey, float] = {}
-        needed: list[EdgeKey] = []
-        for edge in self._edges:
-            p = self._memo.get((source, edge))
-            if p is None:
-                needed.append(edge)
-            else:
-                self._memo_hits.inc()
-                known[edge] = p
-        if not needed:
-            return known
-        if self._evaluator.supports_bounds:
-            unseeded = [e for e in needed if (source, e) not in self._bounds]
-            if unseeded:
-                for edge, bound in self._evaluator.bounds(
-                    source, unseeded
-                ).items():
-                    self._bounds[(source, edge)] = bound
-            bounds = {e: self._bounds[(source, e)] for e in needed}
-            if self._prunable(
-                {**bounds, **known},
-                alpha=alpha,
-                budget=budget,
-                kth_best=kth_best,
-                bounded=bounded,
-            ):
-                self._prescreened.inc()
-                return None
-            # Cheapest (smallest) upper bound first: the order the
-            # estimator sees the edges in, which fixes its cache traffic.
-            needed.sort(key=lambda e: (bounds[e], e))
-        with self._tracer.span(
-            _names.REFINE_SOURCE_SPAN, source=source, edges=len(needed)
-        ):
-            evaluated = self._evaluator.evaluate(source, needed)
-            self._batches.inc()
-            self._evaluated.inc(len(needed))
-        for edge in needed:
-            p = evaluated[edge]
-            self._memo[(source, edge)] = p
-            known[edge] = p
-        return known
-
     def _prunable(
         self,
-        upper_bounds: dict[EdgeKey, float],
+        upper_bounds: list[float],
         *,
         alpha: float,
         budget: int,
@@ -466,8 +449,8 @@ class CandidateRefiner:
     ) -> bool:
         """Sound discard check on per-edge upper bounds.
 
-        ``upper_bounds`` maps every query edge to an upper bound on its
-        existence probability (exact memoized values count as their own
+        ``upper_bounds`` holds an upper bound on every query edge's
+        existence probability (exact cached estimates count as their own
         bound). Each condition implies the decision replay must return
         not-matched, so discarding here never changes an answer:
 
@@ -479,7 +462,7 @@ class CandidateRefiner:
         """
         missing = 0
         present: list[float] = []
-        for bound in upper_bounds.values():
+        for bound in upper_bounds:
             if bound <= self._gamma:
                 missing += 1
             else:

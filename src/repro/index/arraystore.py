@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, ValidationError
+from ..errors import ValidationError
 
 __all__ = [
     "ArrayStore",
@@ -281,134 +281,12 @@ class ArrayStore:
             arrays=arrays,
         )
 
-    # ------------------------------------------------------------------
-    # Traversal (range search and kNN over the compacted layout)
-    # ------------------------------------------------------------------
-    def _is_empty(self) -> bool:
-        return self.num_nodes == 0 or (
-            self.node_levels[0] == 0 and self.node_child_count[0] == 0
-        )
-
-    def search(self, low, high, pages=None) -> list[int]:
-        """Entry rows whose point lies in ``[low, high]``.
-
-        Depth-first (LIFO stack, children pushed in index order); charges
-        one page access per visited node when ``pages`` (a
-        :class:`PageCounter`) is given. The intersection / containment
-        tests are whole-node NumPy calls. Boxes are closed: a point on
-        the boundary is inside.
-
-        Raises
-        ------
-        DimensionMismatchError
-            If a corner's shape is not ``(dim,)``.
-        ValidationError
-            If ``low`` exceeds ``high`` on some axis, or a corner holds
-            NaN (which fails every comparison and would match nothing).
-        """
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        if low.shape != (self.dim,) or high.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"box corners {low.shape} / {high.shape} do not match "
-                f"dim {self.dim}"
-            )
-        # `not all(low <= high)` rejects NaN corners too.
-        if not np.all(low <= high):
-            raise ValidationError(
-                "box low corner exceeds high corner (or corners contain NaN)"
-            )
-        results: list[int] = []
-        if self._is_empty():
-            return results
-        stack = [0]
-        while stack:
-            index = stack.pop()
-            if pages is not None:
-                pages.access(int(self.node_page_ids[index]))
-            start = int(self.node_child_start[index])
-            stop = start + int(self.node_child_count[index])
-            if self.node_levels[index] == 0:
-                points = self.entry_points[start:stop]
-                inside = np.all(points >= low, axis=1) & np.all(
-                    points <= high, axis=1
-                )
-                results.extend(start + int(i) for i in np.nonzero(inside)[0])
-            else:
-                lows = self.node_lows[start:stop]
-                highs = self.node_highs[start:stop]
-                hits = np.all(lows <= high, axis=1) & np.all(
-                    low <= highs, axis=1
-                )
-                stack.extend(start + int(i) for i in np.nonzero(hits)[0])
-        return results
-
-    def nearest(
-        self, point, k: int = 1, pages=None
-    ) -> list[tuple[float, int]]:
-        """The ``k`` nearest entry rows to ``point`` (best-first search).
-
-        Hjaltason/Samet incremental traversal: a heap ordered by MinDist
-        (ties in push order) expands a node, charging one page access,
-        only while it could hold a closer entry than the current k-th
-        best. MinDist over a whole node's children is one NumPy call.
-        """
-        import heapq
-        import itertools as _it
-
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.dim,):
-            raise ValidationError(
-                f"point shape {point.shape} does not match dim {self.dim}"
-            )
-        if not np.isfinite(point).all():
-            raise ValidationError("query point contains NaN/inf coordinates")
-        if self._is_empty():
-            return []
-        tie = _it.count()
-        root_delta = np.clip(point, self.node_lows[0], self.node_highs[0]) - point
-        heap: list[tuple[float, int, bool, int]] = [
-            (float(np.sqrt(root_delta @ root_delta)), next(tie), False, 0)
-        ]
-        results: list[tuple[float, int]] = []
-        while heap:
-            dist, _t, is_entry, index = heapq.heappop(heap)
-            if len(results) >= k and dist > results[-1][0]:
-                break
-            if is_entry:
-                results.append((dist, index))
-                results.sort(key=lambda pair: pair[0])
-                del results[k:]
-                continue
-            if pages is not None:
-                pages.access(int(self.node_page_ids[index]))
-            start = int(self.node_child_start[index])
-            stop = start + int(self.node_child_count[index])
-            if self.node_levels[index] == 0:
-                for row in range(start, stop):
-                    delta = self.entry_points[row] - point
-                    heapq.heappush(
-                        heap,
-                        (float(np.sqrt(delta @ delta)), next(tie), True, row),
-                    )
-            else:
-                dists = min_dist_many(
-                    self.node_lows[start:stop],
-                    self.node_highs[start:stop],
-                    point,
-                )
-                for offset, child_dist in enumerate(dists):
-                    heapq.heappush(
-                        heap,
-                        (float(child_dist), next(tie), False, start + offset),
-                    )
-        return results
-
 
 def min_dist_many(lows: np.ndarray, highs: np.ndarray, point: np.ndarray):
     """MinDist from ``point`` to each of N boxes, one vectorized call.
+
+    No query path calls it; the CI traversal micro-benchmark
+    (``benchmarks/bench_ci_smoke.py``) times it against the scalar form.
 
     Per row this performs the scalar MinDist operations (clip, subtract,
     dot, sqrt), so each distance equals the one-box computation.

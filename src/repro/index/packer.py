@@ -62,7 +62,7 @@ def str_pack(
     ValidationError
         On mismatched column shapes, ``max_entries < 4``, or NaN/inf
         coordinates (a NaN fails every range comparison and would vanish
-        from every search).
+        from every traversal).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:

@@ -16,7 +16,7 @@ bound strictly below the running k-th best probability). The
 ``refine.*`` series belong to the refinement layer
 (:class:`repro.core.refine.CandidateRefiner`) and carry the ``engine``
 label; they diagnose how refinement spent its work (estimator calls,
-memo hits, bound discards). Every ``query.*`` series is produced once,
+edges obtained, cache-and-bound discards). Every ``query.*`` series is produced once,
 by the shared ``execute()`` of :mod:`repro.core.query`. The
 ``serve.*`` series belong to :class:`repro.serve.QueryServer` and the
 network daemon (:mod:`repro.serve.daemon`) and carry the wrapped
@@ -44,7 +44,6 @@ __all__ = [
     "INFERENCE_CACHE_MISSES",
     "REFINE_SOURCES",
     "REFINE_EDGES",
-    "REFINE_MEMO_HITS",
     "REFINE_PRESCREENED",
     "REFINE_BATCHES",
     "REFINE_SOURCE_SPAN",
@@ -80,16 +79,14 @@ INFERENCE_PAIRS = "inference.pairs"
 #: Candidates whose edges the refinement layer verified (label: engine).
 #: Excludes candidates dropped by the gene-containment check.
 REFINE_SOURCES = "refine.sources"
-#: (source, query-edge) probabilities estimated during refinement
-#: (label: engine). Memoized edges are not re-counted.
+#: (source, query-edge) probabilities the refinement layer obtained,
+#: from the estimator cache or estimated (label: engine).
 REFINE_EDGES = "refine.edges_evaluated"
-#: Refinement memo-table hits: a kind's decision loop reused a
-#: probability another pass already estimated (label: engine).
-REFINE_MEMO_HITS = "refine.memo_hits"
-#: Candidates discarded by per-edge upper bounds alone, before any
-#: Monte-Carlo estimation (label: engine).
+#: Candidates discarded by cached estimates and per-edge upper bounds
+#: alone, before any Monte-Carlo estimation (label: engine).
 REFINE_PRESCREENED = "refine.prescreened"
-#: Estimator calls issued by the refinement layer (label: engine).
+#: Estimator calls issued by the refinement layer, one per candidate
+#: the prescreen leaves undecided (label: engine).
 REFINE_BATCHES = "refine.batches"
 #: Edge-probability cache hits / misses of the batched engine.
 INFERENCE_CACHE_HITS = "inference.cache_hits"

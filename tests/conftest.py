@@ -61,6 +61,29 @@ def assert_store_invariants(store, max_entries: int) -> None:
         assert store.node_highs[node].tobytes() == highs.max(axis=0).tobytes()
 
 
+def store_search(store, low, high, index: int = 0) -> list[int]:
+    """Entry rows of ``store`` whose point lies in the closed box
+    ``[low, high]``, found by walking the tree through its node MBRs.
+
+    A recursive depth-first walk that descends only into children whose
+    box meets the query box, so it finds every point in the box exactly
+    when each node's MBR encloses its subtree.
+    """
+    start = int(store.node_child_start[index])
+    stop = start + int(store.node_child_count[index])
+    if store.node_levels[index] == 0:
+        points = store.entry_points[start:stop]
+        inside = np.all(points >= low, axis=1) & np.all(points <= high, axis=1)
+        return [start + int(i) for i in np.nonzero(inside)[0]]
+    rows: list[int] = []
+    for child in range(start, stop):
+        if np.all(store.node_lows[child] <= high) and np.all(
+            low <= store.node_highs[child]
+        ):
+            rows += store_search(store, low, high, child)
+    return rows
+
+
 def make_small_database() -> GeneFeatureDatabase:
     """A 24-matrix synthetic database with overlapping gene sets."""
     config = SyntheticConfig(

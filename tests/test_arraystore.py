@@ -1,11 +1,11 @@
 """Zero-copy array store: layout, persistence, the query read path.
 
 The STR-packed array store is the engine's only index structure, and
-every index change repacks it. Under test: range search and kNN match
-brute force; the IM-GRN traversal returns exactly what a brute-force,
-index-free oracle computes, on a fresh build, after maintenance and on
-an ``np.memmap`` reload; maintenance and reloads give the same store as
-a fresh build; saved engines reload to the same answers.
+every index change repacks it. Under test: the IM-GRN traversal
+returns exactly what a brute-force, index-free oracle computes, on a
+fresh build, after maintenance and on an ``np.memmap`` reload;
+maintenance and reloads give the same store as a fresh build; saved
+engines reload to the same answers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.index.arraystore import (
     words_to_int,
 )
 from repro.index.packer import str_pack
-from repro.index.pagemanager import PageManager
 from repro.obs import MetricsRegistry, metric_key
 from repro.obs.names import QUERY_PRUNED
 
@@ -370,95 +369,7 @@ class TestFromTree:
         assert seen.all()
 
 
-def _walk_search(store, low, high, index=0) -> tuple[list[int], int]:
-    """Scalar reference range search: (entry rows, nodes visited).
-
-    A recursive depth-first walk of the tree's nodes, one comparison per
-    axis, descending into every child whose box meets ``[low, high]``.
-    """
-    start = int(store.node_child_start[index])
-    stop = start + int(store.node_child_count[index])
-    if store.node_levels[index] == 0:
-        rows = [
-            row
-            for row in range(start, stop)
-            if all(
-                low[axis] <= store.entry_points[row, axis] <= high[axis]
-                for axis in range(store.dim)
-            )
-        ]
-        return rows, 1
-    rows, visited = [], 1
-    for child in range(start, stop):
-        if all(
-            store.node_lows[child, axis] <= high[axis]
-            and low[axis] <= store.node_highs[child, axis]
-            for axis in range(store.dim)
-        ):
-            child_rows, child_visited = _walk_search(store, low, high, child)
-            rows += child_rows
-            visited += child_visited
-    return rows, visited
-
-
-class TestSearchEquivalence:
-    def test_search_matches_tree_and_counts_pages(self, store, rng):
-        points = store.entry_points
-        for _ in range(15):
-            low = rng.uniform(0.0, 8.0, size=3)
-            high = low + rng.uniform(0.5, 5.0, size=3)
-            expected, visited = _walk_search(store, low, high)
-            inside = np.all(points >= low, axis=1) & np.all(points <= high, axis=1)
-            assert sorted(expected) == np.nonzero(inside)[0].tolist()
-
-            pages = PageManager()
-            pages.reserve(store.pages_allocated)
-            counter = pages.counter()
-            rows = store.search(low, high, pages=counter)
-            assert sorted(rows) == sorted(expected)
-            assert counter.accesses == visited
-
-    def test_nearest_matches_tree_and_counts_pages(self, store, rng):
-        for k in (1, 3, 10):
-            point = rng.uniform(0.0, 10.0, size=3)
-            dists = np.array(
-                [np.sqrt(delta @ delta) for delta in store.entry_points - point]
-            )
-
-            pages = PageManager()
-            pages.reserve(store.pages_allocated)
-            counter = pages.counter()
-            got = store.nearest(point, k, pages=counter)
-            assert [d for d, _row in got] == sorted(dists.tolist())[:k]
-            assert all(dists[row] == d for d, row in got)
-            # Best-first is page-optimal: it reads every node whose box
-            # is closer than the k-th answer and none that is farther.
-            kth = got[-1][0]
-            node_dists = np.array(
-                [
-                    np.linalg.norm(
-                        np.clip(point, store.node_lows[i], store.node_highs[i])
-                        - point
-                    )
-                    for i in range(store.num_nodes)
-                ]
-            )
-            closer = int((node_dists < kth * (1 - 1e-12)).sum())
-            not_farther = int((node_dists <= kth * (1 + 1e-12)).sum())
-            assert closer <= counter.accesses <= not_farther
-            assert counter.accesses >= 1
-
-    def test_empty_store(self):
-        store = _pack(np.empty((0, 2)))
-        assert store.search(np.zeros(2), np.ones(2)) == []
-        assert store.nearest(np.zeros(2), k=2) == []
-
-    def test_nearest_validates_inputs(self, store):
-        with pytest.raises(ValidationError):
-            store.nearest(np.zeros(3), k=0)
-        with pytest.raises(ValidationError):
-            store.nearest(np.zeros(4))
-
+class TestMinDist:
     def test_min_dist_many_matches_scalar_shape(self, rng):
         lows = rng.uniform(0.0, 5.0, size=(20, 4))
         highs = lows + rng.uniform(0.0, 3.0, size=(20, 4))

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import InferenceConfig
 from repro.core.batch_inference import (
@@ -30,7 +32,11 @@ from repro.core.inference import (
 )
 from repro.core.randomization import content_seed
 from repro.core.standardize import standardize_vector
-from repro.errors import DimensionMismatchError, ValidationError
+from repro.errors import (
+    DegenerateVectorError,
+    DimensionMismatchError,
+    ValidationError,
+)
 
 
 @pytest.fixture()
@@ -53,7 +59,65 @@ def scalar_reference(matrix: np.ndarray, estimator) -> np.ndarray:
     return probs
 
 
+def per_column(matrix: np.ndarray) -> np.ndarray:
+    """The reference path: :func:`standardize_vector`, column by column."""
+    return np.column_stack(
+        [standardize_vector(matrix[:, j]) for j in range(matrix.shape[1])]
+    )
+
+
 class TestStandardizeColumns:
+    @given(
+        rows=st.integers(2, 200),
+        cols=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.floats(-1e8, 1e8),
+        log_scale=st.floats(-3.0, 6.0),
+        rounded=st.booleans(),
+        fortran=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_byte_identical_to_per_column_path(
+        self, rows, cols, seed, offset, log_scale, rounded, fortran
+    ):
+        m = np.random.default_rng(seed).normal(size=(rows, cols))
+        m = m * 10.0**log_scale + offset
+        if rounded:  # repeated values, and sometimes constant columns
+            m = np.round(m)
+        if fortran:
+            m = np.asfortranarray(m)
+        try:
+            expected = per_column(m)
+        except DegenerateVectorError:
+            with pytest.raises(DegenerateVectorError):
+                standardize_columns(m)
+            return
+        assert standardize_columns(m).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "case,error",
+        [
+            ("constant", DegenerateVectorError),
+            ("nan", DegenerateVectorError),
+            ("inf", DegenerateVectorError),
+            ("one_row", DimensionMismatchError),
+        ],
+    )
+    def test_raises_like_per_column_path(self, rng, case, error):
+        m = rng.normal(size=(9, 4))
+        if case == "constant":
+            m[:, 2] = 3.5
+        elif case == "nan":
+            m[4, 1] = np.nan
+        elif case == "inf":
+            m[0, 3] = -np.inf
+        else:
+            m = m[:1]
+        with pytest.raises(error):
+            per_column(m)
+        with pytest.raises(error):
+            standardize_columns(m)
+
     def test_matches_per_column_standardize(self, rng):
         m = rng.normal(size=(11, 5))
         std = standardize_columns(m)

@@ -1,4 +1,4 @@
-"""Tests for STR bulk loading (the packer) and best-first kNN search."""
+"""Tests for STR bulk loading (the packer)."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ import pytest
 from repro import IMGRNEngine, LinearScanEngine
 from repro.errors import ValidationError
 from repro.index.packer import str_pack
-from repro.index.pagemanager import PageManager
 
-from conftest import TEST_CONFIG, assert_store_invariants
+from conftest import TEST_CONFIG, assert_store_invariants, store_search
 
 
 def pack(points, max_entries=16):
@@ -34,7 +33,8 @@ class TestBulkLoad:
             low = rng.uniform(0, 8, size=4)
             high = low + rng.uniform(0.5, 4.0, size=4)
             found = sorted(
-                int(store.entry_payloads[row]) for row in store.search(low, high)
+                int(store.entry_payloads[row])
+                for row in store_search(store, low, high)
             )
             expected = sorted(
                 i
@@ -71,54 +71,3 @@ class TestBulkLoad:
                 packed.query(query, gamma=0.5, alpha=0.2).answer_sources()
                 == scan.query(query, gamma=0.5, alpha=0.2).answer_sources()
             )
-
-
-class TestNearest:
-    def test_matches_brute_force(self, rng):
-        points = rng.normal(size=(300, 3))
-        store = pack(points, max_entries=8)
-        for _ in range(10):
-            probe = rng.normal(size=3)
-            found = store.nearest(probe, k=5)
-            assert len(found) == 5
-            distances = np.linalg.norm(points - probe, axis=1)
-            expected = np.sort(distances)[:5]
-            np.testing.assert_allclose(
-                [d for d, _row in found], expected, rtol=1e-9
-            )
-
-    def test_sorted_by_distance(self, rng):
-        store = pack(rng.normal(size=(100, 2)))
-        dists = [d for d, _row in store.nearest(np.zeros(2), k=10)]
-        assert dists == sorted(dists)
-
-    def test_k_larger_than_tree(self, rng):
-        store = pack(rng.normal(size=(7, 2)))
-        assert len(store.nearest(np.zeros(2), k=50)) == 7
-
-    def test_exact_hit_is_first(self, rng):
-        points = rng.normal(size=(50, 3))
-        store = pack(points)
-        dist, row = store.nearest(points[13], k=1)[0]
-        assert dist == pytest.approx(0.0, abs=1e-12)
-        assert store.entry_payloads[row] == 13
-
-    def test_empty_tree(self):
-        assert pack(np.empty((0, 2))).nearest(np.zeros(2), k=3) == []
-
-    def test_domain_checks(self):
-        store = pack(np.zeros((1, 2)))
-        with pytest.raises(ValidationError):
-            store.nearest(np.zeros(2), k=0)
-        with pytest.raises(ValidationError):
-            store.nearest(np.zeros(3), k=1)
-
-    def test_charges_io(self, rng):
-        store = pack(rng.normal(size=(200, 2)), max_entries=6)
-        pages = PageManager()
-        pages.reserve(store.pages_allocated)
-        counter = pages.counter()
-        store.nearest(np.zeros(2), k=3, pages=counter)
-        assert counter.accesses >= 1
-        # Best-first expands far fewer nodes than a full scan.
-        assert counter.accesses < store.num_nodes

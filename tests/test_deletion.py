@@ -15,14 +15,16 @@ from repro.errors import IndexNotBuiltError, UnknownGeneError
 from repro.index.bitvector import signature
 from repro.index.invertedfile import SOURCE_SALT
 
-from conftest import TEST_CONFIG, assert_store_invariants
+from conftest import TEST_CONFIG, assert_store_invariants, store_search
 
 M = TEST_CONFIG.rstar_max_entries
 
 
 def whole_space(store) -> list[int]:
-    """Every entry row the store's range search can reach."""
-    return store.search(np.full(store.dim, -np.inf), np.full(store.dim, np.inf))
+    """Every entry row a range walk over the store's node MBRs reaches."""
+    return store_search(
+        store, np.full(store.dim, -np.inf), np.full(store.dim, np.inf)
+    )
 
 
 def entry_keys(store, rows) -> list[tuple[int, int]]:
@@ -64,7 +66,7 @@ class TestTreeDeletion:
         assert len(rows) == remaining
         assert victim not in set(store.entry_source_ids[rows].tolist())
         for point in victim_points:
-            hits = store.search(point, point)
+            hits = store_search(store, point, point)
             assert victim not in set(store.entry_source_ids[hits].tolist())
 
     def test_delete_missing_payload_returns_false(self, engine):
@@ -126,7 +128,7 @@ class TestTreeDeletion:
                 kept & np.all(points >= low, axis=1) & np.all(points <= high, axis=1)
             )
             expected = sorted(zip(sources[inside].tolist(), genes[inside].tolist()))
-            assert entry_keys(store, store.search(low, high)) == expected
+            assert entry_keys(store, store_search(store, low, high)) == expected
 
     def test_root_collapse(self, engine):
         height = engine.array_index.height

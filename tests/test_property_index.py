@@ -18,7 +18,7 @@ from repro.index.bitvector import (
 )
 from repro.index.packer import str_pack
 
-from conftest import assert_store_invariants
+from conftest import assert_store_invariants, store_search
 
 
 class TestBitvectorProperties:
@@ -131,7 +131,7 @@ class TestDegenerateBoxProperties:
         store = pack(point[None, :])
         low, high = root_box(store)
         assert (low == point).all() and (high == point).all()
-        assert store.search(point, point) == [0]
+        assert store_search(store, point, point) == [0]
         assert min_dist_many(low[None, :], high[None, :], point).tolist() == [0.0]
 
     @given(
@@ -145,7 +145,7 @@ class TestDegenerateBoxProperties:
         assert (low == np.minimum(a, b)).all()
         assert (high == np.maximum(a, b)).all()
         for payload, point in enumerate((a, b)):
-            hits = store.entry_payloads[store.search(point, point)].tolist()
+            hits = store.entry_payloads[store_search(store, point, point)].tolist()
             assert payload in hits
 
 
@@ -168,7 +168,9 @@ class TestRStarTreeProperties:
         # Oracle check on a random-ish box derived from the data.
         low = points.min(axis=0)
         high = low + (points.max(axis=0) - low) * 0.6
-        found = sorted(int(store.entry_payloads[r]) for r in store.search(low, high))
+        found = sorted(
+            int(store.entry_payloads[r]) for r in store_search(store, low, high)
+        )
         expected = sorted(
             int(i)
             for i in range(points.shape[0])

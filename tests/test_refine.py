@@ -1,7 +1,9 @@
 """Refinement-layer conformance: the batched `CandidateRefiner` is
 bit-identical to brute-force `find_embeddings` over materialized GRNs,
 across all three workload kinds, `edge_budget in {0, 1, 2}` and all four
-engines. Its counters are pinned by `tests/test_engine_surface.py`."""
+engines; deciding candidates from the estimator cache first changes no
+answer and counts every cache lookup once. Its counters are pinned by
+`tests/test_engine_surface.py`."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import pytest
 from repro import (
     BaselineEngine,
     EngineConfig,
+    InferenceConfig,
     IMGRNEngine,
     LinearScanEngine,
     MeasureScanEngine,
@@ -154,6 +157,128 @@ class TestStrategyKnobs:
             assert evaluated + prescreened > 0.0
             if evaluated:
                 assert batches >= 1.0
+
+
+def _counter(metrics: dict[str, float], name: str, engine: str) -> float:
+    return metrics.get(f'{name}{{engine="{engine}"}}', 0.0)
+
+
+class TestCacheFirst:
+    """Candidates are decided from cached estimates before any estimation."""
+
+    @pytest.fixture(scope="class")
+    def warm_and_cold(self, small_database):
+        """A caching IMGRN engine and one with the estimator cache off."""
+        warm = IMGRNEngine(small_database, BASE_CONFIG)
+        cold = IMGRNEngine(
+            small_database,
+            BASE_CONFIG.with_(inference=InferenceConfig(cache=False)),
+        )
+        warm.build()
+        cold.build()
+        return warm, cold
+
+    @pytest.mark.parametrize(
+        "kind,budget", WORKLOADS, ids=lambda value: str(value)
+    )
+    def test_warm_cache_answers_equal_uncached(
+        self, warm_and_cold, query_workload, kind, budget
+    ):
+        warm, cold = warm_and_cold
+        for query in query_workload:  # the first pass fills the cache
+            warm.execute(_spec(query, kind, budget))
+        hits = warm.inference_stats()["cache_hits"]
+        for query in query_workload:
+            spec = _spec(query, kind, budget)
+            assert _answers(warm.execute(spec)) == _answers(cold.execute(spec))
+        assert warm.inference_stats()["cache_hits"] > hits
+
+    def test_cached_missing_edge_prescreens_without_estimation(
+        self, small_database, query_workload
+    ):
+        """A candidate whose cached estimate already fails the replay is
+        discarded with no estimator call and no ``refine.source`` span."""
+        config = BASE_CONFIG.with_(
+            observability=ObservabilityConfig(tracing=True, shared_registry=False)
+        )
+        engine = LinearScanEngine(small_database, config)
+        engine.build()
+        inference = engine._inference
+        prescreened_sources: set[int] = set()
+        for query in query_workload:
+            query_graph = engine.infer_query_graph(query, GAMMA)
+            # Warm the cache with every candidate's query edges, through
+            # the scalar path: the refiner must find these exact entries.
+            rejected = set()
+            for matrix in small_database:
+                if any(g not in matrix for g in query_graph.gene_ids):
+                    continue
+                for (u, v), _p in query_graph.edges():
+                    p = inference.pair_probability(
+                        matrix.column(u), matrix.column(v)
+                    )
+                    if p <= GAMMA:  # budget 0: the replay must reject
+                        rejected.add(matrix.source_id)
+            engine.obs.tracer.reset()
+            estimated = inference.obs.metrics.snapshot().get("inference.pairs", 0.0)
+            result = engine.execute(QuerySpec(query, GAMMA, ALPHA))
+            metrics = result.metrics
+            prescreened = _counter(metrics, "refine.prescreened", "linear_scan")
+            assert prescreened == len(rejected)
+            refined = {
+                span.attrs["source"]
+                for span in engine.obs.tracer.spans
+                if span.name == "refine.source"
+            }
+            assert not refined & rejected
+            # The query graph was inferred above, so every pair the query
+            # needs is cached: no estimator work at all.
+            after = inference.obs.metrics.snapshot().get("inference.pairs", 0.0)
+            assert after == estimated
+            assert _counter(metrics, "refine.batches", "linear_scan") == (
+                _counter(metrics, "refine.sources", "linear_scan") - prescreened
+            )
+            assert _answers(result) == _brute_force(
+                engine, small_database, result.query_graph, "containment", None
+            )
+            prescreened_sources |= rejected
+        assert prescreened_sources  # the workload exercises the discard
+
+    @pytest.mark.parametrize("engine_name", ["imgrn", "linear_scan"])
+    @pytest.mark.parametrize(
+        "kind,budget", WORKLOADS, ids=lambda value: str(value)
+    )
+    def test_each_pair_lookup_counted_once(
+        self, small_database, query_workload, engine_name, kind, budget
+    ):
+        """Per query, cache hits + misses equal the pair lookups made
+        (query inference plus each refined candidate's query edges), and
+        every miss is estimated exactly once."""
+        engine = _make_engine(engine_name, small_database, BASE_CONFIG)
+        engine.build()
+        registry = engine._inference.obs.metrics
+        for query in query_workload:
+            before = registry.snapshot()
+            result = engine.execute(_spec(query, kind, budget))
+            after = registry.snapshot()
+
+            def delta(name: str) -> float:
+                return after.get(name, 0.0) - before.get(name, 0.0)
+
+            genes = query.num_genes
+            lemma3 = result.metrics.get(
+                f'query.pruned_pairs{{engine="{engine_name}",stage="lemma3"}}', 0.0
+            )
+            sources = _counter(result.metrics, "refine.sources", engine_name)
+            lookups = (
+                genes * (genes - 1) // 2
+                - lemma3
+                + sources * result.query_graph.num_edges
+            )
+            hits = delta("inference.cache_hits")
+            misses = delta("inference.cache_misses")
+            assert hits + misses == lookups
+            assert misses == delta("inference.pairs")
 
 
 class TestPayloadKeyValidation:

@@ -3,8 +3,9 @@
 The index is an R-tree held as an :class:`ArrayStore` and built by STR
 packing (:func:`~repro.index.packer.str_pack`), not by R* insertion;
 these tests cover what every R-tree must give: all entries kept, tight
-nodes within their fan-out bounds, exact range search and kNN, rejected
-NaN/inf coordinates, page accounting and covering signatures.
+nodes within their fan-out bounds, node MBRs that an exact range walk
+(:func:`conftest.store_search`) can follow, rejected NaN/inf
+coordinates, page accounting and covering signatures.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.index.invertedfile import SOURCE_SALT
 from repro.index.packer import str_pack
 from repro.index.pagemanager import PageManager
 
-from conftest import assert_store_invariants
+from conftest import assert_store_invariants, store_search
 
 
 def build_tree(points, gene_ids=None, source_ids=None, max_entries=8):
@@ -66,8 +67,6 @@ class TestInsertion:
             str_pack(
                 rng.normal(size=5), [0], [0], [0], max_entries=8, bitvector_bits=64
             )
-        with pytest.raises(ValidationError):
-            build_tree(rng.normal(size=(5, 3))).nearest(np.zeros(4))
 
     def test_constructor_domains(self):
         with pytest.raises(ValidationError):
@@ -86,7 +85,9 @@ class TestSearch:
         for _ in range(20):
             low = rng.uniform(0.0, 8.0, size=3)
             high = low + rng.uniform(0.5, 4.0, size=3)
-            found = sorted(int(tree.entry_payloads[r]) for r in tree.search(low, high))
+            found = sorted(
+                int(tree.entry_payloads[r]) for r in store_search(tree, low, high)
+            )
             expected = sorted(
                 int(i)
                 for i in range(250)
@@ -96,15 +97,11 @@ class TestSearch:
 
     def test_empty_tree_search(self):
         tree = build_tree(np.empty((0, 2)))
-        assert tree.search(np.zeros(2), np.ones(2)) == []
+        assert store_search(tree, np.zeros(2), np.ones(2)) == []
 
     def test_whole_space_returns_everything(self, rng):
         tree = build_tree(rng.normal(size=(60, 2)))
-        assert len(tree.search(np.full(2, -100.0), np.full(2, 100.0))) == 60
-
-    def test_empty_tree_nearest(self):
-        tree = build_tree(np.empty((0, 2)))
-        assert tree.nearest(np.zeros(2), k=3) == []
+        assert len(store_search(tree, np.full(2, -100.0), np.full(2, 100.0))) == 60
 
 
 class TestCoordinateValidation:
@@ -130,11 +127,6 @@ class TestCoordinateValidation:
         with pytest.raises(ValidationError):
             build_tree(pts)
 
-    def test_nearest_nan_query_rejected(self, rng):
-        tree = build_tree(rng.normal(size=(20, 2)))
-        with pytest.raises(ValidationError):
-            tree.nearest(np.array([np.nan, 0.0]))
-
     def test_finite_points_unaffected(self, rng):
         # The validation must not reject any finite workload.
         pts = rng.normal(size=(40, 3)) * 1e6
@@ -144,15 +136,6 @@ class TestCoordinateValidation:
 
 
 class TestIOAccounting:
-    def test_search_counts_pages(self, rng):
-        tree = build_tree(rng.normal(size=(100, 2)), max_entries=4)
-        pages = PageManager()
-        pages.reserve(tree.pages_allocated)
-        counter = pages.counter()
-        tree.search(np.full(2, -100.0), np.full(2, 100.0), pages=counter)
-        # A full-space scan must read every node once.
-        assert counter.accesses == pages.num_pages == tree.num_nodes
-
     def test_unallocated_page_rejected(self):
         with pytest.raises(ValidationError):
             PageManager().counter().access(0)
