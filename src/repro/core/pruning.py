@@ -30,11 +30,13 @@ from ..errors import ValidationError
 
 __all__ = [
     "markov_edge_upper_bound",
+    "markov_edge_upper_bounds",
     "edge_inference_prunable",
     "graph_existence_upper_bound",
     "graph_existence_prunable",
     "relaxed_graph_existence_upper_bound",
     "pivot_edge_upper_bound",
+    "pivot_edge_upper_bounds",
     "pivot_pruning_condition",
     "index_pair_prunable",
     "index_pairs_prunable",
@@ -70,6 +72,39 @@ def markov_edge_upper_bound(distance: float, expected_z: float) -> float:
     if distance == 0.0:
         return 1.0
     return min(1.0, expected_z / distance)
+
+
+def markov_edge_upper_bounds(
+    distances: np.ndarray, expected_z: np.ndarray | float
+) -> np.ndarray:
+    """Vectorized Lemma 4 over ``n`` pairs.
+
+    Entry ``i`` equals :func:`markov_edge_upper_bound` on
+    ``(distances[i], expected_z[i])`` bit for bit: one IEEE division and
+    the same clamp (a zero distance gives the vacuous 1.0, as does a
+    NaN ratio, which the scalar ``min`` never selects).
+
+    Parameters
+    ----------
+    distances:
+        ``(n,)`` observed distances ``dist(X_s, X_t)``.
+    expected_z:
+        ``(n,)`` (upper bounds on the) expectations ``E[dist(X_s,
+        X_t^R)]``, or one scalar shared by every pair.
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    if distances.ndim != 1:
+        raise ValidationError(f"distances must be 1-D, got shape {distances.shape}")
+    expected_z = np.broadcast_to(
+        np.asarray(expected_z, dtype=np.float64), distances.shape
+    )
+    if (distances < 0.0).any():
+        raise ValidationError("distances must be >= 0")
+    if (expected_z < 0.0).any():
+        raise ValidationError("expected_z must be >= 0")
+    with np.errstate(all="ignore"):
+        ratio = expected_z / distances
+    return np.where((distances == 0.0) | ~(ratio < 1.0), 1.0, ratio)
 
 
 def edge_inference_prunable(upper_bound: float, gamma: float) -> bool:
@@ -181,6 +216,33 @@ def pivot_edge_upper_bound(
             continue  # Case 1: vacuous bound for this pivot
         best = min(best, float(yt[w]) / c)
     return max(0.0, best)
+
+
+def pivot_edge_upper_bounds(
+    xs: np.ndarray, xt: np.ndarray, yt: np.ndarray
+) -> np.ndarray:
+    """Vectorized Eq. 7 over ``n`` row-aligned embedded pairs.
+
+    Row ``i`` of the three ``(n, d)`` arrays holds one pair's ``x_s``,
+    ``x_t`` and ``y_t``, and entry ``i`` of the result equals
+    :func:`pivot_edge_upper_bound` on those rows, bit for bit: the
+    elementwise subtract, divide and compare are the scalar loop's
+    operations, and a min over the pivots (Case-1 pivots and NaN ratios
+    skipped, as the scalar ``min`` skips them) picks the same value.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    xt = np.asarray(xt, dtype=np.float64)
+    yt = np.asarray(yt, dtype=np.float64)
+    if xs.ndim != 2 or not xs.shape == xt.shape == yt.shape:
+        raise ValidationError(
+            "coordinate arrays must share one 2-D (pairs x pivots) shape, "
+            f"got {xs.shape}, {xt.shape}, {yt.shape}"
+        )
+    c = np.abs(xs - xt).max(axis=1)[:, None] - xs
+    with np.errstate(all="ignore"):
+        ratio = np.where(c <= 0.0, 1.0, yt / c)  # Case 1: vacuous
+    best = np.fmin.reduce(ratio, axis=1, initial=1.0)
+    return np.where(best > 0.0, best, 0.0)
 
 
 def pivot_pruning_condition(

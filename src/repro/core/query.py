@@ -49,14 +49,12 @@ from .inference import EdgeProbabilityEstimator
 from .matching import Embedding
 from .probgraph import ProbabilisticGraph, edge_key
 from .pruning import (
-    edge_inference_prunable,
     graph_existence_prunable,
     index_pairs_prunable,
-    markov_edge_upper_bound,
-    pivot_edge_upper_bound,
+    markov_edge_upper_bounds,
+    pivot_edge_upper_bounds,
     relaxed_graph_existence_upper_bound,
 )
-from .randomization import expected_randomized_distance_jensen
 from .refine import BatchEdgeEvaluator, CandidateRefiner
 from .spec import QuerySpec
 from .standardize import standardize_matrix
@@ -349,6 +347,18 @@ class _QueryMixin:
         return answers
 
 
+def _row_distances(std: np.ndarray, col_s: int, cols_t: np.ndarray) -> list[float]:
+    """``dist(std[:, col_s], std[:, t])`` for each ``t`` in ``cols_t``.
+
+    Each difference is one contiguous row reduced by one BLAS dot, the
+    reduction :func:`numpy.linalg.norm` applies to a 1-D difference, so
+    every distance equals ``np.linalg.norm(std[:, col_s] - std[:, t])``
+    bit for bit (a summing ``einsum`` would drift in the last ulp).
+    """
+    rows = np.subtract(std.T[col_s], std.T[cols_t], order="C")
+    return [math.sqrt(row @ row) for row in rows]
+
+
 @dataclass
 class _MatrixEntry:
     """Per-matrix build artifacts the query phase needs."""
@@ -356,6 +366,29 @@ class _MatrixEntry:
     matrix: GeneFeatureMatrix
     embedded: EmbeddedMatrix
     standardized: np.ndarray = field(repr=False)
+    _column_stats: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def column_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per standardized column ``x``: ``(x @ x, x.mean())``.
+
+        The inputs of the Jensen expectation, computed with
+        :func:`~repro.core.randomization.expected_squared_randomized_distance`'s
+        own expressions on first use. The read-only pair is published as
+        one tuple, so a concurrent reader sees either nothing (and
+        computes the same values itself) or all of it.
+        """
+        stats = self._column_stats
+        if stats is None:
+            std = self.standardized
+            columns = [std[:, c] for c in range(std.shape[1])]
+            squares = np.array([float(x @ x) for x in columns], dtype=np.float64)
+            means = np.array([float(x.mean()) for x in columns], dtype=np.float64)
+            squares.flags.writeable = False
+            means.flags.writeable = False
+            stats = self._column_stats = (squares, means)
+        return stats
 
 
 class IMGRNEngine(_QueryMixin):
@@ -661,17 +694,16 @@ class IMGRNEngine(_QueryMixin):
         ids = query_matrix.gene_ids
         length = std.shape[0]
         expected = math.sqrt(2.0 * length)  # Jensen bound, standardized vectors
-        survivors: list[tuple[int, int]] = []
-        with tracer.span(
-            "query.infer.prune", pairs=len(ids) * (len(ids) - 1) // 2
-        ):
-            for s, t in itertools.combinations(range(len(ids)), 2):
-                distance = float(np.linalg.norm(std[:, s] - std[:, t]))
-                bound = markov_edge_upper_bound(distance, expected)
-                if edge_inference_prunable(bound, gamma):
-                    pruned_lemma3.inc()
-                else:
-                    survivors.append((s, t))
+        pairs = list(itertools.combinations(range(len(ids)), 2))
+        with tracer.span("query.infer.prune", pairs=len(pairs)):
+            distances = [
+                distance
+                for s in range(len(ids) - 1)
+                for distance in _row_distances(std, s, np.arange(s + 1, len(ids)))
+            ]
+            prunable = markov_edge_upper_bounds(distances, expected) <= gamma
+            pruned_lemma3.inc(int(np.count_nonzero(prunable)))
+            survivors = list(itertools.compress(pairs, ~prunable))
         with tracer.span("query.infer.estimate", pairs=len(survivors)):
             probabilities = self._inference.pair_block_probabilities(
                 std, survivors, raw=query_matrix.values
@@ -876,8 +908,9 @@ class IMGRNEngine(_QueryMixin):
         ``_SLICE_CELLS`` cells: gene range (exact, on the gene-ID
         coordinate), then the ``V_f`` and ``V_d`` signatures, then Lemma
         6. Leaf pairs are joined row-wise (anchor row x neighbor row of
-        one source) in (leaf pair, neighbor row) order and each joined
-        point pair gets the scalar :meth:`_leaf_pair_bound`.
+        one source) in (leaf pair, neighbor row) order; each slice's
+        joined point pairs are bounded in one :meth:`_leaf_pair_bounds`
+        call and Lemma 3 drops those at or below ``gamma``.
 
         This reaches the leaf pairs in depth-first preorder, the order a
         deepest-level-first priority queue with push-order ties pops
@@ -933,7 +966,6 @@ class IMGRNEngine(_QueryMixin):
         vd_words = store.node_vd_words
         gene_ids = store.entry_gene_ids
         source_ids = store.entry_source_ids
-        points = store.entry_points
         gene_dim = 2 * d
 
         def expand(s_nodes: np.ndarray, t_nodes: np.ndarray):
@@ -1020,19 +1052,18 @@ class IMGRNEngine(_QueryMixin):
             joined = s_keys[order[pos]] == t_keys
             rows_s = s_rows[order[pos[joined]]]
             rows_t = t_rows[joined]
-            for row_s, row_t, source, gene in zip(
-                rows_s.tolist(),
-                rows_t.tolist(),
+            if rows_t.size == 0:
+                return
+            bounds = self._leaf_pair_bounds(rows_s, rows_t)
+            keep = bounds > gamma  # Lemma 3 prunes ub <= gamma
+            pruned_leaf.inc(int(keep.size - np.count_nonzero(keep)))
+            rows_t = rows_t[keep]
+            for source, gene, bound in zip(
                 source_ids[rows_t].tolist(),
                 gene_ids[rows_t].tolist(),
+                bounds[keep].tolist(),
             ):
-                bound = self._leaf_pair_bound(
-                    source, anchor, gene, points[row_s], points[row_t]
-                )
-                if edge_inference_prunable(bound, gamma):
-                    pruned_leaf.inc()
-                else:
-                    candidates[(source, gene)] = bound
+                candidates[(source, gene)] = bound
 
         candidates: dict[tuple[int, int], float] = {}
         s_nodes = t_nodes = np.zeros(1, dtype=np.int64)  # the root pair
@@ -1058,33 +1089,59 @@ class IMGRNEngine(_QueryMixin):
                 break
         return candidates
 
-    def _leaf_pair_bound(
-        self,
-        source_id: int,
-        gene_s: int,
-        gene_t: int,
-        point_s: np.ndarray,
-        point_t: np.ndarray,
-    ) -> float:
-        """Tightest sound upper bound for one candidate gene pair.
+    def _leaf_pair_bounds(self, rows_s: np.ndarray, rows_t: np.ndarray) -> np.ndarray:
+        """Tightest sound upper bounds for joined index-entry pairs.
 
-        Combines the pivot bound (embedded coordinates only, Section 4.2)
-        with the Markov bound on the true distance (Lemma 4); both are
-        sound, so their minimum is. Takes the raw embedded points of the
-        two genes (array-store entry rows).
+        Pair ``i`` joins anchor entry ``rows_s[i]`` with neighbor entry
+        ``rows_t[i]`` of the same source. Its bound is the minimum of the
+        pivot bound (embedded coordinates only, Section 4.2) and the
+        Markov bound on the true distance (Lemma 4); both are sound, so
+        their minimum is. The Markov inputs are gathered per source: the
+        distances by :func:`_row_distances`, the Jensen expectation
+        ``E[dist(X_t^R, X_s)]`` from the cached
+        :meth:`_MatrixEntry.column_stats`.
         """
+        store = self.array_index
         d = self.config.num_pivots
-        xs = point_s[0 : 2 * d : 2]
-        xt = point_t[0 : 2 * d : 2]
-        yt = point_t[1 : 2 * d : 2]
-        bound = pivot_edge_upper_bound(xs, xt, yt)
-        matrix_entry = self._entries[source_id]
-        col_s = matrix_entry.matrix.column_index(gene_s)
-        col_t = matrix_entry.matrix.column_index(gene_t)
-        std = matrix_entry.standardized
-        distance = float(np.linalg.norm(std[:, col_s] - std[:, col_t]))
-        expected = expected_randomized_distance_jensen(std[:, col_t], std[:, col_s])
-        return min(bound, markov_edge_upper_bound(distance, expected))
+        points = store.entry_points
+        pivot = pivot_edge_upper_bounds(
+            points[rows_s, 0 : 2 * d : 2],
+            points[rows_t, 0 : 2 * d : 2],
+            points[rows_t, 1 : 2 * d : 2],
+        )
+        sources = store.entry_source_ids[rows_t]
+        order = np.argsort(sources, kind="stable")
+        sources = sources[order]
+        anchor_cols = store.entry_payloads[rows_s[order]] % _PAYLOAD_GENE_LIMIT
+        cols = store.entry_payloads[rows_t[order]] % _PAYLOAD_GENE_LIMIT
+        starts = np.flatnonzero(np.diff(sources, prepend=-1))
+        stops = np.append(starts[1:], sources.shape[0])
+        distance: list[float] = []
+        squares_t, means_t, anchors = [], [], []
+        for source, s, start, stop in zip(
+            sources[starts].tolist(),
+            anchor_cols[starts].tolist(),  # a source holds the anchor once
+            starts.tolist(),
+            stops.tolist(),
+        ):
+            entry = self._entries[source]
+            std = entry.standardized
+            squares, means = entry.column_stats()
+            t = cols[start:stop]
+            distance += _row_distances(std, s, t)
+            squares_t.append(squares[t])
+            means_t.append(means[t])
+            anchors.append((squares[s], means[s], std.shape[0]))
+        squares_s, means_s, length = np.repeat(anchors, stops - starts, axis=0).T
+        # expected_randomized_distance_jensen(x_t, x_s), term by term.
+        value = np.concatenate(squares_t) + squares_s - (
+            2.0 * length * np.concatenate(means_t) * means_s
+        )
+        markov = np.empty_like(pivot)
+        markov[order] = markov_edge_upper_bounds(
+            distance, np.sqrt(np.where(value > 0.0, value, 0.0))
+        )
+        return np.where(markov < pivot, markov, pivot)
 
     # ------------------------------------------------------------------
     # Graph existence pruning (Lemma 5) + refinement (Fig. 4, lines 28-30)

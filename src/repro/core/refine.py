@@ -47,7 +47,7 @@ from ..obs import names as _names
 from .batch_inference import standardize_columns
 from .matching import Embedding
 from .probgraph import ProbabilisticGraph
-from .pruning import relaxed_graph_existence_upper_bound
+from .pruning import markov_edge_upper_bounds, relaxed_graph_existence_upper_bound
 
 __all__ = [
     "BatchEdgeEvaluator",
@@ -145,8 +145,7 @@ class BatchEdgeEvaluator:
         t = [columns.pairs[i][1] for i in edges]
         distance = np.linalg.norm(std[:, s] - std[:, t], axis=0)
         expected = math.sqrt(2.0 * std.shape[0])  # Jensen, standardized
-        with np.errstate(divide="ignore"):  # distance 0: vacuous bound 1
-            return np.minimum(1.0, expected / distance).tolist()
+        return markov_edge_upper_bounds(distance, expected).tolist()
 
     def evaluate(self, columns: QueryColumns, edges: Sequence[int]) -> list[float]:
         """Estimates for the (uncached) query edges at positions ``edges``,

@@ -11,6 +11,9 @@ engines reload to the same answers.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +26,14 @@ from repro.config import (
     SyntheticConfig,
 )
 from repro.core.persistence import load_engine_sharded, save_engine_sharded
-from repro.core.pruning import edge_inference_prunable
+from repro.core.pruning import (
+    edge_inference_prunable,
+    markov_edge_upper_bound,
+    pivot_edge_upper_bound,
+)
 from repro.core.query import IMGRNEngine
+from repro.core.randomization import expected_randomized_distance_jensen
+from repro.core.spec import QuerySpec
 from repro.data.database import GeneFeatureDatabase
 from repro.data.queries import generate_query_workload
 from repro.data.synthetic import generate_database
@@ -130,14 +139,35 @@ def oracle_case(request):
     return engine, queries
 
 
+def _leaf_pair_bound(engine, source, gene_s, gene_t, point_s, point_t) -> float:
+    """The traversal's leaf bound for one gene pair, from scalar primitives.
+
+    The minimum of the pivot bound on the two embedded points (Eq. 7) and
+    the Lemma-4 Markov bound on the true distance with the Jensen
+    expectation, both computed one pair at a time.
+    """
+    d = engine.config.num_pivots
+    pivot = pivot_edge_upper_bound(
+        point_s[0 : 2 * d : 2], point_t[0 : 2 * d : 2], point_t[1 : 2 * d : 2]
+    )
+    entry = engine._entries[source]
+    std = entry.standardized
+    x_s = std[:, entry.matrix.column_index(gene_s)]
+    x_t = std[:, entry.matrix.column_index(gene_t)]
+    distance = float(np.linalg.norm(x_s - x_t))
+    expected = expected_randomized_distance_jensen(x_t, x_s)
+    return min(pivot, markov_edge_upper_bound(distance, expected))
+
+
 def _brute_force_walk(engine, anchor, neighbor_genes, gamma):
     """The traversal's exact output, computed without touching the index.
 
     Every indexed source holding the anchor and a neighbor gene yields
-    ``(source, gene) -> engine._leaf_pair_bound(...)`` over the two
-    genes' embedded points, kept unless Lemma 3 prunes the bound. A
-    false dismissal by gene-range, signature or Lemma-6 pruning shows up
-    here as a missing key.
+    ``(source, gene) -> _leaf_pair_bound(...)`` over the two genes'
+    embedded points, kept unless Lemma 3 prunes the bound. A false
+    dismissal by gene-range, signature or Lemma-6 pruning shows up here
+    as a missing key, and a drift of the vectorized leaf bound as a
+    changed value.
     """
     expected = {}
     for source, entry in engine._entries.items():
@@ -148,8 +178,13 @@ def _brute_force_walk(engine, anchor, neighbor_genes, gamma):
         for gene in neighbor_genes:
             if gene not in rows:
                 continue
-            bound = engine._leaf_pair_bound(
-                source, anchor, gene, points[rows[anchor]], points[rows[gene]]
+            bound = _leaf_pair_bound(
+                engine,
+                source,
+                anchor,
+                gene,
+                points[rows[anchor]],
+                points[rows[gene]],
             )
             if not edge_inference_prunable(bound, gamma):
                 expected[(source, gene)] = bound
@@ -455,6 +490,112 @@ class TestTraversalOracle:
         save_engine_sharded(engine, tmp_path / "engine")
         mapped = load_engine_sharded(tmp_path / "engine", mmap_index=True)
         _assert_walk_matches_oracle(mapped, queries)
+
+
+def _spec_answers(engine, specs) -> list[tuple]:
+    return [
+        tuple(
+            (answer.source_id, answer.probability)
+            for answer in engine.execute(spec).answers
+        )
+        for spec in specs
+    ]
+
+
+class TestConcurrentLeafBounds:
+    """Eight threads querying a fresh engine, whose per-source column
+    statistics (the leaf bound's Jensen inputs) are filled lazily by the
+    queries themselves, answer exactly like a serial run."""
+
+    THREADS = 8
+
+    @staticmethod
+    def _mmap_engine(tmp_path):
+        database = _oracle_database(SEED)
+        engine = _oracle_engine(database, SEED)
+        engine.build()
+        save_engine_sharded(engine, tmp_path / "engine")
+        return lambda: load_engine_sharded(tmp_path / "engine", mmap_index=True)
+
+    @staticmethod
+    def _maintained_engine(tmp_path):
+        def make():
+            matrices = list(_oracle_database(SEED))
+            head = GeneFeatureDatabase()
+            for matrix in matrices[:-1]:
+                head.add(matrix)
+            engine = _oracle_engine(head, SEED)
+            engine.build()
+            engine.add_matrix(matrices[-1])
+            engine.remove_matrix(matrices[3].source_id)
+            return engine
+
+        return make
+
+    @pytest.mark.parametrize("state", ["mmap", "maintained"])
+    def test_threads_match_serial(self, state, tmp_path):
+        make = getattr(self, f"_{state}_engine")(tmp_path)
+        queries = generate_query_workload(
+            _oracle_database(SEED), n_q=5, count=ORACLE_QUERIES, rng=SEED
+        )
+        specs = []
+        for query in queries:
+            specs += [
+                QuerySpec(query, 0.4, 0.2),
+                QuerySpec(query, 0.4, kind="topk", k=3),
+                QuerySpec(query, 0.4, 0.2, kind="similarity", edge_budget=1),
+            ]
+        serial = _spec_answers(make(), specs)
+        assert any(serial)  # the comparison is not vacuously empty
+
+        engine = make()
+        assert all(e._column_stats is None for e in engine._entries.values())
+        barrier = threading.Barrier(self.THREADS)
+
+        def run():
+            barrier.wait(timeout=60)
+            return _spec_answers(engine, specs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the lazy fill
+        try:
+            with ThreadPoolExecutor(self.THREADS) as pool:
+                futures = [pool.submit(run) for _ in range(self.THREADS)]
+                runs = [future.result(timeout=300) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [serial] * self.THREADS
+        filled = [e for e in engine._entries.values() if e._column_stats]
+        assert filled
+        for entry in filled:
+            squares, means = entry.column_stats()
+            assert squares.shape == means.shape == (entry.matrix.num_genes,)
+            assert not squares.flags.writeable and not means.flags.writeable
+
+    def test_readers_see_all_or_nothing(self, oracle_case):
+        """Threads racing to fill one source's statistics each get the
+        complete values, never a half-filled array."""
+        engine, _queries = oracle_case
+        entries = list(engine._entries.values())
+        reference = [[a.tolist() for a in e.column_stats()] for e in entries]
+        barrier = threading.Barrier(self.THREADS)
+
+        def read():
+            barrier.wait(timeout=60)
+            return [[a.tolist() for a in e.column_stats()] for e in entries]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(5):
+                for entry in entries:
+                    entry._column_stats = None
+                with ThreadPoolExecutor(self.THREADS) as pool:
+                    futures = [pool.submit(read) for _ in range(self.THREADS)]
+                    reads = [future.result(timeout=120) for future in futures]
+                assert reads == [reference] * self.THREADS
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTraversalGolden:

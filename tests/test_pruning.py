@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.inference import edge_probability
 from repro.core.pruning import (
@@ -20,7 +23,9 @@ from repro.core.pruning import (
     index_pair_prunable,
     index_pairs_prunable,
     markov_edge_upper_bound,
+    markov_edge_upper_bounds,
     pivot_edge_upper_bound,
+    pivot_edge_upper_bounds,
     pivot_pruning_condition,
 )
 from repro.core.randomization import (
@@ -257,6 +262,84 @@ class TestIndexPruning:
     def test_rows_shape_mismatch(self):
         with pytest.raises(ValidationError):
             index_pairs_prunable(np.ones((3, 2)), np.ones((4, 2)), np.ones((4, 2)), 0.5)
+
+
+#: Coordinates mixing small exact values (so ties -- ``C == 0``, a zero
+#: ``y_t``, a zero distance -- occur often) with arbitrary finite ones.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+    st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _pivot_rows(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 5))
+    rows = hnp.arrays(np.float64, (n, d), elements=_VALUES)
+    return draw(rows), draw(rows), draw(rows)
+
+
+def _scalar_pivot_bounds(xs, xt, yt) -> list[float]:
+    return [pivot_edge_upper_bound(a, b, c) for a, b, c in zip(xs, xt, yt)]
+
+
+class TestVectorizedBounds:
+    """The batch kernels equal the scalar bounds row by row, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pivot_rows())
+    # Every pivot in Case 1 (C < 0): the vacuous 1.0.
+    @example((np.array([[5.0, 5.0]]), np.array([[5.0, 5.0]]), np.ones((1, 2))))
+    # C == 0 exactly for pivot 0 (skipped), C == 2 for pivot 1.
+    @example((np.array([[2.0, 0.0]]), np.array([[4.0, 0.0]]), np.ones((1, 2))))
+    # y_t == 0 under Case 2: a zero bound.
+    @example((np.array([[1.0]]), np.array([[5.0]]), np.zeros((1, 1))))
+    def test_pivot_rows_equal_scalar(self, rows):
+        xs, xt, yt = rows
+        bounds = pivot_edge_upper_bounds(xs, xt, yt)
+        assert bounds.shape == (xs.shape[0],)
+        assert bounds.tolist() == _scalar_pivot_bounds(xs, xt, yt)
+
+    def test_pivot_edge_cases(self):
+        xs = np.array([[5.0, 5.0], [2.0, 0.0], [2.0, 9.0], [1.0, 1.0]])
+        xt = np.array([[5.0, 5.0], [4.0, 0.0], [4.0, 9.0], [5.0, 5.0]])
+        yt = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 3.0], [0.0, 0.0]])
+        # All Case 1; C = (0, 2); C = (0, -7), i.e. all Case 1; y_t == 0.
+        expected = [1.0, 0.5, 1.0, 0.0]
+        assert pivot_edge_upper_bounds(xs, xt, yt).tolist() == expected
+        assert _scalar_pivot_bounds(xs, xt, yt) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_VALUES, min_size=1, max_size=20).flatmap(
+            lambda distances: st.tuples(
+                st.just(distances),
+                st.lists(_VALUES, min_size=len(distances), max_size=len(distances)),
+            )
+        )
+    )
+    @example(([0.0, 0.0, 2.0], [0.0, 3.0, 0.0]))  # distance == 0 is vacuous
+    def test_markov_rows_equal_scalar(self, rows):
+        distances, expected = rows
+        scalar = [markov_edge_upper_bound(a, b) for a, b in zip(distances, expected)]
+        assert markov_edge_upper_bounds(distances, expected).tolist() == scalar
+        shared = [markov_edge_upper_bound(a, expected[0]) for a in distances]
+        assert markov_edge_upper_bounds(distances, expected[0]).tolist() == shared
+
+    def test_markov_edge_cases(self):
+        bounds = markov_edge_upper_bounds([0.0, 4.0, 4.0, 1.0], [3.0, 1.0, 0.0, 9.0])
+        assert bounds.tolist() == [1.0, 0.25, 0.0, 1.0]
+
+    def test_domain_and_shapes(self):
+        with pytest.raises(ValidationError):
+            markov_edge_upper_bounds([1.0, -1.0], 1.0)
+        with pytest.raises(ValidationError):
+            markov_edge_upper_bounds([1.0], [-1.0])
+        with pytest.raises(ValidationError):
+            markov_edge_upper_bounds(np.ones((2, 2)), 1.0)
+        with pytest.raises(ValidationError):
+            pivot_edge_upper_bounds(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
 
 
 class TestCombineBounds:
