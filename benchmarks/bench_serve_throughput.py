@@ -2,8 +2,8 @@
 
 Builds one IM-GRN index over a synthetic database, then serves the same
 fixed query workload through :class:`repro.serve.QueryServer` at several
-worker-thread counts (result cache off, so every query does real work)
-and reports wall-clock seconds and queries/sec per thread count.
+worker-thread counts and reports wall-clock seconds and queries/sec per
+thread count.
 
 The engines' read paths are reentrant (per-query metrics registries and
 page counters), so the concurrent rounds must agree bit-for-bit with the
@@ -70,8 +70,8 @@ def make_specs(
 def serve_round(
     engine: IMGRNEngine, specs: list[QuerySpec], threads: int
 ) -> dict[str, object]:
-    """Serve the workload once with ``threads`` workers, cache off."""
-    config = ServeConfig(max_workers=threads, cache=False)
+    """Serve the workload once with ``threads`` workers."""
+    config = ServeConfig(max_workers=threads)
     with QueryServer(engine, config) as server:
         started = time.perf_counter()
         outcomes = server.batch(specs)
@@ -152,7 +152,7 @@ def main() -> int:
     specs = make_specs(engine, n_q=args.n_q, count=args.queries, seed=args.seed)
     print(
         f"serving {len(specs)} queries over {args.n_matrices} matrices "
-        f"(gamma={GAMMA}, alpha={ALPHA}, cache off)"
+        f"(gamma={GAMMA}, alpha={ALPHA})"
     )
     rounds = sweep(engine, specs, args.threads)
     base_qps = float(rounds[0]["qps"])

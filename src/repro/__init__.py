@@ -71,7 +71,6 @@ from .serve import (
     QueryOutcome,
     QueryServer,
     ServeConfig,
-    TransientError,
     serve_in_background,
 )
 from .obs import (
@@ -142,7 +141,6 @@ __all__ = [
     "validate_query_params",
     "QueryOutcome",
     "ServeConfig",
-    "TransientError",
     "QueryDaemon",
     "DaemonClient",
     "serve_in_background",

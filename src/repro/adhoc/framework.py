@@ -148,22 +148,6 @@ class AdHocMatchEngine:
         """
         return self._engine.infer_query_graph(collection.to_matrix(), gamma)
 
-    def server(self, config=None) -> "QueryServer":
-        """A :class:`repro.serve.QueryServer` over the wrapped engine.
-
-        The engines' read paths are reentrant, so the returned server
-        answers many collections' queries concurrently with serial
-        results. Close the server (it is a context manager) when done::
-
-            with framework.server() as server:
-                outcomes = server.batch(
-                    [QuerySpec(c.to_matrix(), 0.5, 0.3) for c in queries]
-                )
-        """
-        from ..serve import QueryServer
-
-        return QueryServer(self._engine, config)
-
     def stats(self) -> dict[str, float]:
         """Index + inference-cache statistics (size, pages, build time)."""
         engine = self._engine

@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve-batch",
         help="serve a query batch concurrently through the QueryServer "
-        "(threads, deadlines, retries, result cache)",
+        "(threads, per-query deadlines)",
     )
     serve.add_argument(
         "--engine",
@@ -295,10 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeat",
         type=int,
         default=1,
-        help="serve the batch this many times (later rounds hit the cache)",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
+        help="serve the batch this many times (each round recomputes)",
     )
     serve.add_argument(
         "--trace-out",
@@ -686,7 +683,6 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
     serve_config = ServeConfig(
         max_workers=args.serve_workers,
         timeout_seconds=args.timeout,
-        cache=not args.no_cache,
     )
     print(
         f"{args.engine}: built {len(database)} matrices in "
@@ -718,15 +714,8 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
             )
             print(
                 f"  query {outcome.index}: {outcome.status}, "
-                f"attempts={outcome.attempts}, "
                 f"{outcome.seconds:.3f}s, {detail}"
             )
-        cache = server.stats()
-        print(
-            f"result cache: {cache['cache_hits']:.0f} hits / "
-            f"{cache['cache_misses']:.0f} misses "
-            f"({cache['cache_entries']:.0f} entries)"
-        )
     if args.trace_out:
         path = write_chrome_trace(engine.obs.tracer, args.trace_out)
         print(f"trace written to {path}")

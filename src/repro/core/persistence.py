@@ -270,8 +270,7 @@ def _matrix_fingerprint(matrix: GeneFeatureMatrix) -> str:
     Two matrices with equal fingerprints embed identically under the same
     engine config and seed, so a stored embedding whose fingerprint still
     matches can be reused without re-running pivot selection. Delegates to
-    :meth:`repro.data.matrix.GeneFeatureMatrix.fingerprint` (memoized),
-    which the serving layer's result cache also keys on.
+    :meth:`repro.data.matrix.GeneFeatureMatrix.fingerprint` (memoized).
     """
     return matrix.fingerprint()
 

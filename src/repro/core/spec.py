@@ -24,7 +24,7 @@ new method on every layer.
 
 Validation is eager: an invalid combination of parameters raises
 :class:`~repro.errors.ValidationError` at construction, before anything
-is queued, cached or sent over the wire. :func:`validate_query_params`
+is queued or sent over the wire. :func:`validate_query_params`
 exposes the same checks for callers that validate before they have a
 matrix in hand (the daemon's request parsing).
 """
@@ -123,9 +123,7 @@ class QuerySpec:
         QuerySpec(matrix, 0.5, 0.3, kind="similarity", edge_budget=1)
 
     Instances are frozen and validated eagerly, so a spec that exists is
-    servable; :meth:`cache_key` is the canonical result-cache identity
-    (every parameter participates -- a topk and a containment query
-    sharing ``(fingerprint, gamma)`` can never collide).
+    servable.
     """
 
     matrix: GeneFeatureMatrix
@@ -143,14 +141,3 @@ class QuerySpec:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edge_budget", edge_budget)
-
-    def cache_key(self) -> tuple:
-        """Canonical cache identity: content fingerprint + every parameter."""
-        return (
-            self.matrix.fingerprint(),
-            self.kind,
-            self.gamma,
-            self.alpha,
-            self.k,
-            self.edge_budget,
-        )

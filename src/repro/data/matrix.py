@@ -204,9 +204,8 @@ class GeneFeatureMatrix:
         Two matrices with equal fingerprints are interchangeable inputs
         to every engine: they embed identically under the same config and
         seed, and infer the same query graph. The persistence layer keys
-        stored embeddings on it, and the serving layer keys its result
-        cache on ``(fingerprint, gamma, alpha)``. Computed once and
-        memoized (the value array is immutable).
+        stored embeddings on it. Computed once and memoized (the value
+        array is immutable).
         """
         if self._fingerprint is None:
             import hashlib

@@ -21,7 +21,7 @@ by the shared ``execute()`` of :mod:`repro.core.query`. The
 ``serve.*`` series belong to :class:`repro.serve.QueryServer` and the
 network daemon (:mod:`repro.serve.daemon`) and carry the wrapped
 engine's label; ``serve.queries`` adds a ``status`` label (``ok`` /
-``cached`` / ``timeout`` / ``error``, plus the daemon's admission
+``timeout`` / ``error``, plus the daemon's admission
 statuses ``shed`` / ``rate_limited``).
 """
 
@@ -48,9 +48,6 @@ __all__ = [
     "REFINE_BATCHES",
     "REFINE_SOURCE_SPAN",
     "SERVE_QUERIES",
-    "SERVE_RETRIES",
-    "SERVE_CACHE_HITS",
-    "SERVE_CACHE_MISSES",
     "SERVE_LATE_COMPLETIONS",
     "SERVE_SHED",
     "SERVE_INFLIGHT",
@@ -58,6 +55,7 @@ __all__ = [
     "SERVE_QUERY_SECONDS",
     "SERVE_BATCH_SECONDS",
     "SERVE_REQUEST_SECONDS",
+    "SERVE_QUEUE_WAIT_SECONDS",
     "STAGE_INFERENCE",
     "STAGE_RETRIEVE",
     "STAGE_REFINE",
@@ -98,14 +96,8 @@ BUILD_POINTS = "build.points"
 BUILD_SHARDS = "build.shards"
 #: Queries finished by the serving layer (labels: engine, status).
 SERVE_QUERIES = "serve.queries"
-#: Retry attempts after transient failures (label: engine).
-SERVE_RETRIES = "serve.retries"
-#: Result-cache hits / misses of the serving layer (label: engine).
-SERVE_CACHE_HITS = "serve.cache_hits"
-SERVE_CACHE_MISSES = "serve.cache_misses"
 #: Workers that completed after their per-query timeout was already
-#: reported (labels: engine, status). Successful late completions still
-#: warm the result cache -- intended behavior, made visible here.
+#: reported (labels: engine, status).
 SERVE_LATE_COMPLETIONS = "serve.late_completions"
 #: Requests the daemon refused at admission (label: reason --
 #: ``queue_full`` for load shedding, ``rate_limit`` for token-bucket
@@ -132,6 +124,9 @@ SERVE_BATCH_SECONDS = "serve.batch_seconds"
 #: Per-request wall-clock of the network daemon, accept-to-response
 #: (label: status). p50/p95/p99 are estimated from its buckets.
 SERVE_REQUEST_SECONDS = "serve.request_seconds"
+#: Seconds an admitted daemon request waited in the admission queue
+#: before a pump task took it (no labels).
+SERVE_QUEUE_WAIT_SECONDS = "serve.queue_wait_seconds"
 
 # -- span names ---------------------------------------------------------
 #: Per-candidate refinement span (attributes: source, edges evaluated).

@@ -2,8 +2,9 @@
 
 :class:`QueryServer` wraps any built :class:`repro.core.QueryEngine`
 and serves batches or streams of IM-GRN queries concurrently, with
-per-query deadlines, bounded retry with backoff on transient failures,
-and a content-keyed LRU result cache.
+per-query deadlines. :func:`run_query` is the one never-raise executor
+behind it and behind both daemon backends: it runs a spec on an engine
+and returns a timed :class:`QueryOutcome` (``ok`` or ``error``).
 
 :class:`QueryDaemon` (``imgrn serve``, see ``docs/daemon.md``) puts a
 sharded save on the network: an asyncio HTTP/1.1 front end with
@@ -18,9 +19,8 @@ from .server import (
     QueryOutcome,
     QueryServer,
     QuerySpec,
-    ResultCache,
     ServeConfig,
-    TransientError,
+    run_query,
 )
 
 __all__ = [
@@ -31,8 +31,7 @@ __all__ = [
     "QueryOutcome",
     "QueryServer",
     "QuerySpec",
-    "ResultCache",
     "ServeConfig",
-    "TransientError",
+    "run_query",
     "serve_in_background",
 ]

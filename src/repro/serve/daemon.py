@@ -75,7 +75,7 @@ from ..obs import Observability
 from ..obs import names as _names
 from ..obs.exporters import metrics_to_prometheus
 from ..obs.metrics import Histogram, MetricsRegistry
-from .server import _engine_label
+from .server import _engine_label, run_query
 
 __all__ = [
     "QueryDaemon",
@@ -132,23 +132,27 @@ def _spec_from_request(request: dict) -> QuerySpec:
 
 
 def _answer(engine: Any, request: dict) -> dict:
-    """Execute one query request against ``engine``; never raises.
+    """Answer one query request against ``engine``; never raises.
 
     Shared by both backends: the forked worker's recv/send loop and the
-    thread backend's executor call both funnel through here, so the two
-    produce byte-identical response bodies for the same request. All
-    three workload kinds dispatch through ``engine.execute(spec)``.
+    thread backend's executor call both funnel through here. The query
+    itself runs in :func:`~repro.serve.server.run_query`, the executor
+    :class:`~repro.serve.QueryServer` uses too, so all three paths time
+    queries and format engine errors identically; this function only
+    turns the outcome into the wire dict.
     """
-    started = time.perf_counter()
     try:
         spec = _spec_from_request(request)
-        result = engine.execute(spec)
-    except Exception as exc:  # structured error, not a dead worker
+    except Exception as exc:  # a malformed matrix, not a dead worker
+        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+    outcome = run_query(engine, spec)
+    if not outcome.ok:
         return {
-            "status": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-            "seconds": time.perf_counter() - started,
+            "status": outcome.status,
+            "error": outcome.error,
+            "seconds": outcome.seconds,
         }
+    result = outcome.result
     stats = result.stats
     return {
         "status": "ok",
@@ -168,7 +172,7 @@ def _answer(engine: Any, request: dict) -> dict:
             "answers": stats.answers,
             "pruned_pairs": stats.pruned_pairs,
         },
-        "seconds": time.perf_counter() - started,
+        "seconds": outcome.seconds,
     }
 
 
@@ -404,7 +408,7 @@ class _Admitted:
 
     request: dict
     future: asyncio.Future = field(repr=False)
-    enqueued_at: float = 0.0
+    enqueued_at: float = field(default_factory=time.perf_counter)
 
 
 # ----------------------------------------------------------------------
@@ -605,6 +609,10 @@ class QueryDaemon:
         timeout = self.config.timeout_seconds
         while True:
             item = await self._queue.get()
+            self.obs.metrics.histogram(
+                _names.SERVE_QUEUE_WAIT_SECONDS,
+                help="seconds an admitted request waited for a pump",
+            ).observe(time.perf_counter() - item.enqueued_at)
             self._gauge(_names.SERVE_QUEUE_DEPTH, self._queue.qsize())
             pool = self._pool  # snapshot: survives a hot-reload swap
             self._inflight += 1
@@ -814,11 +822,7 @@ class QueryDaemon:
             )
             return 503, payload, "application/json"
         assert self._queue is not None and self._loop is not None
-        item = _Admitted(
-            request=request,
-            future=self._loop.create_future(),
-            enqueued_at=started,
-        )
+        item = _Admitted(request=request, future=self._loop.create_future())
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:

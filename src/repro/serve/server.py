@@ -5,17 +5,13 @@ layer: batches (or lazy streams) of IM-GRN queries execute concurrently
 on a ``ThreadPoolExecutor``, each with
 
 * a **per-query deadline** measured from submission (queue wait counts),
-* **bounded retry with exponential backoff** on configurable transient
-  failure types,
-* an **LRU result cache** keyed on the canonical
-  :meth:`~repro.core.spec.QuerySpec.cache_key` -- the matrix content
-  fingerprint plus *every* workload parameter (kind, gamma, alpha, k,
-  edge_budget), so a hit is guaranteed to be the exact result the
-  engine would recompute and two kinds sharing thresholds can never
-  collide, and
+  and
 * **graceful degradation**: a timed-out or failed query yields a
-  structured :class:`QueryOutcome` carrying its status, attempt count
-  and elapsed seconds instead of poisoning the rest of the batch.
+  structured :class:`QueryOutcome` carrying its status and elapsed
+  seconds instead of poisoning the rest of the batch.
+
+Each worker runs its query through :func:`run_query`, the never-raise
+executor the network daemon's backends share.
 
 Sharing one engine across worker threads is sound because the engines'
 read paths are reentrant (per-query metrics registries and page
@@ -33,12 +29,12 @@ import time
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..core.query import IMGRNResult
 from ..core.spec import QuerySpec
 from ..data.matrix import GeneFeatureMatrix
-from ..errors import ReproError, ValidationError
+from ..errors import ValidationError
 from ..obs import Observability
 from ..obs import names as _names
 
@@ -46,9 +42,8 @@ __all__ = [
     "QueryOutcome",
     "QueryServer",
     "QuerySpec",
-    "ResultCache",
     "ServeConfig",
-    "TransientError",
+    "run_query",
 ]
 
 #: Engine-class -> metric label, matching each engine's own series.
@@ -71,15 +66,6 @@ def _reject_spec(obj: object) -> QuerySpec:
     )
 
 
-class TransientError(ReproError, RuntimeError):
-    """A failure worth retrying (flaky storage, racing rebuild, ...).
-
-    The default member of :attr:`ServeConfig.transient_errors`; raise it
-    from engine wrappers (or list additional exception types in the
-    config) to opt a failure mode into the server's retry policy.
-    """
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Knobs of :class:`QueryServer`.
@@ -91,27 +77,10 @@ class ServeConfig:
     timeout_seconds:
         Per-query deadline measured from submission; ``None`` disables
         timeouts. Overridable per :meth:`QueryServer.batch` call.
-    max_retries:
-        Retries *after* the first attempt when a transient failure type
-        is raised (so a query runs at most ``max_retries + 1`` times).
-    backoff_seconds / backoff_multiplier:
-        Exponential backoff between attempts: the n-th retry sleeps
-        ``backoff_seconds * backoff_multiplier ** (n - 1)``.
-    transient_errors:
-        Exception types the retry policy applies to; anything else fails
-        the query immediately (status ``error``).
-    cache / cache_size:
-        Enable / bound the LRU result cache.
     """
 
     max_workers: int = 4
     timeout_seconds: float | None = None
-    max_retries: int = 2
-    backoff_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
-    transient_errors: tuple[type[BaseException], ...] = (TransientError,)
-    cache: bool = True
-    cache_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -122,34 +91,16 @@ class ServeConfig:
             raise ValidationError(
                 f"timeout_seconds must be > 0, got {self.timeout_seconds}"
             )
-        if self.max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_seconds < 0:
-            raise ValidationError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ValidationError(
-                "backoff_multiplier must be >= 1, "
-                f"got {self.backoff_multiplier}"
-            )
-        if self.cache_size < 1:
-            raise ValidationError(
-                f"cache_size must be >= 1, got {self.cache_size}"
-            )
 
 
 @dataclass
 class QueryOutcome:
     """What happened to one served query -- always returned, never raised.
 
-    ``status`` is one of ``ok`` (computed), ``cached`` (result-cache
-    hit), ``timeout`` (deadline expired; the batch continues) and
-    ``error`` (a non-transient failure, or transient retries exhausted).
-    Degraded outcomes keep their partial accounting -- ``attempts``,
-    ``seconds`` and the error text -- so a batch report stays complete.
+    ``status`` is one of ``ok`` (computed), ``timeout`` (deadline
+    expired; the batch continues) and ``error`` (the engine raised).
+    Degraded outcomes keep their partial accounting -- ``seconds`` and
+    the error text -- so a batch report stays complete.
     """
 
     index: int
@@ -157,93 +108,43 @@ class QueryOutcome:
     status: str
     result: IMGRNResult | None = None
     error: str | None = None
-    attempts: int = 0
     seconds: float = 0.0
-    #: True when the worker consulted the result cache and missed. Only
-    #: these outcomes count toward ``serve.cache_misses`` -- a
-    #: coordinator-side timeout never consulted the cache, so counting it
-    #: as a miss would conflate degradation with cache effectiveness.
-    cache_miss: bool = field(default=False, repr=False)
 
     @property
     def ok(self) -> bool:
-        return self.status in ("ok", "cached")
+        return self.status == "ok"
 
     def answer_sources(self) -> list[int]:
         """Sorted matching source IDs (empty for degraded outcomes)."""
         return self.result.answer_sources() if self.result else []
 
 
-class ResultCache:
-    """Thread-safe LRU of :class:`IMGRNResult` keyed by query content.
+def run_query(engine, spec: QuerySpec, *, index: int = 0) -> QueryOutcome:
+    """Execute ``spec`` on ``engine`` and time it; never raises.
 
-    Keys are the canonical :meth:`QuerySpec.cache_key` tuple -- the
-    matrix content fingerprint plus *every* workload parameter
-    ``(kind, gamma, alpha, k, edge_budget)``. Keying on the full spec
-    (not just thresholds) is what keeps a top-k or similarity query from
-    colliding with a containment query that happens to share fingerprint
-    and gamma. Hits return a shallow copy (fresh answers list, fresh
-    stats, fresh metrics dict) so callers that mutate a result cannot
-    corrupt the cached original.
+    The one executor of the serving stack: :class:`QueryServer`'s worker
+    threads, the daemon's thread backend and its forked workers all call
+    it, so every path times a query and formats an engine failure
+    (``"<ExceptionType>: <message>"``, status ``error``) the same way.
     """
-
-    def __init__(self, max_entries: int = 1024):
-        if max_entries < 1:
-            raise ValidationError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._data: dict[tuple, IMGRNResult] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    @staticmethod
-    def _copy(result: IMGRNResult) -> IMGRNResult:
-        return IMGRNResult(
-            result.query_graph,
-            list(result.answers),
-            replace(result.stats),
-            metrics=dict(result.metrics),
+    started = time.perf_counter()
+    try:
+        result = engine.execute(spec)
+    except Exception as exc:  # noqa: BLE001 - degrade, don't poison
+        return QueryOutcome(
+            index=index,
+            spec=spec,
+            status="error",
+            error=f"{type(exc).__name__}: {exc}",
+            seconds=time.perf_counter() - started,
         )
-
-    def get(self, key: tuple) -> IMGRNResult | None:
-        with self._lock:
-            result = self._data.get(key)
-            if result is None:
-                self.misses += 1
-                return None
-            # dicts preserve insertion order: re-insert == touch.
-            del self._data[key]
-            self._data[key] = result
-            self.hits += 1
-            return self._copy(result)
-
-    def put(self, key: tuple, result: IMGRNResult) -> None:
-        value = self._copy(result)
-        with self._lock:
-            self._data.pop(key, None)
-            self._data[key] = value
-            while len(self._data) > self.max_entries:
-                del self._data[next(iter(self._data))]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "cache_entries": float(len(self._data)),
-                "cache_hits": float(self.hits),
-                "cache_misses": float(self.misses),
-            }
+    return QueryOutcome(
+        index=index,
+        spec=spec,
+        status="ok",
+        result=result,
+        seconds=time.perf_counter() - started,
+    )
 
 
 class QueryServer:
@@ -256,7 +157,7 @@ class QueryServer:
         queries are served (an unbuilt engine fails every query with
         its usual :class:`~repro.errors.IndexNotBuiltError`).
     config:
-        :class:`ServeConfig`; defaults serve 4-way with caching on.
+        :class:`ServeConfig`; defaults serve 4-way with no deadline.
     obs:
         Observability sink for the ``serve.*`` series; defaults to the
         engine's own, so server and engine metrics land in one registry.
@@ -277,9 +178,6 @@ class QueryServer:
             engine, "obs", None
         ) or Observability.disabled()
         self.engine_label = _engine_label(engine)
-        self.cache = (
-            ResultCache(self.config.cache_size) if self.config.cache else None
-        )
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_workers,
             thread_name_prefix="imgrn-serve",
@@ -316,7 +214,7 @@ class QueryServer:
         alpha: float,
         timeout: float | None = None,
     ) -> QueryOutcome:
-        """Serve one query through the full cache/retry/deadline path."""
+        """Serve one containment query through the deadline path."""
         outcomes = self.batch(
             [QuerySpec(matrix, gamma, alpha)], timeout=timeout
         )
@@ -374,21 +272,8 @@ class QueryServer:
         submitted: list[tuple[Future, float]] = []
         for index, spec in enumerate(specs):
             submit_time = time.perf_counter()
-            # The worker receives the absolute deadline so its retry
-            # backoff can be capped at the remaining budget (a sleep
-            # past the deadline would otherwise keep the worker thread
-            # zombie-busy after the coordinator already reported the
-            # timeout, stalling close()).
-            deadline_at = (
-                None if deadline is None else submit_time + deadline
-            )
             submitted.append(
-                (
-                    self._pool.submit(
-                        self._execute, index, spec, deadline_at
-                    ),
-                    submit_time,
-                )
+                (self._pool.submit(self._execute, index, spec), submit_time)
             )
         return self._drain(specs, submitted, deadline, batch_started)
 
@@ -419,8 +304,8 @@ class QueryServer:
                 except FutureTimeoutError:
                     if not future.cancel():  # drop it if it never started
                         # Still running: the worker will finish after this
-                        # timeout was reported and warm the result cache;
-                        # record that late completion when it lands.
+                        # timeout was reported; record that late
+                        # completion when it lands.
                         future.add_done_callback(self._record_late_completion)
                     outcome = QueryOutcome(
                         index=index,
@@ -443,112 +328,12 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        index: int,
-        spec: QuerySpec,
-        deadline_at: float | None = None,
-    ) -> QueryOutcome:
-        """Run one query on a worker thread: cache, retry, degrade.
-
-        ``deadline_at`` is the absolute ``time.perf_counter()`` instant
-        at which this query's per-query budget expires; each retry
-        backoff sleep is capped at the remaining budget, and a retry
-        whose budget is already spent returns a ``timeout`` outcome
-        instead of sleeping at all.
-        """
-        tracer = self.obs.tracer
-        started = time.perf_counter()
-        key = spec.cache_key() if self.cache is not None else None
-        cache_missed = False
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                with tracer.span(
-                    "serve.cache_hit", engine=self.engine_label, query=index
-                ):
-                    pass
-                return QueryOutcome(
-                    index=index,
-                    spec=spec,
-                    status="cached",
-                    result=hit,
-                    seconds=time.perf_counter() - started,
-                )
-            cache_missed = True
-        attempts = 0
-        config = self.config
-        while True:
-            attempts += 1
-            try:
-                with tracer.span(
-                    "serve.query",
-                    engine=self.engine_label,
-                    query=index,
-                    attempt=attempts,
-                ):
-                    result = self.engine.execute(spec)
-            except config.transient_errors as exc:
-                if attempts > config.max_retries:
-                    return QueryOutcome(
-                        index=index,
-                        spec=spec,
-                        status="error",
-                        error=f"retries exhausted: {exc}",
-                        attempts=attempts,
-                        seconds=time.perf_counter() - started,
-                        cache_miss=cache_missed,
-                    )
-                pause = config.backoff_seconds * (
-                    config.backoff_multiplier ** (attempts - 1)
-                )
-                if deadline_at is not None:
-                    remaining = deadline_at - time.perf_counter()
-                    if remaining <= 0.0:
-                        return QueryOutcome(
-                            index=index,
-                            spec=spec,
-                            status="timeout",
-                            error=(
-                                "deadline expired during retry backoff: "
-                                f"{exc}"
-                            ),
-                            attempts=attempts,
-                            seconds=time.perf_counter() - started,
-                            cache_miss=cache_missed,
-                        )
-                    pause = min(pause, remaining)
-                with tracer.span(
-                    "serve.retry",
-                    engine=self.engine_label,
-                    query=index,
-                    attempt=attempts,
-                    backoff_seconds=pause,
-                ):
-                    if pause:
-                        time.sleep(pause)
-                continue
-            except Exception as exc:  # noqa: BLE001 - degrade, don't poison
-                return QueryOutcome(
-                    index=index,
-                    spec=spec,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempts=attempts,
-                    seconds=time.perf_counter() - started,
-                    cache_miss=cache_missed,
-                )
-            if self.cache is not None:
-                self.cache.put(key, result)
-            return QueryOutcome(
-                index=index,
-                spec=spec,
-                status="ok",
-                result=result,
-                attempts=attempts,
-                seconds=time.perf_counter() - started,
-                cache_miss=cache_missed,
-            )
+    def _execute(self, index: int, spec: QuerySpec) -> QueryOutcome:
+        """Run one query on a worker thread (never raises)."""
+        with self.obs.tracer.span(
+            "serve.query", engine=self.engine_label, query=index
+        ):
+            return run_query(self.engine, spec, index=index)
 
     # ------------------------------------------------------------------
     # Accounting (coordinator side only)
@@ -562,32 +347,6 @@ class QueryServer:
                 engine=self.engine_label,
                 status=outcome.status,
             ).inc()
-            retries = max(0, outcome.attempts - 1)
-            if retries:
-                metrics.counter(
-                    _names.SERVE_RETRIES,
-                    help="retry attempts after transient failures",
-                    engine=self.engine_label,
-                ).inc(retries)
-            if self.cache is not None:
-                if outcome.status == "cached":
-                    metrics.counter(
-                        _names.SERVE_CACHE_HITS,
-                        help="serve result-cache hits",
-                        engine=self.engine_label,
-                    ).inc()
-                elif outcome.cache_miss:
-                    # Only a worker that actually consulted the cache and
-                    # missed counts here; a coordinator-side timeout or
-                    # dispatch failure never touched the cache, and
-                    # counting it would both conflate degradation with
-                    # cache effectiveness and drift from
-                    # ResultCache.misses.
-                    metrics.counter(
-                        _names.SERVE_CACHE_MISSES,
-                        help="serve result-cache misses",
-                        engine=self.engine_label,
-                    ).inc()
             metrics.histogram(
                 _names.SERVE_QUERY_SECONDS,
                 help="per-served-query seconds (queue wait included)",
@@ -598,12 +357,10 @@ class QueryServer:
         """Account a worker that finished after its timeout was reported.
 
         The coordinator has already yielded a ``timeout`` outcome for this
-        query; the worker kept running and -- if it succeeded -- has
-        ``cache.put`` its result, warming the cache for the next identical
-        query. That cache-warming behavior is intended (pinned by
-        ``tests/test_serve.py``); this counter makes the otherwise
-        invisible late completions observable under
-        ``serve.late_completions`` with the worker outcome's status.
+        query; the worker kept running to completion (a thread cannot be
+        killed). This counter makes those otherwise invisible late
+        completions observable under ``serve.late_completions`` with the
+        worker outcome's status.
         """
         if future.cancelled():
             return
@@ -612,34 +369,7 @@ class QueryServer:
             self.obs.metrics.counter(
                 _names.SERVE_LATE_COMPLETIONS,
                 help="workers that completed after their timeout was "
-                "reported (successful ones still warm the result cache)",
+                "reported",
                 engine=self.engine_label,
                 status=outcome.status,
             ).inc()
-            # The worker really consulted the cache even though its
-            # outcome was never yielded; account the hit/miss here so
-            # serve.cache_hits/misses track ResultCache's own counters
-            # exactly (pinned by tests/test_serve.py).
-            if self.cache is not None:
-                if outcome.status == "cached":
-                    self.obs.metrics.counter(
-                        _names.SERVE_CACHE_HITS,
-                        help="serve result-cache hits",
-                        engine=self.engine_label,
-                    ).inc()
-                elif outcome.cache_miss:
-                    self.obs.metrics.counter(
-                        _names.SERVE_CACHE_MISSES,
-                        help="serve result-cache misses",
-                        engine=self.engine_label,
-                    ).inc()
-
-    def stats(self) -> dict[str, float]:
-        """Result-cache counters (all zero when caching is off)."""
-        if self.cache is None:
-            return {
-                "cache_entries": 0.0,
-                "cache_hits": 0.0,
-                "cache_misses": 0.0,
-            }
-        return self.cache.stats()

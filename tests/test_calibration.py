@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.eval.calibration import (
     NULL_DISTRIBUTIONS,
@@ -77,3 +85,30 @@ class TestCalibrationTable:
         # uniform than the permutation measure.
         heavy = rows["heavy_tailed"]
         assert heavy["param_ks"] > heavy["perm_ks"]
+
+    def test_table_independent_of_hash_seed(self):
+        """The parametric stream must not depend on ``hash(name)``, which
+        is salted per process: two interpreters with different
+        ``PYTHONHASHSEED`` values build the identical table."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import json\n"
+            "from repro.eval.calibration import calibration_table\n"
+            "result = calibration_table(n_pairs=80, length=16, "
+            "mc_samples=120, seed=3)\n"
+            "print(json.dumps(result.rows))\n"
+        )
+        tables = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            tables.append(json.loads(completed.stdout))
+        assert tables[0] == tables[1]

@@ -81,3 +81,71 @@ class TestReport:
         code = main(["report", "--out-dir", str(tmp_path / "nope")])
         assert code == 1
         assert "no bench outputs" in capsys.readouterr().out
+
+
+class TestServeBatch:
+    def test_serve_batch_matches_engine_execute(self, capsys):
+        """``imgrn serve-batch`` serves every query ``ok`` on each round,
+        and its answers equal ``engine.execute`` on the same specs."""
+        from repro import (
+            EngineConfig,
+            IMGRNEngine,
+            QuerySpec,
+            SyntheticConfig,
+            generate_database,
+            generate_query_workload,
+        )
+
+        seed, n_matrices, queries = 5, 10, 6
+        gamma, alpha = 0.3, 0.2
+        code = main(
+            [
+                "serve-batch",
+                "--n-matrices",
+                str(n_matrices),
+                "--genes-range",
+                "12",
+                "16",
+                "--queries",
+                str(queries),
+                "--gamma",
+                str(gamma),
+                "--alpha",
+                str(alpha),
+                "--seed",
+                str(seed),
+                "--serve-workers",
+                "2",
+                "--timeout",
+                "30",
+                "--repeat",
+                "2",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"round 0: {queries} ok in" in out
+        assert f"round 1: {queries} ok in" in out
+        served = {}
+        for line in out.splitlines():
+            if line.startswith("  query "):
+                head, _, answers = line.partition("answers=")
+                index = int(head.split()[1].rstrip(":"))
+                assert head.split()[2] == "ok,"
+                served[index] = answers
+        assert sorted(served) == list(range(queries))
+
+        database = generate_database(
+            SyntheticConfig(genes_range=(12, 16), seed=seed), n_matrices
+        )
+        engine = IMGRNEngine(database, config=EngineConfig(seed=seed))
+        engine.build()
+        workload = generate_query_workload(database, 4, count=queries, rng=seed)
+        expected = [
+            engine.execute(QuerySpec(m, gamma, alpha)).answer_sources()
+            for m in workload
+        ]
+        assert any(expected)  # the comparison is not vacuous
+        assert [served[i] for i in range(queries)] == [
+            str(sources) for sources in expected
+        ]

@@ -144,7 +144,7 @@ class TestBitIdentity:
             for gamma in (0.3, 0.6)
         ]
         with QueryServer(
-            built_engine, ServeConfig(max_workers=2, cache=False)
+            built_engine, ServeConfig(max_workers=2)
         ) as server:
             reference = server.batch(specs)
 
@@ -520,3 +520,60 @@ class TestEndpoints:
                 assert "imgrn_serve_request_seconds_bucket" in text
             finally:
                 client.close()
+
+
+# ----------------------------------------------------------------------
+# One never-raise executor behind every serving path
+# ----------------------------------------------------------------------
+class _FailingEngine:
+    """Stub engine whose every ``execute`` raises."""
+
+    is_built = True
+
+    def execute(self, spec: QuerySpec) -> IMGRNResult:
+        raise RuntimeError(f"index shard missing for gamma={spec.gamma}")
+
+
+class TestSharedExecutor:
+    def test_error_text_matches_query_server(self, query_workload):
+        """An engine failure reads the same through QueryServer.batch and
+        the thread-backend daemon's ``POST /query``."""
+        engine = _FailingEngine()
+        matrix = query_workload[0]
+        with QueryServer(engine, ServeConfig(max_workers=1)) as server:
+            (outcome,) = server.batch([QuerySpec(matrix, 0.5, 0.2)])
+        assert outcome.status == "error"
+        assert outcome.error == "RuntimeError: index shard missing for gamma=0.5"
+
+        daemon = QueryDaemon(
+            engine=engine, config=DaemonConfig(backend="thread", workers=1)
+        )
+        with _serve(daemon) as handle:
+            client = DaemonClient("127.0.0.1", handle.port)
+            try:
+                out = client.query(matrix, gamma=0.5, alpha=0.2)
+            finally:
+                client.close()
+        assert out["status"] == outcome.status
+        assert out["error"] == outcome.error
+
+    def test_queue_wait_observed_per_query(self, query_workload):
+        """Every admitted request observes ``serve.queue_wait_seconds``
+        once, when a pump takes it off the admission queue."""
+        daemon = QueryDaemon(
+            engine=_SlowEngine(),
+            config=DaemonConfig(backend="thread", workers=2),
+        )
+        queries = query_workload[:4]
+        with _serve(daemon) as handle:
+            client = DaemonClient("127.0.0.1", handle.port)
+            try:
+                for matrix in queries:
+                    out = client.query(matrix, gamma=0.5, alpha=0.2)
+                    assert out["status"] == "ok"
+            finally:
+                client.close()
+        snapshot = daemon.obs.metrics.snapshot()
+        key = f"{_names.SERVE_QUEUE_WAIT_SECONDS}_count"
+        assert snapshot[key] == len(queries)
+        assert snapshot[f"{_names.SERVE_QUEUE_WAIT_SECONDS}_sum"] >= 0.0

@@ -19,13 +19,11 @@ from repro import (
     QueryServer,
     QuerySpec,
     ServeConfig,
-    TransientError,
     ValidationError,
 )
 from repro.core.query import IMGRNEngine
 from repro.eval.counters import QueryStats
 from repro.obs import names as _names
-from repro.serve.server import ResultCache
 
 STRESS_THREADS = int(os.environ.get("IMGRN_STRESS_THREADS", "8"))
 
@@ -54,7 +52,7 @@ class TestStressBitIdentity:
         ]
         with QueryServer(
             built_engine,
-            ServeConfig(max_workers=STRESS_THREADS, cache=False),
+            ServeConfig(max_workers=STRESS_THREADS),
         ) as server:
             outcomes = server.batch(specs)
         assert [o.index for o in outcomes] == list(range(len(specs)))
@@ -84,7 +82,7 @@ class TestStressBitIdentity:
         ]
         with QueryServer(
             built_engine,
-            ServeConfig(max_workers=STRESS_THREADS, cache=False),
+            ServeConfig(max_workers=STRESS_THREADS),
         ) as server:
             for _round in range(3):
                 for outcome, ref in zip(server.batch(specs), reference):
@@ -95,68 +93,12 @@ class TestStressBitIdentity:
                         )
 
 
-class TestCache:
-    def test_second_batch_hits_cache(self, built_engine, query_workload):
-        specs = make_specs(query_workload, gammas=(0.5,))
-        with QueryServer(built_engine, ServeConfig(max_workers=4)) as server:
-            first = server.batch(specs)
-            second = server.batch(specs)
-            assert all(o.status == "ok" for o in first)
-            assert all(o.status == "cached" for o in second)
-            assert server.stats()["cache_hits"] == len(specs)
-            for a, b in zip(first, second):
-                assert a.result.answer_sources() == b.result.answer_sources()
-                for field in COUNT_FIELDS:
-                    assert getattr(a.result.stats, field) == getattr(
-                        b.result.stats, field
-                    )
-
-    def test_cache_hit_is_isolated_copy(self, built_engine, query_workload):
-        """Mutating a served result must not corrupt the cached original."""
-        spec = QuerySpec(query_workload[0], 0.3, 0.0)
-        reference = built_engine.query(
-            spec.matrix, gamma=spec.gamma, alpha=spec.alpha
-        )
-        with QueryServer(built_engine, ServeConfig(max_workers=2)) as server:
-            first = server.batch([spec])[0]
-            first.result.answers.clear()
-            first.result.stats.answers = -1
-            second = server.batch([spec])[0]
-            assert second.status == "cached"
-            assert second.result.answer_sources() == reference.answer_sources()
-            assert second.result.stats.answers == reference.stats.answers
-
-    def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
-        results = {
-            name: IMGRNResult(None, [], QueryStats()) for name in "abc"
-        }
-        cache.put(("a",), results["a"])
-        cache.put(("b",), results["b"])
-        assert cache.get(("a",)) is not None  # touches "a"
-        cache.put(("c",), results["c"])  # evicts "b"
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) is not None
-        assert cache.get(("c",)) is not None
-
-    def test_distinct_thresholds_are_distinct_entries(
-        self, built_engine, query_workload
-    ):
-        matrix = query_workload[0]
-        with QueryServer(built_engine, ServeConfig(max_workers=2)) as server:
-            a = server.query(matrix, gamma=0.3, alpha=0.1)
-            b = server.query(matrix, gamma=0.7, alpha=0.1)
-            assert a.status == "ok" and b.status == "ok"
-            assert server.stats()["cache_entries"] == 2
-
-
 class _SleepyEngine:
-    """Stub engine: sleeps, then fails transiently N times before passing."""
+    """Stub engine: sleeps, then fails N times before passing."""
 
-    def __init__(self, sleep_seconds=0.0, fail_times=0, exc=TransientError):
+    def __init__(self, sleep_seconds=0.0, fail_times=0):
         self.sleep_seconds = sleep_seconds
         self.fail_times = fail_times
-        self.exc = exc
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -174,7 +116,7 @@ class _SleepyEngine:
         if self.sleep_seconds:
             time.sleep(self.sleep_seconds)
         if remaining > 0:
-            raise self.exc("flaky backend")
+            raise RuntimeError("flaky backend")
         return IMGRNResult(None, [], QueryStats(answers=0))
 
     def execute(self, spec: QuerySpec) -> IMGRNResult:
@@ -211,82 +153,20 @@ class TestDegradation:
             QuerySpec(query_workload[1], 0.9, 0.2),
             QuerySpec(query_workload[2], 0.5, 0.2),
         ]
-        config = ServeConfig(max_workers=3, timeout_seconds=0.2, cache=False)
+        config = ServeConfig(max_workers=3, timeout_seconds=0.2)
         with QueryServer(_Hybrid(), config) as server:
             outcomes = server.batch(specs)
         assert [o.status for o in outcomes] == ["ok", "timeout", "ok"]
 
-    def test_transient_failure_retries_then_succeeds(self, query_workload):
-        engine = _SleepyEngine(fail_times=2)
-        config = ServeConfig(
-            max_workers=1, max_retries=2, backoff_seconds=0.001
-        )
-        with QueryServer(engine, config) as server:
-            outcome = server.query(query_workload[0], gamma=0.5, alpha=0.2)
-        assert outcome.status == "ok"
-        assert outcome.attempts == 3
-        assert engine.calls == 3
-
-    def test_retry_exhaustion_degrades(self, query_workload):
-        engine = _SleepyEngine(fail_times=10)
-        config = ServeConfig(
-            max_workers=1, max_retries=2, backoff_seconds=0.001
-        )
-        with QueryServer(engine, config) as server:
-            outcome = server.query(query_workload[0], gamma=0.5, alpha=0.2)
-        assert outcome.status == "error"
-        assert "retries exhausted" in outcome.error
-        assert outcome.attempts == 3
-        assert engine.calls == 3  # max_retries + 1, bounded
-
-    def test_non_transient_error_fails_fast(self, query_workload):
-        engine = _SleepyEngine(fail_times=5, exc=RuntimeError)
-        config = ServeConfig(
-            max_workers=1, max_retries=3, backoff_seconds=0.001
-        )
-        with QueryServer(engine, config) as server:
-            outcome = server.query(query_workload[0], gamma=0.5, alpha=0.2)
-        assert outcome.status == "error"
-        assert outcome.attempts == 1
-        assert engine.calls == 1
-
-    def test_configurable_transient_types(self, query_workload):
-        engine = _SleepyEngine(fail_times=1, exc=OSError)
-        config = ServeConfig(
-            max_workers=1,
-            max_retries=1,
-            backoff_seconds=0.001,
-            transient_errors=(OSError,),
-        )
-        with QueryServer(engine, config) as server:
-            outcome = server.query(query_workload[0], gamma=0.5, alpha=0.2)
-        assert outcome.status == "ok"
-        assert outcome.attempts == 2
-
-    def test_retry_backoff_capped_at_deadline(self, query_workload):
-        """A backoff sleep must never run past the per-query deadline.
-
-        With a 10 s configured backoff and a ~0.3 s deadline, the old
-        (uncapped) sleep made the worker thread doze for the full 10 s,
-        stalling close(). The cap bounds each pause by the remaining
-        budget, so the whole round trip -- including the context-manager
-        exit that joins the pool -- completes in well under the
-        configured backoff.
-        """
+    def test_engine_error_fails_fast(self, query_workload):
+        """An engine exception degrades to one ``error`` outcome: the
+        engine is called once and the batch does not raise."""
         engine = _SleepyEngine(fail_times=5)
-        config = ServeConfig(
-            max_workers=1,
-            max_retries=3,
-            backoff_seconds=10.0,
-            timeout_seconds=0.3,
-        )
-        started = time.perf_counter()
-        with QueryServer(engine, config) as server:
+        with QueryServer(engine, ServeConfig(max_workers=1)) as server:
             outcome = server.query(query_workload[0], gamma=0.5, alpha=0.2)
-        elapsed = time.perf_counter() - started
-        assert outcome.status == "timeout"
-        assert not outcome.ok
-        assert elapsed < 2.0, f"backoff slept past the deadline: {elapsed:.2f}s"
+        assert outcome.status == "error"
+        assert outcome.error == "RuntimeError: flaky backend"
+        assert engine.calls == 1
 
 
 class TestValidation:
@@ -339,9 +219,8 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ServeConfig(timeout_seconds=0.0)
         with pytest.raises(ValidationError):
-            ServeConfig(max_retries=-1)
-        with pytest.raises(ValidationError):
-            ServeConfig(backoff_multiplier=0.5)
+            ServeConfig(timeout_seconds=-1.0)
+        assert ServeConfig(timeout_seconds=None).timeout_seconds is None
 
 
 class TestEngineValidation:
@@ -410,11 +289,7 @@ class TestServeMetrics:
         delta = built_engine.obs.metrics.since(mark)
         label = 'engine="imgrn"'
         ok_key = f'{_names.SERVE_QUERIES}{{{label},status="ok"}}'
-        cached_key = f'{_names.SERVE_QUERIES}{{{label},status="cached"}}'
-        assert delta[ok_key] == len(specs)
-        assert delta[cached_key] == len(specs)
-        assert delta[f"{_names.SERVE_CACHE_HITS}{{{label}}}"] == len(specs)
-        assert delta[f"{_names.SERVE_CACHE_MISSES}{{{label}}}"] == len(specs)
+        assert delta[ok_key] == 2 * len(specs)
         assert (
             delta[f"{_names.SERVE_QUERY_SECONDS}{{{label}}}_count"]
             == 2 * len(specs)
@@ -423,9 +298,7 @@ class TestServeMetrics:
 
     def test_stream_yields_in_input_order(self, built_engine, query_workload):
         specs = make_specs(query_workload, gammas=(0.6,))
-        with QueryServer(
-            built_engine, ServeConfig(max_workers=4, cache=False)
-        ) as server:
+        with QueryServer(built_engine, ServeConfig(max_workers=4)) as server:
             indices = [o.index for o in server.stream(specs)]
         assert indices == list(range(len(specs)))
 
@@ -442,9 +315,7 @@ class TestServeCorrectnessFixes:
         """
         engine = _SleepyEngine()
         specs = [QuerySpec(m, 0.5, 0.5) for m in query_workload]
-        with QueryServer(
-            engine, ServeConfig(max_workers=len(specs), cache=False)
-        ) as server:
+        with QueryServer(engine, ServeConfig(max_workers=len(specs))) as server:
             iterator = server.stream(specs)
             deadline = time.time() + 5.0
             while engine.calls < len(specs) and time.time() < deadline:
@@ -455,35 +326,9 @@ class TestServeCorrectnessFixes:
         assert [o.index for o in outcomes] == list(range(len(specs)))
         assert all(o.status == "ok" for o in outcomes)
 
-    def test_timeout_not_counted_as_cache_miss(self, query_workload):
-        """A coordinator-side timeout never consulted the cache.
-
-        Regression: _record treated every non-hit outcome as a cache
-        miss, so serve.cache_misses drifted from ResultCache.misses
-        whenever queries timed out or failed.
-        """
-        engine = _SleepyEngine(sleep_seconds=0.5)
-        server = QueryServer(
-            engine, ServeConfig(max_workers=1, timeout_seconds=0.05)
-        )
-        mark = server.obs.metrics.mark()
-        spec = QuerySpec(query_workload[0], 0.5, 0.5)
-        with server:
-            (outcome,) = server.batch([spec])
-            assert outcome.status == "timeout"
-            time.sleep(0.8)  # let the abandoned worker finish
-        delta = server.obs.metrics.since(mark)
-        label = f'engine="{server.engine_label}"'
-        miss_key = f"{_names.SERVE_CACHE_MISSES}{{{label}}}"
-        # The worker DID consult the cache before computing (one genuine
-        # miss); the coordinator's timeout accounting must not add one.
-        assert delta.get(miss_key, 0.0) == server.cache.stats()["cache_misses"]
-        timeout_key = f'{_names.SERVE_QUERIES}{{{label},status="timeout"}}'
-        assert delta[timeout_key] == 1
-
-    def test_late_completion_recorded_and_warms_cache(self, query_workload):
-        """A worker finishing after its reported timeout is counted, and
-        its result intentionally warms the cache for the next caller."""
+    def test_late_completion_recorded(self, query_workload):
+        """A worker finishing after its reported timeout is counted under
+        ``serve.late_completions`` with its own status."""
         engine = _SleepyEngine(sleep_seconds=0.4)
         server = QueryServer(
             engine, ServeConfig(max_workers=1, timeout_seconds=0.05)
@@ -504,7 +349,4 @@ class TestServeCorrectnessFixes:
             ):
                 time.sleep(0.02)
             assert server.obs.metrics.since(mark)[late_key] == 1
-            # The late result landed in the cache: the retry is instant.
-            (second,) = server.batch([spec], timeout=5.0)
-        assert second.status == "cached"
-        assert engine.calls == 1  # never recomputed
+        assert engine.calls == 1

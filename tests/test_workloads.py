@@ -4,8 +4,7 @@ The protocol suite (``test_engine_protocol.py``) proves per-engine
 conformance; this file holds the cross-cutting gates: the IM-GRN
 engine's relaxed pruning stays sound for similarity search, the
 index-aware top-k actually prunes (and says so in its counters), and
-the serving layer's result cache keys on the *full* canonical spec --
-the regression the old ``(fingerprint, gamma, alpha)`` tuple failed.
+the serving layer hands each kind its own answers.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from repro import (
     QuerySpec,
     ServeConfig,
 )
-from repro.eval.counters import QueryStats
-from repro.serve.server import ResultCache
 
 GAMMA, ALPHA = 0.5, 0.3
 
@@ -128,46 +125,14 @@ class TestTopkIndexAware:
         assert topk.metrics.get(stage_key, 0.0) > 0
 
 
-class TestResultCacheKeying:
-    """Satellite 2: the cache keys on the full canonical spec."""
-
-    def test_old_key_collides_across_kinds(self, query_workload):
-        """The pre-PR key (fingerprint, gamma, alpha) cannot tell a
-        containment query from a topk/similarity one -- the regression
-        this PR fixes."""
-        matrix = query_workload[0]
-        containment = QuerySpec(matrix, GAMMA, ALPHA)
-        similarity = QuerySpec(
-            matrix, GAMMA, ALPHA, kind="similarity", edge_budget=2
-        )
-
-        def old_key(spec):
-            return (spec.matrix.fingerprint(), spec.gamma, spec.alpha)
-
-        assert old_key(containment) == old_key(similarity)  # the bug
-        assert containment.cache_key() != similarity.cache_key()
-
-    def test_cache_key_distinguishes_every_field(self, query_workload):
-        matrix = query_workload[0]
-        specs = [
-            QuerySpec(matrix, GAMMA, ALPHA),
-            QuerySpec(matrix, GAMMA, 0.4),
-            QuerySpec(matrix, 0.6, ALPHA),
-            QuerySpec(matrix, GAMMA, kind="topk", k=3),
-            QuerySpec(matrix, GAMMA, kind="topk", k=4),
-            QuerySpec(matrix, GAMMA, ALPHA, kind="similarity", edge_budget=1),
-            QuerySpec(matrix, GAMMA, ALPHA, kind="similarity", edge_budget=2),
-            QuerySpec(query_workload[1], GAMMA, ALPHA),
-        ]
-        keys = [s.cache_key() for s in specs]
-        assert len(set(keys)) == len(keys)
+class TestServedKinds:
+    """The serving layer dispatches every kind through ``execute``."""
 
     def test_served_kinds_do_not_cross_contaminate(
         self, built_engine, query_workload
     ):
         """Behavioral gate: same matrix and thresholds, different kinds,
-        through a caching server -- each kind gets its own entry and its
-        own (correct) answers."""
+        through the server -- each kind gets its own (correct) answers."""
         matrix = query_workload[0]
         specs = [
             QuerySpec(matrix, GAMMA, ALPHA),
@@ -176,25 +141,7 @@ class TestResultCacheKeying:
         ]
         reference = [built_engine.execute(s) for s in specs]
         with QueryServer(built_engine, ServeConfig(max_workers=2)) as server:
-            first = server.batch(specs)
-            assert [o.status for o in first] == ["ok"] * 3
-            for outcome, ref in zip(first, reference):
-                assert _answers(outcome.result) == _answers(ref)
-            # Re-serving hits three distinct entries, never a stale kind.
-            second = server.batch(specs)
-            assert [o.status for o in second] == ["cached"] * 3
-            for outcome, ref in zip(second, reference):
-                assert _answers(outcome.result) == _answers(ref)
-            assert server.stats()["cache_entries"] == 3
-
-    def test_result_cache_is_plain_tuple_keyed(self):
-        cache = ResultCache(max_entries=4)
-        result = IMGRNResult(None, [], QueryStats())
-        cache.put(("fp", "containment", 0.5, 0.3, None, None), result)
-        assert (
-            cache.get(("fp", "similarity", 0.5, 0.3, None, 2)) is None
-        )
-        assert (
-            cache.get(("fp", "containment", 0.5, 0.3, None, None))
-            is not None
-        )
+            outcomes = server.batch(specs)
+        assert [o.status for o in outcomes] == ["ok"] * 3
+        for outcome, ref in zip(outcomes, reference):
+            assert _answers(outcome.result) == _answers(ref)
