@@ -19,6 +19,8 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure.
 """
 
+from typing import TYPE_CHECKING
+
 from .config import (
     DEFAULTS,
     PAPER_GRID,
@@ -65,14 +67,7 @@ from .data.noise import add_noise, add_noise_to_database
 from .data.organisms import ORGANISMS, OrganismSpec, generate_organism_matrix
 from .data.queries import extract_query, generate_query_workload
 from .data.synthetic import generate_database, generate_matrix
-from .serve import (
-    DaemonClient,
-    QueryDaemon,
-    QueryOutcome,
-    QueryServer,
-    ServeConfig,
-    serve_in_background,
-)
+from .serve import DaemonClient, QueryOutcome, QueryServer, ServeConfig
 from .obs import (
     MetricsRegistry,
     Tracer,
@@ -92,7 +87,21 @@ from .errors import (
     ValidationError,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - the static view of the lazy exports
+    from .serve import QueryDaemon, serve_in_background
+
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    """``QueryDaemon`` and ``serve_in_background``, loaded on first use
+    (see :mod:`repro.serve`), so ``import repro`` stays free of asyncio."""
+    if name in ("QueryDaemon", "serve_in_background"):
+        from . import serve
+
+        return getattr(serve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

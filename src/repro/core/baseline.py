@@ -26,7 +26,11 @@ from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
 from ..obs import Observability
 from ..obs import names as _names
-from .batch_inference import BatchInferenceEngine, standardize_columns
+from .batch_inference import (
+    BatchInferenceEngine,
+    EstimatorState,
+    standardize_columns,
+)
 from .inference import EdgeProbabilityEstimator
 from .matching import best_embedding
 from .probgraph import ProbabilisticGraph
@@ -359,18 +363,21 @@ class LinearScanEngine(_CompetitorEngine):
     ):
         super().__init__(database, config)
         self._standardized: dict[int, np.ndarray] = {}
+        self._states: dict[int, EstimatorState] = {}
 
     @property
     def is_built(self) -> bool:
         return bool(self._standardized)
 
     def build(self) -> float:
-        """Standardize matrices once (the only state this engine keeps)."""
+        """Standardize matrices once for the scan's Markov bounds; the
+        refinement's per-source estimator states are built lazily."""
         started = time.perf_counter()
         with self.obs.tracer.span("build", engine="linear_scan"):
             self._standardized = {
                 m.source_id: standardize_matrix(m.values) for m in self.database
             }
+            self._states = {}
         elapsed = time.perf_counter() - started
         self.obs.metrics.counter(
             _names.BUILD_MATRICES, help="matrices standardized", engine="linear_scan"
@@ -379,6 +386,17 @@ class LinearScanEngine(_CompetitorEngine):
             _names.BUILD_SECONDS, help="build seconds", engine="linear_scan"
         ).observe(elapsed)
         return elapsed
+
+    def _source_state(self, source: int) -> EstimatorState:
+        """The source's refinement estimator state, built on first use;
+        the first of racing builders publishes, so all share one memo."""
+        state = self._states.get(source)
+        if state is None:
+            state = self._states.setdefault(
+                source,
+                self._inference.estimator_state(self.database.get(source).values),
+            )
+        return state
 
     def _retrieve(
         self, spec: QuerySpec, query_graph: ProbabilisticGraph, metrics

@@ -13,6 +13,9 @@ provides the batched engine those callers share:
   ``content_seed`` of the standardized column pair plus the
   (gamma-independent) estimator parameters, so repeated pairs -- across
   queries, candidates and engines -- are estimated once;
+* a per-source :class:`EstimatorState` for stored matrices: their
+  columns are standardized and hashed once, and each column's
+  permutation block is drawn once and kept as a compact index memo;
 * an opt-in ``ProcessPoolExecutor`` path that shards the pair grid by
   target column (round-robin stripes, so shard costs balance) for large
   matrices.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Hashable, Iterable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -44,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 __all__ = [
     "EdgeProbabilityCache",
     "BatchInferenceEngine",
+    "EstimatorState",
     "standardize_columns",
     "batched_probability_matrix",
 ]
@@ -102,6 +106,51 @@ def _permutation_block(
     """The column's ``n_samples x l`` permutation block (content-keyed)."""
     rng = np.random.default_rng((seed, col_seed))
     return rng.permuted(np.tile(column, (n_samples, 1)), axis=1)
+
+
+def _memoized_indices(
+    memo: dict[int, np.ndarray],
+    t: int,
+    col_seed: int,
+    length: int,
+    n_samples: int,
+    seed: int,
+) -> np.ndarray:
+    """Column ``t``'s permutation block as positions, drawn once per memo.
+
+    ``Generator.permuted`` shuffles by position only, so the same stream
+    over ``arange(length)`` yields indices with ``column[indices]`` equal
+    to :func:`_permutation_block` of that column byte for byte. Indices
+    use the smallest unsigned dtype that holds ``length - 1``; a complete,
+    read-only array is published with one ``setdefault``, so a concurrent
+    reader gets either nothing (and draws the same indices itself) or all
+    of them.
+    """
+    indices = memo.get(t)
+    if indices is None:
+        positions = np.arange(length, dtype=np.min_scalar_type(length - 1))
+        indices = _permutation_block(positions, col_seed, n_samples, seed)
+        indices.flags.writeable = False
+        indices = memo.setdefault(t, indices)
+    return indices
+
+
+class EstimatorState(NamedTuple):
+    """One stored matrix's estimator inputs, built once per source.
+
+    Built by :meth:`BatchInferenceEngine.estimator_state` and reused by
+    every query that refines against the source: ``std`` is the
+    read-only :func:`standardize_columns` of the matrix, ``seeds[c]`` the
+    ``content_seed`` of column ``c``, and ``memo`` maps a column to its
+    permutation indices (see :func:`_memoized_indices`), filled as
+    refinement estimates against it. ``memo`` is ``None`` in the
+    exact-enumeration regime, which draws no permutations. The indices
+    hold for the building engine's estimator parameters only.
+    """
+
+    std: np.ndarray
+    seeds: tuple[int, ...]
+    memo: dict[int, np.ndarray] | None
 
 
 def _target_columns(
@@ -411,21 +460,26 @@ class BatchInferenceEngine:
     # ------------------------------------------------------------------
     # Pair blocks (sparse pair sets over one matrix)
     # ------------------------------------------------------------------
+    def estimator_state(self, values: np.ndarray) -> EstimatorState:
+        """The :class:`EstimatorState` of one stored matrix's ``values``."""
+        std = standardize_columns(values)
+        std.flags.writeable = False
+        seeds = tuple(content_seed(std[:, c]) for c in range(std.shape[1]))
+        memo = None if self._exact_regime(int(std.shape[0])) else {}
+        return EstimatorState(std, seeds, memo)
+
     def cached_pairs(
-        self, std: np.ndarray, pairs: Sequence[tuple[int, int]]
+        self, seeds: Sequence[int] | dict[int, int], pairs: Sequence[tuple[int, int]]
     ) -> tuple[list[int] | None, list[float | None]]:
         """Cache keys and cached estimates of column pairs, one lookup.
 
-        ``std`` must come from :func:`standardize_columns`; only the
-        columns named in ``pairs`` are hashed. Returns ``(keys, values)``
-        aligned with ``pairs``: a value is ``None`` where the pair is not
-        cached, and ``keys`` is ``None`` when caching is off. Every pair
-        counts once as a hit or a miss.
+        ``seeds[c]`` is the ``content_seed`` of standardized column ``c``.
+        Returns ``(keys, values)`` aligned with ``pairs``: a value is
+        ``None`` where the pair is not cached, and ``keys`` is ``None``
+        when caching is off. Every pair counts once as a hit or a miss.
         """
         if self.cache is None:
             return None, [None] * len(pairs)
-        columns = {col for pair in pairs for col in pair}
-        seeds = {col: content_seed(std[:, col]) for col in columns}
         params = self._params_key()
         keys = [self.cache.pair_key(params, seeds[s], seeds[t]) for s, t in pairs]
         values = self.cache.get_many(keys)
@@ -441,7 +495,10 @@ class BatchInferenceEngine:
         std: np.ndarray,
         pairs: list[tuple[int, int]],
         raw: np.ndarray | None = None,
+        *,
+        seeds: Sequence[int] | dict[int, int] | None = None,
         keys: list[int] | None = None,
+        memo: dict[int, np.ndarray] | None = None,
     ) -> dict[tuple[int, int], float]:
         """Probabilities for selected column pairs of a standardized matrix.
 
@@ -452,14 +509,24 @@ class BatchInferenceEngine:
         unstandardized matrix) is only consulted in the exact-enumeration
         regime, where the estimator enumerates raw columns.
 
-        ``keys`` are the pairs' cache keys when the caller already looked
-        them up with :meth:`cached_pairs` and found none of them: every
-        pair is then estimated and stored without a second lookup.
+        ``seeds[c]`` is column ``c``'s ``content_seed``; when omitted, the
+        columns the pairs name are hashed here, once each. ``keys`` are
+        the pairs' cache keys when the caller already looked them up with
+        :meth:`cached_pairs` and found none of them: every pair is then
+        estimated and stored without a second lookup. ``memo`` is a stored
+        source's :attr:`EstimatorState.memo`: each target column's block
+        is then gathered from its memoized permutation indices instead of
+        drawn -- the same block byte for byte.
         """
         est = self.estimator
         out: dict[tuple[int, int], float] = {}
+        if seeds is None:  # a partner needs its seed only for a cache key
+            columns = {t for _s, t in pairs}
+            if self.cache is not None:
+                columns.update(s for s, _t in pairs)
+            seeds = {col: content_seed(std[:, col]) for col in columns}
         if keys is None:
-            keys, cached = self.cached_pairs(std, pairs)
+            keys, cached = self.cached_pairs(seeds, pairs)
             missing = []
             for index, (pair, value) in enumerate(zip(pairs, cached)):
                 if value is None:
@@ -475,7 +542,8 @@ class BatchInferenceEngine:
             if keys is not None:
                 self.cache.put(keys[index], value)  # type: ignore[union-attr]
 
-        if self._exact_regime(int(std.shape[0])):
+        length = int(std.shape[0])
+        if self._exact_regime(length):
             # Exact-enumeration regime: per pair (enumeration is already
             # column-batched internally and l is tiny here).
             source = std if raw is None else np.asarray(raw, dtype=np.float64)
@@ -494,14 +562,19 @@ class BatchInferenceEngine:
                 indices = sorted(missing_by_t[t], key=lambda i: pairs[i][0])
                 partners = [pairs[i][0] for i in indices]
                 column = std[:, t]
-                block = _permutation_block(
-                    column, content_seed(column), n_samples, est.seed
-                )
+                if memo is None:
+                    block = _permutation_block(column, seeds[t], n_samples, est.seed)
+                else:
+                    block = column[
+                        _memoized_indices(
+                            memo, t, seeds[t], length, n_samples, est.seed
+                        )
+                    ]
                 cols = std[:, partners]
                 scores = block @ cols
                 observed = column @ cols
                 beaten = permutation_beaten(
-                    observed[np.newaxis, :], scores, std.shape[0], est.semantics
+                    observed[np.newaxis, :], scores, length, est.semantics
                 )
                 for index, p in zip(indices, np.mean(beaten, axis=0)):
                     store(index, float(p))

@@ -43,7 +43,11 @@ from ..index.packer import concat_ranges, str_pack
 from ..index.pagemanager import PageManager
 from ..obs import MetricsRegistry, Observability
 from ..obs import names as _names
-from .batch_inference import BatchInferenceEngine, standardize_columns
+from .batch_inference import (
+    BatchInferenceEngine,
+    EstimatorState,
+    standardize_columns,
+)
 from .embedding import EmbeddedMatrix
 from .inference import EdgeProbabilityEstimator
 from .matching import Embedding
@@ -303,8 +307,11 @@ class _QueryMixin:
         )
 
     def _edge_evaluator(self):
-        """How refinement estimates edge probabilities: the batched engine."""
-        return BatchEdgeEvaluator(self._inference, self.database.get)
+        """How refinement estimates edge probabilities: the batched engine
+        over each source's :class:`EstimatorState` (``_source_state``)."""
+        return BatchEdgeEvaluator(
+            self._inference, self.database.get, self._source_state
+        )
 
     def _refine(
         self,
@@ -361,7 +368,13 @@ def _row_distances(std: np.ndarray, col_s: int, cols_t: np.ndarray) -> list[floa
 
 @dataclass
 class _MatrixEntry:
-    """Per-matrix build artifacts the query phase needs."""
+    """Per-matrix build artifacts the query phase needs.
+
+    ``standardized`` (:func:`~repro.core.standardize.standardize_matrix`)
+    serves the traversal bounds; refinement reads the source's
+    :meth:`estimator_state` instead, whose columns are standardized the
+    way the estimator's content keys require.
+    """
 
     matrix: GeneFeatureMatrix
     embedded: EmbeddedMatrix
@@ -369,6 +382,25 @@ class _MatrixEntry:
     _column_stats: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _estimator_state: EstimatorState | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def estimator_state(self, inference: BatchInferenceEngine) -> EstimatorState:
+        """The source's refinement :class:`EstimatorState`, built by
+        ``inference`` (the engine's own) on first use.
+
+        Published like :meth:`column_stats`: one complete tuple, so a
+        concurrent reader sees either nothing (and builds an equal state
+        itself) or all of it. Only its permutation memo grows afterwards,
+        one complete read-only array per column.
+        """
+        state = self._estimator_state
+        if state is None:
+            state = self._estimator_state = inference.estimator_state(
+                self.matrix.values
+            )
+        return state
 
     def column_stats(self) -> tuple[np.ndarray, np.ndarray]:
         """Per standardized column ``x``: ``(x @ x, x.mean())``.
@@ -463,6 +495,14 @@ class IMGRNEngine(_QueryMixin):
             )
         self.pages.reserve(store.pages_allocated)
         self.array_index = store
+
+    def _source_state(self, source: int) -> EstimatorState:
+        """The indexed source's estimator state; a source removed while a
+        query still refines it gets a transient one."""
+        entry = self._entries.get(source)
+        if entry is None:
+            return self._inference.estimator_state(self.database.get(source).values)
+        return entry.estimator_state(self._inference)
 
     def _require_mutable(self, operation: str) -> None:
         """Refuse index changes on unbuilt or mmap-loaded engines."""

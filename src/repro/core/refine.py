@@ -6,10 +6,11 @@ Monte-Carlo probabilities (Definition 4). :class:`CandidateRefiner` is
 the one refinement path every engine but the materializing Baseline
 runs. Per candidate it is cache-first and columnar:
 
-* **query columns only** -- the candidate's query-gene columns are
-  standardized in one vectorized pass
-  (:func:`~repro.core.batch_inference.standardize_columns`) and only
-  they are content-hashed;
+* **stored columns prepared once** -- each source's columns are
+  standardized and content-hashed once per engine, in its
+  :class:`~repro.core.batch_inference.EstimatorState`; a candidate
+  only maps its query edges to column pairs and builds their cache keys
+  from the stored seeds;
 * **decide from the cache first** -- all query edges are resolved from
   the engine's content-keyed
   :class:`~repro.core.batch_inference.EdgeProbabilityCache` in one
@@ -20,8 +21,9 @@ runs. Per candidate it is cache-first and columnar:
 * **batched evaluation** -- a candidate still undecided has its
   uncached edges estimated in one pass through
   :meth:`~repro.core.batch_inference.BatchInferenceEngine.pair_block_probabilities`
-  (one permutation block per distinct target column), reusing the
-  lookup's cache keys.
+  (one permutation block per distinct target column, gathered from the
+  state's memoized permutation indices), reusing the lookup's cache
+  keys.
 
 Bit-identity contract: answers are decided by replaying the historical
 per-pair loop over the probabilities in sorted query-edge order -- the
@@ -44,7 +46,7 @@ import numpy as np
 
 from ..obs import MetricsRegistry
 from ..obs import names as _names
-from .batch_inference import standardize_columns
+from .batch_inference import EstimatorState
 from .matching import Embedding
 from .probgraph import ProbabilisticGraph
 from .pruning import markov_edge_upper_bounds, relaxed_graph_existence_upper_bound
@@ -76,42 +78,42 @@ class RefinedAnswer:
 
 @dataclass(frozen=True)
 class QueryColumns:
-    """One candidate's query-gene columns, as an evaluator looked them up.
+    """One candidate's query edges, as an evaluator looked them up.
 
-    ``pairs[i]`` are the column positions of the ``i``-th query edge;
-    ``cached[i]`` is its cached estimate, ``None`` when not cached.
-    ``std`` and ``keys`` (the pairs' cache keys) are what the batched
-    evaluator needs to estimate the rest without a second lookup.
+    ``pairs[i]`` are the column indices in ``raw`` (the source's values)
+    of the ``i``-th query edge; ``cached[i]`` is its cached estimate,
+    ``None`` when not cached. ``state`` (the source's estimator state)
+    and ``keys`` (the pairs' cache keys) are what the batched evaluator
+    needs to estimate the rest without a second lookup.
     """
 
     raw: np.ndarray
     pairs: list[tuple[int, int]]
     cached: list[float | None]
-    std: np.ndarray | None = None
+    state: EstimatorState | None = None
     keys: list[int] | None = None
 
 
-def _query_columns(
+def _query_pairs(
     matrix, genes: Sequence[int], edges: Sequence[EdgeKey]
-) -> tuple[np.ndarray, list[tuple[int, int]]] | None:
-    """The raw query-gene columns of ``matrix`` and each edge's column
-    pair, or ``None`` when a query gene is missing from the source."""
+) -> list[tuple[int, int]] | None:
+    """Each query edge's column pair in ``matrix``, or ``None`` when a
+    query gene is missing from the source."""
     if any(gene not in matrix for gene in genes):
         return None
-    raw = matrix.values[:, [matrix.column_index(gene) for gene in genes]]
-    position = {gene: i for i, gene in enumerate(genes)}
-    return raw, [(position[u], position[v]) for u, v in edges]
+    return [(matrix.column_index(u), matrix.column_index(v)) for u, v in edges]
 
 
 class BatchEdgeEvaluator:
-    """Edge evaluation against raw data matrices via the batched engine.
+    """Edge evaluation against stored matrices via the batched engine.
 
-    Only a candidate's query-gene columns are standardized, with the
-    vectorized :func:`~repro.core.batch_inference.standardize_columns`
-    -- byte-identical to what ``pair_probability`` applies to each
-    vector, so batched probabilities and their content-seeded cache keys
-    equal the scalar calls exactly. :meth:`bounds` derives the sound
-    Markov upper bounds (Lemma 4) from the same standardized columns.
+    Reads each source's :class:`~repro.core.batch_inference.EstimatorState`
+    through ``get_state``: columns standardized by the vectorized
+    :func:`~repro.core.batch_inference.standardize_columns` --
+    byte-identical to what ``pair_probability`` applies to each vector,
+    so batched probabilities and their content-seeded cache keys equal
+    the scalar calls exactly. :meth:`bounds` derives the sound Markov
+    upper bounds (Lemma 4) from the same standardized columns.
     """
 
     supports_bounds = True
@@ -120,27 +122,29 @@ class BatchEdgeEvaluator:
         self,
         inference,
         get_matrix: Callable[[int], "object"],
+        get_state: Callable[[int], EstimatorState],
     ) -> None:
         self._inference = inference
         self._get_matrix = get_matrix
+        self._get_state = get_state
 
     def lookup(
         self, source: int, genes: Sequence[int], edges: Sequence[EdgeKey]
     ) -> QueryColumns | None:
-        """The candidate's query columns and its edges' cached estimates,
-        in one cache lookup; ``None`` when a query gene is missing."""
-        found = _query_columns(self._get_matrix(source), genes, edges)
-        if found is None:
+        """The candidate's edge columns and their cached estimates, in one
+        cache lookup; ``None`` when a query gene is missing."""
+        matrix = self._get_matrix(source)
+        pairs = _query_pairs(matrix, genes, edges)
+        if pairs is None:
             return None
-        raw, pairs = found
-        std = standardize_columns(raw)
-        keys, cached = self._inference.cached_pairs(std, pairs)
-        return QueryColumns(raw, pairs, cached, std, keys)
+        state = self._get_state(source)
+        keys, cached = self._inference.cached_pairs(state.seeds, pairs)
+        return QueryColumns(matrix.values, pairs, cached, state, keys)
 
     def bounds(self, columns: QueryColumns, edges: Sequence[int]) -> list[float]:
         """Markov upper bounds on the existence probabilities of the
         query edges at positions ``edges``, in one vectorized pass."""
-        std = columns.std
+        std = columns.state.std
         s = [columns.pairs[i][0] for i in edges]
         t = [columns.pairs[i][1] for i in edges]
         distance = np.linalg.norm(std[:, s] - std[:, t], axis=0)
@@ -150,10 +154,16 @@ class BatchEdgeEvaluator:
     def evaluate(self, columns: QueryColumns, edges: Sequence[int]) -> list[float]:
         """Estimates for the (uncached) query edges at positions ``edges``,
         one batched pass."""
+        state = columns.state
         pairs = [columns.pairs[i] for i in edges]
         keys = None if columns.keys is None else [columns.keys[i] for i in edges]
         block = self._inference.pair_block_probabilities(
-            columns.std, pairs, raw=columns.raw, keys=keys
+            state.std,
+            pairs,
+            raw=columns.raw,
+            seeds=state.seeds,
+            keys=keys,
+            memo=state.memo,
         )
         return [block[pair] for pair in pairs]
 
@@ -180,11 +190,11 @@ class ScalarEdgeEvaluator:
     def lookup(
         self, source: int, genes: Sequence[int], edges: Sequence[EdgeKey]
     ) -> QueryColumns | None:
-        found = _query_columns(self._get_matrix(source), genes, edges)
-        if found is None:
+        matrix = self._get_matrix(source)
+        pairs = _query_pairs(matrix, genes, edges)
+        if pairs is None:
             return None
-        raw, pairs = found
-        return QueryColumns(raw, pairs, [None] * len(pairs))
+        return QueryColumns(matrix.values, pairs, [None] * len(pairs))
 
     def bounds(self, columns: QueryColumns, edges: Sequence[int]) -> list[float]:
         raise NotImplementedError("scalar evaluator has no sound bounds")

@@ -13,8 +13,9 @@ workers that mmap the index read-only. :class:`DaemonClient` is its
 stdlib client.
 """
 
+from typing import TYPE_CHECKING
+
 from .client import DaemonClient, DaemonError
-from .daemon import DaemonHandle, QueryDaemon, serve_in_background
 from .server import (
     QueryOutcome,
     QueryServer,
@@ -22,6 +23,23 @@ from .server import (
     ServeConfig,
     run_query,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the static view of the lazy exports
+    from .daemon import DaemonHandle, QueryDaemon, serve_in_background
+
+#: Exported on first access: the daemon module loads ``asyncio`` and the
+#: process-pool machinery, which a client or an in-process caller never
+#: needs.
+_DAEMON_EXPORTS = frozenset({"DaemonHandle", "QueryDaemon", "serve_in_background"})
+
+
+def __getattr__(name: str):
+    if name in _DAEMON_EXPORTS:
+        from . import daemon
+
+        return getattr(daemon, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DaemonClient",

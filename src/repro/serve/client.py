@@ -12,12 +12,14 @@ connection per client instance, safe to use from one thread at a time
 
 from __future__ import annotations
 
-import http.client
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..data.matrix import GeneFeatureMatrix
 from ..errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import http.client
 
 __all__ = ["DaemonClient", "DaemonError"]
 
@@ -52,14 +54,18 @@ class DaemonClient:
     # ------------------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            # Imported on first use: http.client loads ssl and email,
+            # about 6 MB of RSS that an importer of repro never needs.
+            from http.client import HTTPConnection
+
+            self._conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
         return self._conn
 
     def _request(
         self, method: str, path: str, payload: dict | None = None
     ) -> tuple[int, Any]:
+        from http.client import HTTPException
+
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.client_id is not None:
@@ -71,7 +77,7 @@ class DaemonClient:
                 response = conn.getresponse()
                 raw = response.read()
                 break
-            except (ConnectionError, http.client.HTTPException, OSError) as exc:
+            except (ConnectionError, HTTPException, OSError) as exc:
                 self.close()
                 if attempt:
                     raise DaemonError(

@@ -1,0 +1,338 @@
+"""Per-source estimator state: standardized columns, content seeds and a
+memo of permutation indices, built once per stored source.
+
+Under test: a memoized block equals the freshly drawn permutation block
+byte for byte; pair-block estimates are equal with and without the
+state; engines fill the states lazily under concurrent queries without
+changing an answer; a reader never sees a half-built state; and a
+removed source's state is freed with it.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    BuildConfig,
+    EngineConfig,
+    IMGRNEngine,
+    InferenceConfig,
+    LinearScanEngine,
+    ObservabilityConfig,
+    QuerySpec,
+    SyntheticConfig,
+)
+from repro.core.batch_inference import (
+    BatchInferenceEngine,
+    _memoized_indices,
+    _permutation_block,
+    standardize_columns,
+)
+from repro.core.inference import EdgeProbabilityEstimator
+from repro.core.persistence import load_engine_sharded, save_engine_sharded
+from repro.core.randomization import content_seed
+from repro.core.standardize import standardize_vector
+from repro.data.database import GeneFeatureDatabase
+from repro.data.queries import generate_query_workload
+from repro.data.synthetic import generate_database
+
+SEED = 11
+THREADS = 8
+
+
+def _config(**changes) -> EngineConfig:
+    return EngineConfig(
+        seed=SEED,
+        mc_samples=64,
+        build=BuildConfig(workers=0, shard_size=3),
+        observability=ObservabilityConfig(shared_registry=False),
+        **changes,
+    )
+
+
+def _database() -> GeneFeatureDatabase:
+    return generate_database(
+        SyntheticConfig(genes_range=(10, 20), gene_pool=40, seed=SEED), 16
+    )
+
+
+def _specs(database) -> list[QuerySpec]:
+    specs = []
+    for query in generate_query_workload(database, n_q=5, count=6, rng=SEED):
+        specs += [
+            QuerySpec(query, 0.4, 0.2),
+            QuerySpec(query, 0.4, kind="topk", k=3),
+            QuerySpec(query, 0.4, 0.2, kind="similarity", edge_budget=1),
+        ]
+    return specs
+
+
+def _answers(engine, specs) -> list[tuple]:
+    """Per spec, the answers. Cache-dependent counters (prescreens,
+    batches) legitimately vary with the interleaving of threads that
+    share one estimator cache; answers must not."""
+    return [
+        tuple((a.source_id, a.probability) for a in engine.execute(spec).answers)
+        for spec in specs
+    ]
+
+
+class TestMemoizedBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.integers(9, 300),
+        n_samples=st.integers(1, 400),
+        col_seed=st.integers(0, 2**64 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_gathered_block_equals_drawn_block(
+        self, length, n_samples, col_seed, seed, data
+    ):
+        values = data.draw(
+            st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False), min_size=length, max_size=length
+            )
+        )
+        column = np.array(values, dtype=np.float64)
+        memo: dict[int, np.ndarray] = {}
+        indices = _memoized_indices(memo, 3, col_seed, length, n_samples, seed)
+        assert indices.dtype == (np.uint8 if length <= 256 else np.uint16)
+        assert indices.shape == (n_samples, length)
+        assert not indices.flags.writeable
+        drawn = _permutation_block(column, col_seed, n_samples, seed)
+        assert column[indices].tobytes() == drawn.tobytes()
+        # Drawn once: the second call returns the published array.
+        assert _memoized_indices(memo, 3, col_seed, length, n_samples, seed) is indices
+
+    def test_state_columns_match_single_vector_path(self, rng):
+        values = rng.normal(size=(37, 12))
+        engine = BatchInferenceEngine(EdgeProbabilityEstimator(n_samples=32, seed=5))
+        state = engine.estimator_state(values)
+        assert not state.std.flags.writeable
+        for c in range(values.shape[1]):
+            vector = standardize_vector(values[:, c])
+            assert state.std[:, c].tobytes() == vector.tobytes()
+            assert state.seeds[c] == content_seed(vector)
+        assert state.memo == {}
+
+
+class TestPairBlocksWithState:
+    PAIRS = [(0, 1), (2, 1), (0, 5), (3, 4), (6, 2), (5, 6), (1, 6)]
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("samples", [6, 40])
+    def test_equal_with_and_without_memo(self, rng, cache, samples):
+        values = rng.normal(size=(samples, 7))
+        estimator = EdgeProbabilityEstimator(n_samples=48, seed=5, exact_below=8)
+
+        def engine():
+            return BatchInferenceEngine(estimator, InferenceConfig(cache=cache))
+
+        plain = engine().pair_block_probabilities(
+            standardize_columns(values), self.PAIRS, raw=values
+        )
+        stateful = engine()
+        state = stateful.estimator_state(values)
+        # The exact-enumeration regime (l <= 8) draws no permutations.
+        assert (state.memo is None) == (samples <= 8)
+        for _round in range(2):  # the second round gathers from the memo
+            if cache:
+                stateful.cache.clear()
+            memoized = stateful.pair_block_probabilities(
+                state.std,
+                self.PAIRS,
+                raw=values,
+                seeds=state.seeds,
+                memo=state.memo,
+            )
+            assert memoized == plain
+        if state.memo is not None:
+            assert sorted(state.memo) == sorted({t for _s, t in self.PAIRS})
+        for s, t in self.PAIRS:
+            assert plain[(s, t)] == estimator.pair_probability(
+                values[:, s], values[:, t]
+            )
+
+
+def _mmap_engine(tmp_path):
+    engine = IMGRNEngine(_database(), _config())
+    engine.build()
+    save_engine_sharded(engine, tmp_path / "engine")
+    return lambda: load_engine_sharded(tmp_path / "engine", mmap_index=True)
+
+
+def _maintained_engine(tmp_path):
+    def make():
+        matrices = list(_database())
+        head = GeneFeatureDatabase()
+        for matrix in matrices[:-1]:
+            head.add(matrix)
+        engine = IMGRNEngine(head, _config())
+        engine.build()
+        engine.add_matrix(matrices[-1])
+        engine.remove_matrix(matrices[3].source_id)
+        return engine
+
+    return make
+
+
+def _linear_scan_engine(tmp_path):
+    def make():
+        engine = LinearScanEngine(_database(), _config())
+        engine.build()
+        return engine
+
+    return make
+
+
+def _states(engine) -> list:
+    if isinstance(engine, LinearScanEngine):
+        return list(engine._states.values())
+    return [e._estimator_state for e in engine._entries.values()]
+
+
+class TestConcurrentStates:
+    """Eight threads querying a fresh engine, whose estimator states are
+    built lazily by the queries themselves, answer exactly like a serial
+    run."""
+
+    @pytest.mark.parametrize("state", ["mmap", "maintained", "linear_scan"])
+    def test_threads_match_serial(self, state, tmp_path):
+        make = globals()[f"_{state}_engine"](tmp_path)
+        specs = _specs(_database())
+        reference = make()
+        serial = _answers(reference, specs)
+        assert any(serial)  # the comparison is not vacuously empty
+        assert any(s.memo for s in _states(reference) if s is not None)
+
+        engine = make()
+        assert not any(_states(engine))
+        barrier = threading.Barrier(THREADS)
+
+        def run():
+            barrier.wait(timeout=60)
+            return _answers(engine, specs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the lazy fills
+        try:
+            with ThreadPoolExecutor(THREADS) as pool:
+                futures = [pool.submit(run) for _ in range(THREADS)]
+                runs = [future.result(timeout=300) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [serial] * THREADS
+        assert any(_states(engine))
+
+    def test_readers_see_all_or_nothing(self):
+        """Threads racing to build every source's state and memo each get
+        complete values, never a half-built tuple or index array."""
+        engine = IMGRNEngine(_database(), _config())
+        engine.build()
+        inference = engine._inference
+        n_samples = inference.estimator.resolved_samples()
+        entries = list(engine._entries.values())
+
+        def read(start: int = 0) -> list[tuple]:
+            """Every source's state as seen right after it is fetched;
+            thread ``start`` visits the sources rotated by ``start``, so
+            threads reach one source at different moments."""
+            out = [None] * len(entries)
+            for step in range(len(entries)):
+                index = (start + step) % len(entries)
+                state = entries[index].estimator_state(inference)
+                seeds = tuple(state.seeds)
+                length, width = state.std.shape
+                blocks = [
+                    _memoized_indices(
+                        state.memo, t, seeds[t], length, n_samples, SEED
+                    ).tobytes()
+                    for t in range(width)
+                ]
+                out[index] = (state.std.tobytes(), seeds, blocks)
+            return out
+
+        reference = read()
+        barrier = threading.Barrier(THREADS)
+
+        def race(start: int) -> list[tuple]:
+            barrier.wait(timeout=60)
+            return read(start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(5):
+                for entry in entries:
+                    entry._estimator_state = None
+                with ThreadPoolExecutor(THREADS) as pool:
+                    futures = [
+                        pool.submit(race, thread) for thread in range(THREADS)
+                    ]
+                    reads = [future.result(timeout=120) for future in futures]
+                assert reads == [reference] * THREADS
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestStateLifetime:
+    def test_remove_matrix_frees_the_state(self):
+        database = _database()
+        engine = IMGRNEngine(database, _config())
+        engine.build()
+        for spec in _specs(database):
+            engine.execute(spec)
+        source, entry = next(
+            (s, e)
+            for s, e in engine._entries.items()
+            if e._estimator_state is not None and e._estimator_state.memo
+        )
+        state = entry._estimator_state
+        refs = [weakref.ref(state.std)] + [
+            weakref.ref(indices) for indices in state.memo.values()
+        ]
+        del state, entry
+        engine.remove_matrix(source)
+        gc.collect()
+        assert source not in engine._entries
+        assert all(ref() is None for ref in refs)
+
+    def test_removed_source_refines_from_a_transient_state(self):
+        """A query still refining a source that ``remove_matrix`` took out
+        gets a transient state, with the scalar estimator's values, and
+        the engine keeps none."""
+        database = _database()
+        engine = IMGRNEngine(database, _config())
+        engine.build()
+        source = next(iter(engine._entries))
+        matrix = database.get(source)
+        genes = sorted(matrix.gene_ids[:3])
+        edges = [(genes[0], genes[1]), (genes[0], genes[2]), (genes[1], genes[2])]
+        evaluator = engine._edge_evaluator()
+        engine.remove_matrix(source)
+        columns = evaluator.lookup(source, genes, edges)
+        estimated = evaluator.evaluate(columns, range(len(edges)))
+        assert estimated == [
+            engine._estimator.pair_probability(matrix.column(u), matrix.column(v))
+            for u, v in edges
+        ]
+        assert source not in engine._entries
+
+    def test_build_starts_without_states(self):
+        database = _database()
+        engine = IMGRNEngine(database, _config())
+        engine.build()
+        engine.execute(_specs(database)[0])
+        assert any(_states(engine))
+        engine.build()
+        assert not any(_states(engine))
