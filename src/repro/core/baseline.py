@@ -24,7 +24,8 @@ import numpy as np
 from ..config import EngineConfig
 from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
-from ..obs import Observability
+from ..eval.counters import QueryStats
+from ..obs import Observability, SeriesTable
 from ..obs import names as _names
 from .batch_inference import (
     BatchInferenceEngine,
@@ -109,6 +110,7 @@ class _CompetitorEngine(_QueryMixin):
         self.database = database
         self.config = config or EngineConfig()
         self.obs = Observability.from_config(self.config.observability)
+        self._series = SeriesTable(self.obs.metrics, QueryStats.field_of)
         self._estimator = EdgeProbabilityEstimator(
             n_samples=self.config.mc_samples,
             epsilon=self.config.epsilon,

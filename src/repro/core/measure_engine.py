@@ -25,7 +25,8 @@ from ..config import EngineConfig
 from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
 from ..errors import ValidationError
-from ..obs import Observability
+from ..eval.counters import QueryStats
+from ..obs import Observability, SeriesTable
 from ..obs import names as _names
 from .baseline import _raw_pages
 from .batch_inference import EdgeProbabilityCache
@@ -72,6 +73,7 @@ class MeasureScanEngine(_QueryMixin):
         self.measure = measure
         self.config = config or EngineConfig()
         self.obs = Observability.from_config(self.config.observability)
+        self._series = SeriesTable(self.obs.metrics, QueryStats.field_of)
         self._built = False
         # Probabilities are content-addressable only for *named* measures:
         # a user-supplied callable has no stable identity to key on.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -41,7 +42,7 @@ from ..index.bitvector import signature
 from ..index.invertedfile import InvertedBitVectorFile
 from ..index.packer import concat_ranges, str_pack
 from ..index.pagemanager import PageManager
-from ..obs import MetricsRegistry, Observability
+from ..obs import Observability, SeriesTable
 from ..obs import names as _names
 from .batch_inference import (
     BatchInferenceEngine,
@@ -125,10 +126,10 @@ class IMGRNAnswer:
 class IMGRNResult:
     """Result of one IM-GRN query: the answers plus cost accounting.
 
-    ``stats`` is carved out of the engine's metrics registry
-    (:meth:`repro.eval.counters.QueryStats.from_metrics`); ``metrics`` is
-    the raw per-query registry delta it was derived from, keyed by
-    snapshot keys (see :func:`repro.obs.metric_key`).
+    ``metrics`` is the query's delta of the engine's metrics registry,
+    keyed by snapshot keys (see :func:`repro.obs.metric_key`); ``stats``
+    projects it onto the paper's metric set and always equals
+    :meth:`repro.eval.counters.QueryStats.from_metrics` of it.
     """
 
     query_graph: ProbabilisticGraph
@@ -167,12 +168,15 @@ class _QueryMixin:
 
     :meth:`execute` infers ``Q``, retrieves candidates and refines them;
     an engine supplies only its ``_engine_label`` (the ``engine`` metric
-    label), ``is_built``, ``infer_query_graph(matrix, gamma, *,
-    metrics)`` and the retrieval step ``_retrieve(spec, query_graph,
-    metrics)``. ``query()`` / ``query_topk()`` are conveniences that
-    build one :class:`~repro.core.spec.QuerySpec`; thresholds are
-    keyword-only (the positional form raises :class:`TypeError` with a
-    migration hint).
+    label), ``_series`` (its :class:`~repro.obs.SeriesTable` over
+    ``obs.metrics``, tagged by :meth:`QueryStats.field_of`), ``is_built``,
+    ``infer_query_graph(matrix, gamma, *, metrics)`` and the retrieval
+    step ``_retrieve(spec, query_graph, metrics)``. ``metrics`` is the
+    query's :class:`~repro.obs.QueryMeter`, which offers a registry's
+    ``counter(...)`` / ``histogram(...)`` calls. ``query()`` /
+    ``query_topk()`` are conveniences that build one
+    :class:`~repro.core.spec.QuerySpec`; thresholds are keyword-only (the
+    positional form raises :class:`TypeError` with a migration hint).
     """
 
     _engine_label: str
@@ -242,10 +246,11 @@ class _QueryMixin:
           ``k``. Both return the same answers.
 
         The read path is reentrant: all per-query accounting lives in a
-        private :class:`~repro.obs.MetricsRegistry`, merged into the
-        engine's shared registry at the end -- any number of threads may
-        call ``execute()`` on one built engine concurrently and every
-        result carries exactly its own stats.
+        private :class:`~repro.obs.QueryMeter` over the engine's series
+        table, folded into the shared registry under one lock at the end
+        -- any number of threads may call ``execute()`` on one built
+        engine concurrently and every result carries exactly its own
+        stats.
         """
         if not isinstance(spec, QuerySpec):
             raise ValidationError(
@@ -254,7 +259,7 @@ class _QueryMixin:
         if not self.is_built:
             raise IndexNotBuiltError("call build() before execute()")
         engine = self._engine_label
-        local = MetricsRegistry()  # this query's private delta registry
+        local = self._series.meter()  # this query's private counts
         tracer = self.obs.tracer
         started = time.perf_counter()
         with tracer.span(
@@ -291,10 +296,9 @@ class _QueryMixin:
                 engine=engine,
                 kind=spec.kind,
             ).inc()
-        delta = local.snapshot()
-        self.obs.metrics.merge(local)
+        delta, tagged = self._series.fold(local)
         return IMGRNResult(
-            query_graph, answers, QueryStats.from_metrics(delta), metrics=delta
+            query_graph, answers, QueryStats.from_series(tagged), metrics=delta
         )
 
     def _stage_timer(self, stage: str, metrics):
@@ -385,21 +389,28 @@ class _MatrixEntry:
     _estimator_state: EstimatorState | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _state_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def estimator_state(self, inference: BatchInferenceEngine) -> EstimatorState:
         """The source's refinement :class:`EstimatorState`, built by
         ``inference`` (the engine's own) on first use.
 
-        Published like :meth:`column_stats`: one complete tuple, so a
-        concurrent reader sees either nothing (and builds an equal state
-        itself) or all of it. Only its permutation memo grows afterwards,
-        one complete read-only array per column.
+        Built and published once, under the entry's lock: threads that
+        touch the source first together all get the one published state,
+        so no permutation indices are memoized into a state that is then
+        dropped. Only its permutation memo grows afterwards, one complete
+        read-only array per column.
         """
         state = self._estimator_state
         if state is None:
-            state = self._estimator_state = inference.estimator_state(
-                self.matrix.values
-            )
+            with self._state_lock:
+                state = self._estimator_state
+                if state is None:
+                    state = self._estimator_state = inference.estimator_state(
+                        self.matrix.values
+                    )
         return state
 
     def column_stats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -437,6 +448,7 @@ class IMGRNEngine(_QueryMixin):
         self.database = database
         self.config = config or EngineConfig()
         self.obs = Observability.from_config(self.config.observability)
+        self._series = SeriesTable(self.obs.metrics, QueryStats.field_of)
         self.pages = PageManager()
         #: The index (see :mod:`repro.index.arraystore`): repacked by
         #: :meth:`_repack` after every index change, or installed directly
@@ -716,9 +728,9 @@ class IMGRNEngine(_QueryMixin):
         column, see :mod:`repro.core.batch_inference`), and edges with
         ``p > gamma`` survive.
 
-        ``metrics`` is the registry the Lemma-3 pruning counter records
-        into -- :meth:`execute` passes its per-query registry; direct
-        callers default to the engine's shared one.
+        ``metrics`` is what the Lemma-3 pruning counter records into --
+        :meth:`execute` passes its query's meter; direct callers default
+        to the engine's shared registry.
         """
         _check_thresholds(gamma)
         if metrics is None:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, QueryMeter
 from ..obs import names as _names
 from .batch_inference import EstimatorState
 from .matching import Embedding
@@ -229,7 +229,8 @@ class CandidateRefiner:
         Engine label for the ``refine.*`` / ``query.pruned_pairs``
         series.
     metrics:
-        The query's private :class:`~repro.obs.MetricsRegistry`.
+        The query's :class:`~repro.obs.QueryMeter` (a
+        :class:`~repro.obs.MetricsRegistry` works as well).
     tracer:
         The engine's tracer; one ``refine.source`` span per candidate
         that reaches the batched estimator.
@@ -246,7 +247,7 @@ class CandidateRefiner:
         evaluator,
         *,
         engine: str,
-        metrics: MetricsRegistry,
+        metrics: QueryMeter | MetricsRegistry,
         tracer,
         seed_bounds: dict[tuple[int, EdgeKey], float] | None = None,
     ) -> None:

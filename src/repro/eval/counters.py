@@ -6,23 +6,39 @@ page accesses during query answering, and the number of candidates remaining
 after pruning.
 
 Since the observability layer (:mod:`repro.obs`) landed, engines no longer
-hand-thread these fields: every stage records into the engine's
-:class:`~repro.obs.MetricsRegistry`, and a :class:`QueryStats` is carved
-out of the registry at the end of each query via :meth:`QueryStats.from_metrics`
--- one source of truth for the per-query stats object, the Prometheus/JSON
-exports and the benchmark figures.
+hand-thread these fields: every stage records into the query's
+:class:`~repro.obs.QueryMeter`, and a :class:`QueryStats` is built from
+the meter's tagged slots when it is folded into the engine's registry
+(:meth:`QueryStats.from_series`); it equals :meth:`QueryStats.from_metrics`
+of the query's delta -- one source of truth for the per-query stats
+object, the Prometheus/JSON exports and the benchmark figures.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from ..obs import names as _names
 from ..obs import parse_key
 
 __all__ = ["QueryStats", "Stopwatch", "aggregate_stats"]
+
+#: QueryStats count field fed by each counter, by series name.
+_COUNT_FIELDS = {
+    _names.QUERY_IO: "io_accesses",
+    _names.QUERY_CANDIDATES: "candidates",
+    _names.QUERY_ANSWERS: "answers",
+    _names.QUERY_PRUNED: "pruned_pairs",
+}
+
+#: QueryStats seconds field fed by each stage of ``query.stage_seconds``.
+_STAGE_FIELDS = {
+    _names.STAGE_RETRIEVE: "cpu_seconds",
+    _names.STAGE_REFINE: "refine_seconds",
+    _names.STAGE_INFERENCE: "inference_seconds",
+}
 
 
 @dataclass
@@ -75,22 +91,40 @@ class QueryStats:
         stats = cls()
         for key, value in delta.items():
             name, labels, suffix = parse_key(key)
-            if name == _names.QUERY_IO:
-                stats.io_accesses += int(value)
-            elif name == _names.QUERY_CANDIDATES:
-                stats.candidates += int(value)
-            elif name == _names.QUERY_ANSWERS:
-                stats.answers += int(value)
-            elif name == _names.QUERY_PRUNED:
-                stats.pruned_pairs += int(value)
+            if name in _COUNT_FIELDS:
+                stats._add(_COUNT_FIELDS[name], value)
             elif name == _names.STAGE_SECONDS and suffix == "_sum":
-                if f'stage="{_names.STAGE_RETRIEVE}"' in labels:
-                    stats.cpu_seconds += value
-                elif f'stage="{_names.STAGE_REFINE}"' in labels:
-                    stats.refine_seconds += value
-                elif f'stage="{_names.STAGE_INFERENCE}"' in labels:
-                    stats.inference_seconds += value
+                for stage, field_name in _STAGE_FIELDS.items():
+                    if f'stage="{stage}"' in labels:
+                        stats._add(field_name, value)
+                        break
         return stats
+
+    @classmethod
+    def from_series(cls, tagged: Iterable[tuple[str, float]]) -> "QueryStats":
+        """Build one query's stats from the ``(field, value)`` pairs that
+        :meth:`repro.obs.SeriesTable.fold` returns for series tagged by
+        :meth:`field_of`; equals :meth:`from_metrics` of the fold's delta.
+        """
+        stats = cls()
+        for field_name, value in tagged:
+            stats._add(field_name, value)
+        return stats
+
+    @staticmethod
+    def field_of(series) -> str | None:
+        """The field a per-query series feeds (``None`` for none): the
+        counters by name, the stage-seconds histogram by its ``stage``."""
+        if series.kind == "counter":
+            return _COUNT_FIELDS.get(series.name)
+        if series.kind == "histogram" and series.name == _names.STAGE_SECONDS:
+            return _STAGE_FIELDS.get(series.labels.get("stage"))
+        return None
+
+    def _add(self, field_name: str, value: float) -> None:
+        """Add ``value`` to a field, truncated to ``int`` for the counts."""
+        current = getattr(self, field_name)
+        setattr(self, field_name, current + type(current)(value))
 
 
 @dataclass

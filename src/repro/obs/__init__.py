@@ -33,6 +33,8 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    QueryMeter,
+    SeriesTable,
     get_registry,
     metric_key,
     parse_key,
@@ -53,6 +55,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "QueryMeter",
+    "SeriesTable",
     "DEFAULT_BUCKETS",
     "get_registry",
     "metric_key",

@@ -2,11 +2,11 @@
 
 Zero-dependency, Prometheus-shaped instrumentation primitives. A
 :class:`MetricsRegistry` owns a flat namespace of metrics keyed by
-``(name, labels)``; engines get-or-create their series once per query
-(or once per engine) and then update plain Python attributes on the hot
-path -- an update is one float add, no locking, no dict lookups.
+``(name, labels)``; callers get-or-create a series once and then
+update plain Python attributes on the hot path -- an update is one
+float add, no locking, no dict lookups.
 
-Two consumption styles are supported:
+Three consumption styles are supported:
 
 * **cumulative** (Prometheus style): :meth:`MetricsRegistry.collect`
   and the exporters in :mod:`repro.obs.exporters` render the running
@@ -14,14 +14,16 @@ Two consumption styles are supported:
 * **scoped deltas**: :meth:`MetricsRegistry.mark` snapshots the
   monotonic state and :meth:`MetricsRegistry.since` returns what changed
   -- correct only when nothing else touches the registry in between;
-* **per-query registries**: a query creates a private
-  :class:`MetricsRegistry`, records into it without any locking (one
-  thread owns it), and the engine folds it into the shared registry at
-  the end with :meth:`MetricsRegistry.merge`. The private registry's
-  :meth:`~MetricsRegistry.snapshot` *is* the query's delta, exact even
-  when many queries run concurrently -- this is how
-  :class:`repro.eval.counters.QueryStats` is produced since the
-  concurrent query-serving layer landed.
+* **per-query meters**: an engine resolves its per-query series once,
+  in a :class:`SeriesTable` that maps each ``(kind, name, labels)`` to
+  a slot and remembers the slot's snapshot keys and shared-registry
+  handle. A query counts into a :class:`QueryMeter` (the registry's
+  ``counter(...)`` / ``histogram(...)`` surface over a flat slot list,
+  one thread owns it, no locking), and :meth:`SeriesTable.fold` adds it
+  into the shared registry under one lock acquisition while building
+  the query's delta -- exactly the snapshot a private registry would
+  have had, exact even when many queries run concurrently. This is how
+  :class:`repro.eval.counters.QueryStats` is produced.
 
 The process-global default registry is reachable via :func:`get_registry`;
 engines use it unless their :class:`repro.config.ObservabilityConfig`
@@ -43,6 +45,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "QueryMeter",
+    "SeriesTable",
     "get_registry",
     "metric_key",
     "parse_key",
@@ -248,8 +252,11 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
-        # Reentrant: merge() holds the lock across get-or-create calls.
+        # Reentrant: SeriesTable.fold holds the lock across get-or-create
+        # calls.
         self._lock = threading.RLock()
+        # Bumped by reset(), so a SeriesTable knows its handles are stale.
+        self._generation = 0
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -336,45 +343,235 @@ class MetricsRegistry:
                 out[key] = value - mark.get(key, 0.0)
         return out
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's series into this one (thread-safe).
-
-        The backbone of the reentrant query path: each query records into
-        a private registry (no locks, single owner) and merges it into the
-        shared registry once, here, under one lock acquisition. Counters
-        and histograms accumulate; gauges take the other registry's
-        current value. Histograms must agree on bucket boundaries.
-        """
-        with self._lock:
-            for metric in other.collect():
-                if isinstance(metric, Counter):
-                    self.counter(
-                        metric.name, help=metric.help, **metric.labels
-                    ).value += metric.value
-                elif isinstance(metric, Gauge):
-                    self.gauge(
-                        metric.name, help=metric.help, **metric.labels
-                    ).set(metric.value)
-                elif isinstance(metric, Histogram):
-                    mine = self.histogram(
-                        metric.name,
-                        help=metric.help,
-                        buckets=metric.buckets,
-                        **metric.labels,
-                    )
-                    if mine.buckets != metric.buckets:
-                        raise ValidationError(
-                            f"histogram {metric.key} bucket mismatch on merge"
-                        )
-                    for i, count in enumerate(metric.counts):
-                        mine.counts[i] += count
-                    mine.sum += metric.sum
-                    mine.count += metric.count
-
     def reset(self) -> None:
         """Drop every registered series (tests / process recycling)."""
         with self._lock:
             self._metrics.clear()
+            self._generation += 1
+
+
+class SeriesTable:
+    """One engine's per-query series, resolved once.
+
+    Maps each ``(kind, name, labels)`` a query records under to a slot
+    of a :class:`QueryMeter`, and keeps what folding a slot needs: a
+    prototype series (kind, sorted labels, help, buckets), the snapshot
+    key strings, an optional tag and the shared registry's handle.
+    Slots are added lazily under the table's lock; a handle is fetched
+    with the registry's get-or-create the first time its slot is folded,
+    and again after :meth:`MetricsRegistry.reset`. ``tag(series)`` names
+    what a slot feeds in the caller's own accounting (see :meth:`fold`),
+    or returns ``None``.
+    """
+
+    def __init__(self, registry: MetricsRegistry, tag=None) -> None:
+        self._registry = registry
+        self._tag = tag
+        self._lock = threading.Lock()
+        # (kind, name, *label items) as a call site passes them -> slot;
+        # published last, so a reader that finds a slot finds its columns.
+        self._slots: dict[tuple, int] = {}
+        self._slot_of_key: dict[str, int] = {}
+        self._series: list[_Metric] = []
+        self._keys: list[tuple[str, ...]] = []
+        self._tags: list[object] = []
+        self._handles: list[_Metric | None] = []
+        self._order: tuple[int, ...] = ()  # slots by series key
+        self._generation = registry._generation
+
+    def meter(self) -> "QueryMeter":
+        """A fresh meter for one query."""
+        return QueryMeter(self)
+
+    def _resolve(
+        self,
+        lookup: tuple,
+        cls: type[_Metric],
+        name: str,
+        help: str,
+        labels: dict,
+        **extra,
+    ) -> int:
+        """The slot of a series, added on its first call (see
+        :meth:`QueryMeter.counter`)."""
+        with self._lock:
+            slot = self._slots.get(lookup)
+            if slot is not None:
+                return slot
+            _check_name(name)
+            key = metric_key(name, labels)
+            slot = self._slot_of_key.get(key)
+            if slot is None:
+                series = cls(name, labels, help=help, **extra)
+                slot = len(self._series)
+                if isinstance(series, Histogram):
+                    keys = (
+                        metric_key(name, labels, "_sum"),
+                        metric_key(name, labels, "_count"),
+                    )
+                else:
+                    keys = (key,)
+                self._series.append(series)
+                self._keys.append(keys)
+                self._tags.append(self._tag(series) if self._tag else None)
+                self._handles.append(None)
+                self._slot_of_key[key] = slot
+                self._order = tuple(
+                    s for _key, s in sorted(self._slot_of_key.items())
+                )
+            elif not isinstance(self._series[slot], cls):
+                raise ValidationError(
+                    f"metric {key} already registered as "
+                    f"{self._series[slot].kind}"
+                )
+            self._slots[lookup] = slot
+            return slot
+
+    def _register(self, slot: int) -> _Metric:
+        """The shared registry's series for ``slot`` (get-or-create)."""
+        series = self._series[slot]
+        if isinstance(series, Histogram):
+            handle = self._registry.histogram(
+                series.name,
+                help=series.help,
+                buckets=series.buckets,
+                **series.labels,
+            )
+            if handle.buckets != series.buckets:
+                raise ValidationError(
+                    f"histogram {series.key} bucket mismatch on fold"
+                )
+            return handle
+        return self._registry.counter(
+            series.name, help=series.help, **series.labels
+        )
+
+    def fold(
+        self, meter: "QueryMeter"
+    ) -> tuple[dict[str, float], list[tuple[object, float]]]:
+        """Add ``meter`` into the shared registry under one lock acquisition.
+
+        Counters add their totals and histograms their observations.
+        Returns the query's delta -- ``{snapshot key: value}`` for every
+        series the query touched (zero counts included), in series-key
+        order with ``_sum`` before ``_count``: the
+        :meth:`~MetricsRegistry.snapshot` a private registry would have
+        taken -- and ``(tag, value)`` per touched tagged slot in the
+        same order (a counter's total, a histogram's sum).
+        """
+        values = meter._values
+        touched = len(values)
+        delta: dict[str, float] = {}
+        tagged: list[tuple[object, float]] = []
+        registry = self._registry
+        with registry._lock:
+            if self._generation != registry._generation:
+                with self._lock:
+                    self._handles = [None] * len(self._series)
+                    self._generation = registry._generation
+            handles = self._handles
+            for slot in self._order:
+                value = values[slot] if slot < touched else None
+                if value is None:
+                    continue
+                handle = handles[slot]
+                if handle is None:
+                    handle = handles[slot] = self._register(slot)
+                keys = self._keys[slot]
+                if isinstance(value, list):
+                    total = 0.0
+                    counts, buckets = handle.counts, handle.buckets
+                    for observed in value:
+                        counts[bisect.bisect_left(buckets, observed)] += 1
+                        total += observed
+                    handle.sum += total
+                    handle.count += len(value)
+                    delta[keys[0]] = total
+                    delta[keys[1]] = _shared_float(len(value))
+                else:
+                    handle.value += value
+                    delta[keys[0]] = total = _shared_float(value)
+                tag = self._tags[slot]
+                if tag is not None:
+                    tagged.append((tag, total))
+        return delta, tagged
+
+
+class QueryMeter:
+    """One query's counts, in the flat slots of a :class:`SeriesTable`.
+
+    Offers the registry's ``counter(...)`` / ``histogram(...)`` calls. A
+    counter slot holds its running total, a histogram slot the values it
+    observed, and ``None`` marks a slot the query never touched. One
+    thread owns a meter: nothing here locks.
+    """
+
+    __slots__ = ("_table", "_values")
+
+    def __init__(self, table: SeriesTable) -> None:
+        self._table = table
+        self._values: list = [None] * len(table._series)
+
+    def _touch(self, slot: int, empty):
+        values = self._values
+        if slot >= len(values):
+            values.extend([None] * (slot + 1 - len(values)))
+        value = values[slot]
+        if value is None:
+            value = values[slot] = empty
+        return value
+
+    def counter(self, name: str, help: str = "", **labels: str) -> "_SlotCounter":
+        lookup = (Counter, name, *labels.items())
+        table = self._table
+        slot = table._slots.get(lookup)
+        if slot is None:
+            slot = table._resolve(lookup, Counter, name, help, labels)
+        self._touch(slot, 0.0)
+        return _SlotCounter(self._values, slot, name)
+
+    def histogram(
+        self,
+        name: str,
+        help: str = "",
+        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
+        **labels: str,
+    ) -> "_SlotHistogram":
+        lookup = (Histogram, name, *labels.items())
+        table = self._table
+        slot = table._slots.get(lookup)
+        if slot is None:
+            slot = table._resolve(
+                lookup, Histogram, name, help, labels, buckets=buckets
+            )
+        return _SlotHistogram(self._touch(slot, []))
+
+
+class _SlotCounter:
+    """:meth:`Counter.inc` into one meter slot."""
+
+    __slots__ = ("_values", "_slot", "_name")
+
+    def __init__(self, values: list, slot: int, name: str) -> None:
+        self._values = values
+        self._slot = slot
+        self._name = name
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValidationError(
+                f"counter {self._name} cannot decrease (inc {amount})"
+            )
+        self._values[self._slot] += amount
+
+
+class _SlotHistogram:
+    """:meth:`Histogram.observe` into one meter slot's value list."""
+
+    __slots__ = ("observe",)
+
+    def __init__(self, observed: list) -> None:
+        self.observe = observed.append
 
 
 #: The process-wide default registry (what ``imgrn stats`` renders).

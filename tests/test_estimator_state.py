@@ -234,6 +234,43 @@ class TestConcurrentStates:
         assert runs == [serial] * THREADS
         assert any(_states(engine))
 
+    def test_racing_first_touches_share_one_state(self, monkeypatch):
+        """Two threads that first touch one source together both get the
+        one published state, so no memo indices go into a dropped one.
+
+        The build waits for a second builder (bounded, so a fix that
+        serializes the builds only pays the timeout); check-then-store
+        lets both build and each keep its own state.
+        """
+        engine = IMGRNEngine(_database(), _config())
+        engine.build()
+        inference = engine._inference
+        entry = next(iter(engine._entries.values()))
+        build = inference.estimator_state
+        second_builder = threading.Barrier(2)
+
+        def waiting_build(values):
+            try:
+                second_builder.wait(timeout=1.0)
+            except threading.BrokenBarrierError:
+                pass
+            return build(values)
+
+        monkeypatch.setattr(inference, "estimator_state", waiting_build)
+        states = [None, None]
+
+        def touch(index: int) -> None:
+            states[index] = entry.estimator_state(inference)
+
+        threads = [threading.Thread(target=touch, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert states[0] is not None
+        assert states[0] is states[1] is entry._estimator_state
+
     def test_readers_see_all_or_nothing(self):
         """Threads racing to build every source's state and memo each get
         complete values, never a half-built tuple or index array."""

@@ -74,23 +74,59 @@ class TestStressBitIdentity:
     def test_stats_exact_under_repeated_concurrency(
         self, built_engine: IMGRNEngine, query_workload
     ):
-        """Per-query metrics deltas stay exact across repeated rounds."""
+        """Per-query metrics deltas stay exact across repeated rounds.
+
+        Every non-timing entry of each concurrent delta (keys, order and
+        values) equals the serial one, and the shared registry grows by
+        exactly the sum of the deltas. The serial reference runs on a
+        warmed estimator cache, so cache-dependent refinement counters
+        cannot differ between the serial and the concurrent rounds.
+        """
         specs = make_specs(query_workload, gammas=(0.5,))
+        for spec in specs:
+            built_engine.execute(spec)
         reference = [
             built_engine.query(s.matrix, gamma=s.gamma, alpha=s.alpha)
             for s in specs
         ]
+        registry = built_engine.obs.metrics
+        mark = registry.mark()
+        summed: dict[str, float] = {}
         with QueryServer(
             built_engine,
             ServeConfig(max_workers=STRESS_THREADS),
         ) as server:
             for _round in range(3):
                 for outcome, ref in zip(server.batch(specs), reference):
-                    stats = QueryStats.from_metrics(outcome.result.metrics)
+                    metrics = outcome.result.metrics
+                    stats = QueryStats.from_metrics(metrics)
                     for field in COUNT_FIELDS:
                         assert getattr(stats, field) == getattr(
                             ref.stats, field
                         )
+                    assert _untimed(metrics) == _untimed(ref.metrics)
+                    for key, value in metrics.items():
+                        summed[key] = summed.get(key, 0.0) + value
+        grown = registry.since(mark)
+        folded = [
+            key
+            for key in summed
+            if key.startswith(
+                (_names.QUERY_COUNT, _names.QUERY_PRUNED, "refine.")
+            )
+        ]
+        assert any(k.startswith(_names.QUERY_PRUNED) for k in folded)
+        assert any(k.startswith("refine.") for k in folded)
+        assert {k: grown[k] for k in folded} == {k: summed[k] for k in folded}
+
+
+def _untimed(metrics: dict[str, float]) -> list[tuple[str, float]]:
+    """A delta's entries in order, without the wall-clock stage sums."""
+    return [
+        (key, value)
+        for key, value in metrics.items()
+        if not (key.startswith(_names.STAGE_SECONDS) and key.endswith("_sum"))
+    ]
 
 
 class _SleepyEngine:
