@@ -380,6 +380,7 @@ class LinearScanEngine(_CompetitorEngine):
                 m.source_id: standardize_matrix(m.values) for m in self.database
             }
             self._states = {}
+            self._inference.clear_blocks()
         elapsed = time.perf_counter() - started
         self.obs.metrics.counter(
             _names.BUILD_MATRICES, help="matrices standardized", engine="linear_scan"
@@ -391,7 +392,9 @@ class LinearScanEngine(_CompetitorEngine):
 
     def _source_state(self, source: int) -> EstimatorState:
         """The source's refinement estimator state, built on first use;
-        the first of racing builders publishes, so all share one memo."""
+        the first of racing builders publishes, so all share one state.
+        Every source is scanned, so every state admits its blocks to the
+        permutation store."""
         state = self._states.get(source)
         if state is None:
             state = self._states.setdefault(

@@ -14,8 +14,14 @@ provides the batched engine those callers share:
   (gamma-independent) estimator parameters, so repeated pairs -- across
   queries, candidates and engines -- are estimated once;
 * a per-source :class:`EstimatorState` for stored matrices: their
-  columns are standardized and hashed once, and each column's
-  permutation block is drawn once and kept as a compact index memo;
+  columns are standardized and hashed once;
+* one content-addressed permutation store per engine, keyed by a
+  column's ``content_seed``: a column's block is drawn once and kept as
+  compact ``n_samples x l`` permutation indices. Refinement of an
+  indexed source admits the target columns it estimates; query-graph
+  inference and a removed source's transient state gather on a hit and
+  draw on a miss without admitting, so the store grows with stored
+  columns only, never with ad-hoc query columns;
 * an opt-in ``ProcessPoolExecutor`` path that shards the pair grid by
   target column (round-robin stripes, so shard costs balance) for large
   matrices.
@@ -36,7 +42,7 @@ import numpy as np
 
 from ..config import InferenceConfig
 from ..errors import DegenerateVectorError, DimensionMismatchError, ValidationError
-from ..obs import Observability
+from ..obs import CounterHandle, Observability
 from ..obs import names as _names
 from .randomization import MAX_EXACT_LENGTH, content_seed, permutation_beaten
 from .standardize import standardize_vector
@@ -108,31 +114,18 @@ def _permutation_block(
     return rng.permuted(np.tile(column, (n_samples, 1)), axis=1)
 
 
-def _memoized_indices(
-    memo: dict[int, np.ndarray],
-    t: int,
-    col_seed: int,
-    length: int,
-    n_samples: int,
-    seed: int,
+def _permutation_indices(
+    col_seed: int, length: int, n_samples: int, seed: int
 ) -> np.ndarray:
-    """Column ``t``'s permutation block as positions, drawn once per memo.
+    """A column's permutation block as ``intp`` positions.
 
     ``Generator.permuted`` shuffles by position only, so the same stream
     over ``arange(length)`` yields indices with ``column[indices]`` equal
-    to :func:`_permutation_block` of that column byte for byte. Indices
-    use the smallest unsigned dtype that holds ``length - 1``; a complete,
-    read-only array is published with one ``setdefault``, so a concurrent
-    reader gets either nothing (and draws the same indices itself) or all
-    of them.
+    to :func:`_permutation_block` of that column byte for byte, at the
+    same cost: NumPy shuffles 8-byte items about twice as fast as 1-byte
+    ones, so positions are narrowed only for the permutation store.
     """
-    indices = memo.get(t)
-    if indices is None:
-        positions = np.arange(length, dtype=np.min_scalar_type(length - 1))
-        indices = _permutation_block(positions, col_seed, n_samples, seed)
-        indices.flags.writeable = False
-        indices = memo.setdefault(t, indices)
-    return indices
+    return _permutation_block(np.arange(length), col_seed, n_samples, seed)
 
 
 class EstimatorState(NamedTuple):
@@ -140,17 +133,16 @@ class EstimatorState(NamedTuple):
 
     Built by :meth:`BatchInferenceEngine.estimator_state` and reused by
     every query that refines against the source: ``std`` is the
-    read-only :func:`standardize_columns` of the matrix, ``seeds[c]`` the
-    ``content_seed`` of column ``c``, and ``memo`` maps a column to its
-    permutation indices (see :func:`_memoized_indices`), filled as
-    refinement estimates against it. ``memo`` is ``None`` in the
-    exact-enumeration regime, which draws no permutations. The indices
-    hold for the building engine's estimator parameters only.
+    read-only :func:`standardize_columns` of the matrix and ``seeds[c]``
+    the ``content_seed`` of column ``c``. ``admit`` says whether the
+    blocks drawn for its target columns enter the engine's permutation
+    store: true for an indexed source, false for the transient state of
+    a source no longer indexed.
     """
 
     std: np.ndarray
     seeds: tuple[int, ...]
-    memo: dict[int, np.ndarray] | None
+    admit: bool
 
 
 def _target_columns(
@@ -393,16 +385,31 @@ class BatchInferenceEngine:
             self.cache = EdgeProbabilityCache(self.config.cache_size)
         else:
             self.cache = None
-        # Hoisted once: hot-path updates are single float adds.
+        #: The permutation store: ``content_seed`` of a standardized column
+        #: -> its read-only permutation indices (:func:`_permutation_indices`
+        #: in the smallest unsigned dtype that holds ``l - 1``) for this
+        #: engine's estimator parameters. Entries are published complete
+        #: with ``setdefault``; a reader gets all or nothing.
+        self._blocks: dict[int, np.ndarray] = {}
         metrics = self.obs.metrics
-        self._pairs_estimated = metrics.counter(
-            _names.INFERENCE_PAIRS, help="edge probabilities estimated"
+        self._pairs_estimated = CounterHandle(
+            metrics, _names.INFERENCE_PAIRS, help="edge probabilities estimated"
         )
-        self._cache_hit_count = metrics.counter(
-            _names.INFERENCE_CACHE_HITS, help="edge-probability cache hits"
+        self._cache_hit_count = CounterHandle(
+            metrics, _names.INFERENCE_CACHE_HITS, help="edge-probability cache hits"
         )
-        self._cache_miss_count = metrics.counter(
-            _names.INFERENCE_CACHE_MISSES, help="edge-probability cache misses"
+        self._cache_miss_count = CounterHandle(
+            metrics,
+            _names.INFERENCE_CACHE_MISSES,
+            help="edge-probability cache misses",
+        )
+        self._blocks_drawn = CounterHandle(
+            metrics, _names.INFERENCE_BLOCKS_DRAWN, help="permutation blocks drawn"
+        )
+        self._blocks_gathered = CounterHandle(
+            metrics,
+            _names.INFERENCE_BLOCKS_GATHERED,
+            help="permutation blocks gathered from the permutation store",
         )
 
     # ------------------------------------------------------------------
@@ -455,18 +462,51 @@ class BatchInferenceEngine:
     ) -> float:
         if self._exact_regime(int(xt.shape[0])):
             return self.estimator.pair_probability(raw_s, raw_t)
+        self._blocks_drawn.inc()
         return self.estimator.sampled_probability_std(xs, xt)
 
     # ------------------------------------------------------------------
     # Pair blocks (sparse pair sets over one matrix)
     # ------------------------------------------------------------------
-    def estimator_state(self, values: np.ndarray) -> EstimatorState:
-        """The :class:`EstimatorState` of one stored matrix's ``values``."""
+    def estimator_state(
+        self, values: np.ndarray, admit: bool = True
+    ) -> EstimatorState:
+        """The :class:`EstimatorState` of one stored matrix's ``values``;
+        ``admit=False`` for a matrix that is no longer stored."""
         std = standardize_columns(values)
         std.flags.writeable = False
         seeds = tuple(content_seed(std[:, c]) for c in range(std.shape[1]))
-        memo = None if self._exact_regime(int(std.shape[0])) else {}
-        return EstimatorState(std, seeds, memo)
+        return EstimatorState(std, seeds, admit)
+
+    def drop_blocks(self, seeds: Iterable[int]) -> None:
+        """Drop the permutation store's entries of these column seeds."""
+        for col_seed in seeds:
+            self._blocks.pop(col_seed, None)
+
+    def clear_blocks(self) -> None:
+        """Empty the permutation store."""
+        self._blocks.clear()
+
+    def _column_block(
+        self, column: np.ndarray, col_seed: int, n_samples: int, admit: bool
+    ) -> np.ndarray:
+        """The column's ``n_samples x l`` permutation block: gathered from
+        the permutation store, else drawn -- the same block byte for byte.
+        A drawn block enters the store only when ``admit`` is set."""
+        indices = self._blocks.get(col_seed)
+        if indices is not None:
+            self._blocks_gathered.inc()
+        else:
+            self._blocks_drawn.inc()
+            length = len(column)
+            indices = _permutation_indices(
+                col_seed, length, n_samples, self.estimator.seed
+            )
+            if admit:
+                stored = indices.astype(np.min_scalar_type(length - 1))
+                stored.flags.writeable = False
+                self._blocks.setdefault(col_seed, stored)
+        return column.take(indices)
 
     def cached_pairs(
         self, seeds: Sequence[int] | dict[int, int], pairs: Sequence[tuple[int, int]]
@@ -498,7 +538,7 @@ class BatchInferenceEngine:
         *,
         seeds: Sequence[int] | dict[int, int] | None = None,
         keys: list[int] | None = None,
-        memo: dict[int, np.ndarray] | None = None,
+        admit: bool = False,
     ) -> dict[tuple[int, int], float]:
         """Probabilities for selected column pairs of a standardized matrix.
 
@@ -513,10 +553,10 @@ class BatchInferenceEngine:
         columns the pairs name are hashed here, once each. ``keys`` are
         the pairs' cache keys when the caller already looked them up with
         :meth:`cached_pairs` and found none of them: every pair is then
-        estimated and stored without a second lookup. ``memo`` is a stored
-        source's :attr:`EstimatorState.memo`: each target column's block
-        is then gathered from its memoized permutation indices instead of
-        drawn -- the same block byte for byte.
+        estimated and stored without a second lookup. Each target
+        column's block is gathered from the permutation store when the
+        store holds the column, else drawn; ``admit`` (a stored source's
+        :attr:`EstimatorState.admit`) publishes drawn blocks to the store.
         """
         est = self.estimator
         out: dict[tuple[int, int], float] = {}
@@ -562,14 +602,7 @@ class BatchInferenceEngine:
                 indices = sorted(missing_by_t[t], key=lambda i: pairs[i][0])
                 partners = [pairs[i][0] for i in indices]
                 column = std[:, t]
-                if memo is None:
-                    block = _permutation_block(column, seeds[t], n_samples, est.seed)
-                else:
-                    block = column[
-                        _memoized_indices(
-                            memo, t, seeds[t], length, n_samples, est.seed
-                        )
-                    ]
+                block = self._column_block(column, seeds[t], n_samples, admit)
                 cols = std[:, partners]
                 scores = block @ cols
                 observed = column @ cols
@@ -610,6 +643,7 @@ class BatchInferenceEngine:
             self._cache_miss_count.inc()
         n = std.shape[1]
         self._pairs_estimated.inc(n * (n - 1) // 2)
+        self._blocks_drawn.inc(max(n - 1, 0))
         with self.obs.tracer.span(
             "inference.matrix", genes=n, samples=n_samples
         ):

@@ -26,7 +26,7 @@ from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
 from ..errors import ValidationError
 from ..eval.counters import QueryStats
-from ..obs import Observability, SeriesTable
+from ..obs import CounterHandle, Observability, SeriesTable
 from ..obs import names as _names
 from .baseline import _raw_pages
 from .batch_inference import EdgeProbabilityCache
@@ -82,14 +82,16 @@ class MeasureScanEngine(_QueryMixin):
         if inference.cache and isinstance(measure, str):
             self._cache = EdgeProbabilityCache(inference.cache_size)
         metrics = self.obs.metrics
-        self._pairs_estimated = metrics.counter(
-            _names.INFERENCE_PAIRS, help="edge probabilities estimated"
+        self._pairs_estimated = CounterHandle(
+            metrics, _names.INFERENCE_PAIRS, help="edge probabilities estimated"
         )
-        self._cache_hit_count = metrics.counter(
-            _names.INFERENCE_CACHE_HITS, help="edge-probability cache hits"
+        self._cache_hit_count = CounterHandle(
+            metrics, _names.INFERENCE_CACHE_HITS, help="edge-probability cache hits"
         )
-        self._cache_miss_count = metrics.counter(
-            _names.INFERENCE_CACHE_MISSES, help="edge-probability cache misses"
+        self._cache_miss_count = CounterHandle(
+            metrics,
+            _names.INFERENCE_CACHE_MISSES,
+            help="edge-probability cache misses",
         )
 
     @property

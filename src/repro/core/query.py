@@ -399,9 +399,9 @@ class _MatrixEntry:
 
         Built and published once, under the entry's lock: threads that
         touch the source first together all get the one published state,
-        so no permutation indices are memoized into a state that is then
-        dropped. Only its permutation memo grows afterwards, one complete
-        read-only array per column.
+        so its columns are standardized and hashed once. The state admits
+        the blocks drawn for it into the engine's permutation store, and
+        :meth:`IMGRNEngine.remove_matrix` drops them by its seeds.
         """
         state = self._estimator_state
         if state is None:
@@ -510,10 +510,13 @@ class IMGRNEngine(_QueryMixin):
 
     def _source_state(self, source: int) -> EstimatorState:
         """The indexed source's estimator state; a source removed while a
-        query still refines it gets a transient one."""
+        query still refines it gets a transient one, which admits nothing
+        to the permutation store."""
         entry = self._entries.get(source)
         if entry is None:
-            return self._inference.estimator_state(self.database.get(source).values)
+            return self._inference.estimator_state(
+                self.database.get(source).values, admit=False
+            )
         return entry.estimator_state(self._inference)
 
     def _require_mutable(self, operation: str) -> None:
@@ -558,6 +561,7 @@ class IMGRNEngine(_QueryMixin):
         self.pages = PageManager()
         inverted = InvertedBitVectorFile(config.bitvector_bits)
         self._entries = {}
+        self._inference.clear_blocks()
         matrices = list(self.database)
         shards = partition_shards(matrices, config.build.shard_size)
         with tracer.span(
@@ -726,7 +730,9 @@ class IMGRNEngine(_QueryMixin):
         Monte-Carlo estimation entirely (Lemma 3); the rest are estimated
         in one batched pass (one permutation block per surviving target
         column, see :mod:`repro.core.batch_inference`), and edges with
-        ``p > gamma`` survive.
+        ``p > gamma`` survive. A query column that copies a stored column
+        gathers the block refinement admitted to the permutation store;
+        query columns never enter the store.
 
         ``metrics`` is what the Lemma-3 pruning counter records into --
         :meth:`execute` passes its query's meter; direct callers default
@@ -898,7 +904,15 @@ class IMGRNEngine(_QueryMixin):
         a retracted study or revoked data-sharing agreement takes its
         matrix out of the searchable index without a rebuild. The
         database object keeps the matrix (other references may hold it);
-        only the index forgets it.
+        only the index forgets it, and the permutation store forgets the
+        blocks refinement admitted for its columns, if refinement built
+        the source's state. This only bounds memory; answers never depend
+        on the store. A query that took the source before the removal may
+        admit some blocks again, and an engine that removes sources
+        without rebuilding keeps those until the next :meth:`build`.
+        Dropping by content seed also drops a block that a byte-identical
+        column of a still-indexed source uses; that column draws the same
+        bytes again on its next refinement.
 
         Raises
         ------
@@ -920,6 +934,9 @@ class IMGRNEngine(_QueryMixin):
         ):
             self.inverted_file.remove_source(source_id, entry.matrix.gene_ids)
             self._repack()
+            state = entry._estimator_state
+            if state is not None:
+                self._inference.drop_blocks(state.seeds)
 
     def _pick_anchor(self, query_graph: ProbabilisticGraph) -> int:
         """Anchor gene for the traversal (Fig. 4 line 2, or an ablation).

@@ -22,7 +22,8 @@ runs. Per candidate it is cache-first and columnar:
   uncached edges estimated in one pass through
   :meth:`~repro.core.batch_inference.BatchInferenceEngine.pair_block_probabilities`
   (one permutation block per distinct target column, gathered from the
-  state's memoized permutation indices), reusing the lookup's cache
+  engine's permutation store, else drawn and admitted to it when the
+  state belongs to an indexed source), reusing the lookup's cache
   keys.
 
 Bit-identity contract: answers are decided by replaying the historical
@@ -163,7 +164,7 @@ class BatchEdgeEvaluator:
             raw=columns.raw,
             seeds=state.seeds,
             keys=keys,
-            memo=state.memo,
+            admit=state.admit,
         )
         return [block[pair] for pair in pairs]
 

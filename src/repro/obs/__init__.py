@@ -30,6 +30,7 @@ from .exporters import (
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
+    CounterHandle,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -52,6 +53,7 @@ __all__ = [
     "NOOP_TRACER",
     # metrics
     "Counter",
+    "CounterHandle",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

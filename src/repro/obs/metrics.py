@@ -42,6 +42,7 @@ from ..errors import ValidationError
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
+    "CounterHandle",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -348,6 +349,39 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
             self._generation += 1
+
+
+class CounterHandle:
+    """A long-lived holder's counter on a registry, kept across resets.
+
+    For engine-lifetime series a component increments directly, outside
+    any per-query meter. Holding the :class:`Counter` itself would keep
+    counting into a detached object after :meth:`MetricsRegistry.reset`;
+    the handle fetches the series again when the registry's generation
+    changed, as :class:`SeriesTable` does. The series is registered at
+    construction, so it shows (at zero) before its first increment.
+    """
+
+    __slots__ = ("_registry", "_name", "_help", "_counter", "_generation")
+
+    def __init__(self, registry: MetricsRegistry, name: str, help: str = "") -> None:
+        self._registry = registry
+        self._name = name
+        self._help = help
+        self._resolve(registry._generation)
+
+    def _resolve(self, generation: int) -> None:
+        # The generation is read before the fetch, and stored after it: a
+        # reset in between leaves a stale generation, so the next inc()
+        # fetches again, and a matching generation implies a fresh counter.
+        self._counter = self._registry.counter(self._name, help=self._help)
+        self._generation = generation
+
+    def inc(self, amount: float = 1.0) -> None:
+        generation = self._registry._generation
+        if generation != self._generation:
+            self._resolve(generation)
+        self._counter.inc(amount)
 
 
 class SeriesTable:

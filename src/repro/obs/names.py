@@ -42,6 +42,8 @@ __all__ = [
     "INFERENCE_PAIRS",
     "INFERENCE_CACHE_HITS",
     "INFERENCE_CACHE_MISSES",
+    "INFERENCE_BLOCKS_DRAWN",
+    "INFERENCE_BLOCKS_GATHERED",
     "REFINE_SOURCES",
     "REFINE_EDGES",
     "REFINE_PRESCREENED",
@@ -89,6 +91,10 @@ REFINE_BATCHES = "refine.batches"
 #: Edge-probability cache hits / misses of the batched engine.
 INFERENCE_CACHE_HITS = "inference.cache_hits"
 INFERENCE_CACHE_MISSES = "inference.cache_misses"
+#: Permutation blocks of the batched engine: drawn from the column's
+#: random stream, or gathered from the engine's permutation store.
+INFERENCE_BLOCKS_DRAWN = "inference.blocks_drawn"
+INFERENCE_BLOCKS_GATHERED = "inference.blocks_gathered"
 #: Matrices / index points registered during build (label: engine).
 BUILD_MATRICES = "build.matrices"
 BUILD_POINTS = "build.points"

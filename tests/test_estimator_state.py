@@ -1,11 +1,13 @@
-"""Per-source estimator state: standardized columns, content seeds and a
-memo of permutation indices, built once per stored source.
+"""Per-source estimator state (standardized columns and content seeds,
+built once per stored source) and the permutation indices refinement
+admits for its columns into the engine's permutation store.
 
-Under test: a memoized block equals the freshly drawn permutation block
-byte for byte; pair-block estimates are equal with and without the
-state; engines fill the states lazily under concurrent queries without
-changing an answer; a reader never sees a half-built state; and a
-removed source's state is freed with it.
+Under test: a block gathered from stored indices equals the freshly
+drawn permutation block byte for byte; pair-block estimates are equal
+with and without the state and the store; engines fill the states and
+the store lazily under concurrent queries without changing an answer; a
+reader never sees a half-built state or index array; and a removed
+source's state and store entries are freed with it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from repro import (
 )
 from repro.core.batch_inference import (
     BatchInferenceEngine,
-    _memoized_indices,
     _permutation_block,
+    _permutation_indices,
     standardize_columns,
 )
 from repro.core.inference import EdgeProbabilityEstimator
@@ -104,15 +106,23 @@ class TestMemoizedBlocks:
             )
         )
         column = np.array(values, dtype=np.float64)
-        memo: dict[int, np.ndarray] = {}
-        indices = _memoized_indices(memo, 3, col_seed, length, n_samples, seed)
-        assert indices.dtype == (np.uint8 if length <= 256 else np.uint16)
+        indices = _permutation_indices(col_seed, length, n_samples, seed)
         assert indices.shape == (n_samples, length)
-        assert not indices.flags.writeable
         drawn = _permutation_block(column, col_seed, n_samples, seed)
         assert column[indices].tobytes() == drawn.tobytes()
-        # Drawn once: the second call returns the published array.
-        assert _memoized_indices(memo, 3, col_seed, length, n_samples, seed) is indices
+        # Drawn once: an admitting call publishes the indices, narrowed
+        # and read-only, and the next call gathers from that same array.
+        engine = BatchInferenceEngine(
+            EdgeProbabilityEstimator(n_samples=n_samples, seed=seed)
+        )
+        first = engine._column_block(column, col_seed, n_samples, admit=True)
+        stored = engine._blocks[col_seed]
+        assert stored.dtype == (np.uint8 if length <= 256 else np.uint16)
+        assert not stored.flags.writeable
+        assert np.array_equal(stored, indices)
+        again = engine._column_block(column, col_seed, n_samples, admit=False)
+        assert engine._blocks[col_seed] is stored
+        assert first.tobytes() == again.tobytes() == drawn.tobytes()
 
     def test_state_columns_match_single_vector_path(self, rng):
         values = rng.normal(size=(37, 12))
@@ -123,7 +133,8 @@ class TestMemoizedBlocks:
             vector = standardize_vector(values[:, c])
             assert state.std[:, c].tobytes() == vector.tobytes()
             assert state.seeds[c] == content_seed(vector)
-        assert state.memo == {}
+        assert state.admit
+        assert engine._blocks == {}  # building a state draws nothing
 
 
 class TestPairBlocksWithState:
@@ -143,21 +154,20 @@ class TestPairBlocksWithState:
         )
         stateful = engine()
         state = stateful.estimator_state(values)
-        # The exact-enumeration regime (l <= 8) draws no permutations.
-        assert (state.memo is None) == (samples <= 8)
-        for _round in range(2):  # the second round gathers from the memo
+        for _round in range(2):  # the second round gathers from the store
             if cache:
                 stateful.cache.clear()
-            memoized = stateful.pair_block_probabilities(
+            stored = stateful.pair_block_probabilities(
                 state.std,
                 self.PAIRS,
                 raw=values,
                 seeds=state.seeds,
-                memo=state.memo,
+                admit=state.admit,
             )
-            assert memoized == plain
-        if state.memo is not None:
-            assert sorted(state.memo) == sorted({t for _s, t in self.PAIRS})
+            assert stored == plain
+        # The exact-enumeration regime (l <= 8) draws no permutations.
+        targets = {state.seeds[t] for _s, t in self.PAIRS}
+        assert set(stateful._blocks) == (set() if samples <= 8 else targets)
         for s, t in self.PAIRS:
             assert plain[(s, t)] == estimator.pair_probability(
                 values[:, s], values[:, t]
@@ -213,10 +223,11 @@ class TestConcurrentStates:
         reference = make()
         serial = _answers(reference, specs)
         assert any(serial)  # the comparison is not vacuously empty
-        assert any(s.memo for s in _states(reference) if s is not None)
+        assert reference._inference._blocks
 
         engine = make()
         assert not any(_states(engine))
+        assert not engine._inference._blocks
         barrier = threading.Barrier(THREADS)
 
         def run():
@@ -233,6 +244,7 @@ class TestConcurrentStates:
             sys.setswitchinterval(interval)
         assert runs == [serial] * THREADS
         assert any(_states(engine))
+        assert engine._inference._blocks
 
     def test_racing_first_touches_share_one_state(self, monkeypatch):
         """Two threads that first touch one source together both get the
@@ -272,8 +284,9 @@ class TestConcurrentStates:
         assert states[0] is states[1] is entry._estimator_state
 
     def test_readers_see_all_or_nothing(self):
-        """Threads racing to build every source's state and memo each get
-        complete values, never a half-built tuple or index array."""
+        """Threads racing to build every source's state and to admit its
+        columns' blocks each get complete values, never a half-built
+        tuple or index array."""
         engine = IMGRNEngine(_database(), _config())
         engine.build()
         inference = engine._inference
@@ -289,13 +302,13 @@ class TestConcurrentStates:
                 index = (start + step) % len(entries)
                 state = entries[index].estimator_state(inference)
                 seeds = tuple(state.seeds)
-                length, width = state.std.shape
-                blocks = [
-                    _memoized_indices(
-                        state.memo, t, seeds[t], length, n_samples, SEED
-                    ).tobytes()
-                    for t in range(width)
-                ]
+                blocks = []
+                for t in range(state.std.shape[1]):
+                    block = inference._column_block(
+                        state.std[:, t], seeds[t], n_samples, admit=True
+                    )
+                    indices = inference._blocks[seeds[t]]
+                    blocks.append((block.tobytes(), indices.tobytes()))
                 out[index] = (state.std.tobytes(), seeds, blocks)
             return out
 
@@ -312,6 +325,7 @@ class TestConcurrentStates:
             for _round in range(5):
                 for entry in entries:
                     entry._estimator_state = None
+                inference.clear_blocks()
                 with ThreadPoolExecutor(THREADS) as pool:
                     futures = [
                         pool.submit(race, thread) for thread in range(THREADS)
@@ -329,19 +343,21 @@ class TestStateLifetime:
         engine.build()
         for spec in _specs(database):
             engine.execute(spec)
+        store = engine._inference._blocks
         source, entry = next(
             (s, e)
             for s, e in engine._entries.items()
-            if e._estimator_state is not None and e._estimator_state.memo
+            if e._estimator_state is not None
+            and any(seed in store for seed in e._estimator_state.seeds)
         )
         state = entry._estimator_state
-        refs = [weakref.ref(state.std)] + [
-            weakref.ref(indices) for indices in state.memo.values()
-        ]
+        seeds = [seed for seed in state.seeds if seed in store]
+        refs = [weakref.ref(state.std)] + [weakref.ref(store[seed]) for seed in seeds]
         del state, entry
         engine.remove_matrix(source)
         gc.collect()
         assert source not in engine._entries
+        assert not any(seed in store for seed in seeds)
         assert all(ref() is None for ref in refs)
 
     def test_removed_source_refines_from_a_transient_state(self):

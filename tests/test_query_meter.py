@@ -225,3 +225,45 @@ def test_registry_reset_between_queries(small_database, query_workload, monkeypa
     count = metric_key(_names.QUERY_COUNT, {"engine": "imgrn", "kind": "containment"})
     assert snapshot[count] == 1.0
     assert {key: snapshot[key] for key in result.metrics} == result.metrics
+
+
+@pytest.mark.parametrize("kind", ["imgrn", "measure_scan"])
+def test_engine_counters_survive_registry_reset(
+    small_database, query_workload, monkeypatch, kind
+):
+    """The engine-lifetime ``inference.*`` counters re-resolve after
+    reset(): the series reappear with exactly the counts of the one
+    query after it (a private-registry engine gives the reference)."""
+    monkeypatch.setattr(metrics_module, "GLOBAL_REGISTRY", MetricsRegistry())
+
+    def engine(shared: bool):
+        config = EngineConfig(
+            mc_samples=64,
+            seed=11,
+            observability=ObservabilityConfig(shared_registry=shared),
+        )
+        if kind == "imgrn":
+            built = IMGRNEngine(small_database, config)
+        else:
+            built = MeasureScanEngine(small_database, config=config)
+        built.build()
+        return built
+
+    def inference_series(values: dict) -> dict:
+        return {k: v for k, v in values.items() if k.startswith("inference.") and v}
+
+    first = QuerySpec(query_workload[0], 0.5, 0.2)
+    second = QuerySpec(query_workload[1], 0.5, 0.2)
+    reference = engine(shared=False)
+    reference.execute(first)
+    mark = reference.obs.metrics.mark()
+    reference.execute(second)
+    expected = inference_series(reference.obs.metrics.since(mark))
+    assert expected.get(_names.INFERENCE_PAIRS, 0.0) > 0
+
+    shared = engine(shared=True)
+    registry = metrics_module.get_registry()
+    shared.execute(first)
+    registry.reset()
+    shared.execute(second)
+    assert inference_series(registry.snapshot()) == expected
