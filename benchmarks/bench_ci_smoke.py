@@ -1,7 +1,7 @@
 """CI smoke benchmark: small fig06 + fig13 + serve runs, machine-readable.
 
 Runs laptop-second-scale versions of the two headline experiments --
-IM-GRN vs Baseline querying (Fig. 6) and serial vs parallel index
+IM-GRN vs Baseline querying (Fig. 6) and forced-serial vs derived-width index
 construction (Fig. 13, now including an mmap round-trip check of the
 array-backed index) -- plus a QueryServer 1-vs-8-thread throughput
 round, a network-daemon burst (forked mmap workers, p99 + clean-drain
@@ -32,10 +32,12 @@ import statistics
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from repro.config import BuildConfig, EngineConfig, ObservabilityConfig, SyntheticConfig
+from repro.core import parallel_build
 from repro.core.baseline import BaselineEngine
 from repro.core.persistence import load_engine_sharded, save_engine_sharded
 from repro.core.pruning import index_pair_prunable, index_pairs_prunable
@@ -87,35 +89,34 @@ def bench_fig06_small() -> dict[str, float]:
 
 
 def bench_fig13_small() -> dict[str, float]:
-    """Serial vs 4-worker sharded build on a 24-matrix database."""
+    """Forced-serial vs derived-width sharded build on 24 matrices.
+
+    The serial reference fakes the CPU probe to one CPU; the second build
+    takes the width :func:`~repro.core.parallel_build.build_width` derives
+    (``min(usable CPUs, 8 shards)``). The ``workers4`` key names are kept
+    for the committed baseline.
+    """
     database = generate_database(
         SyntheticConfig(weights="uni", genes_range=(30, 60), seed=SEED), 24
     )
-    serial = IMGRNEngine(
-        database,
-        EngineConfig(
-            seed=SEED,
-            build=BuildConfig(workers=0, shard_size=3),
-            observability=_OBS,
-        ),
+    config = EngineConfig(
+        seed=SEED, build=BuildConfig(shard_size=3), observability=_OBS
     )
-    serial_seconds = serial.build()
-    parallel = IMGRNEngine(
-        database,
-        EngineConfig(
-            seed=SEED,
-            build=BuildConfig(workers=4, shard_size=3),
-            observability=_OBS,
-        ),
-    )
+    serial = IMGRNEngine(database, config)
+    with mock.patch.object(parallel_build, "usable_cpus", lambda: 1):
+        serial_seconds = serial.build()
+    parallel = IMGRNEngine(database, config)
     parallel_seconds = parallel.build()
 
-    # The parallel path must agree with the serial reference bit-for-bit.
+    # The fanned-out build must agree with the serial reference bit-for-bit.
     for sid in serial._entries:
         a = serial._entries[sid].embedded
         b = parallel._entries[sid].embedded
         assert a.x.tobytes() == b.x.tobytes(), f"embedding x diverged: {sid}"
         assert a.y.tobytes() == b.y.tobytes(), f"embedding y diverged: {sid}"
+    assert (
+        serial.array_index.fingerprint() == parallel.array_index.fingerprint()
+    ), "index arrays diverged"
 
     # mmap round trip: the zero-copy array index reloaded via np.memmap
     # must answer queries bit-identically to the in-process engine.

@@ -1,15 +1,21 @@
 """Figure 13: index construction time vs [n_min, n_max] and vs N.
 
 The paper's shape: build time grows with both the genes-per-matrix range
-(more points to embed + insert) and the number of matrices.
+(more points to embed + insert) and the number of matrices. A second
+series compares a forced-serial build with the derived build width.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import pytest
 
 from conftest import scaled, write_table
 from repro.config import BuildConfig, EngineConfig, SyntheticConfig
+from repro.core import parallel_build
+from repro.core.parallel_build import build_width
 from repro.core.query import IMGRNEngine
 from repro.data.synthetic import generate_database
 from repro.eval.experiments import ExperimentResult
@@ -17,6 +23,13 @@ from repro.eval.reporting import format_table
 
 RANGES = ((10, 20), (20, 50), (50, 100))
 SIZES = (50, 100, 200)
+
+
+def _cpus(count: int | None):
+    """Fake the build's CPU probe to ``count`` (``None``: the real one)."""
+    if count is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(parallel_build, "usable_cpus", lambda: count)
 
 
 @pytest.fixture(scope="module")
@@ -52,49 +65,56 @@ def test_build_speed_vs_matrix_width(benchmark, databases, genes_range, bench_se
     assert engine.is_built
 
 
-@pytest.mark.parametrize("workers", (0, 2, 4))
-def test_build_speed_vs_workers(benchmark, databases, workers, bench_seed):
-    """Tentpole sweep: parallel sharded build vs the serial reference."""
+@pytest.mark.parametrize("cpus", (1, None))
+def test_build_speed_vs_width(benchmark, databases, cpus, bench_seed):
+    """Forced-serial build (CPU probe faked to 1) vs the derived width."""
     database = databases[("uni", "range", RANGES[-1])]
-    config = EngineConfig(
-        seed=bench_seed,
-        build=BuildConfig(workers=workers, shard_size=8),
-    )
+    config = EngineConfig(seed=bench_seed, build=BuildConfig(shard_size=8))
 
     def build():
         engine = IMGRNEngine(database, config)
-        engine.build()
+        with _cpus(cpus):
+            engine.build()
         return engine
 
     engine = benchmark.pedantic(build, rounds=1, iterations=1)
     assert engine.is_built
 
 
-def test_figure13_workers_series(benchmark, databases, bench_seed):
-    """Build-time series across worker counts (written for EXPERIMENTS.md)."""
+def test_figure13_width_series(benchmark, databases, bench_seed):
+    """Forced-serial vs derived-width build time (written for
+    EXPERIMENTS.md); both builds must be bit-identical."""
     database = databases[("uni", "range", RANGES[-1])]
+    config = EngineConfig(seed=bench_seed, build=BuildConfig(shard_size=8))
 
     def sweep():
-        result = ExperimentResult(name="fig13_parallel_build", x_label="workers")
-        serial_seconds = None
-        for workers in (0, 2, 4):
-            engine = IMGRNEngine(
-                database,
-                EngineConfig(
-                    seed=bench_seed,
-                    build=BuildConfig(workers=workers, shard_size=8),
-                ),
-            )
-            seconds = engine.build()
-            if serial_seconds is None:
-                serial_seconds = seconds
+        result = ExperimentResult(name="fig13_parallel_build", x_label="width")
+        engines = []
+        for cpus in (1, None):
+            engine = IMGRNEngine(database, config)
+            with _cpus(cpus):
+                seconds = engine.build()
+            engines.append(engine)
+            shards = -(-len(database) // config.build.shard_size)
+            with _cpus(cpus):
+                width = build_width(shards, tracing=False)
             result.rows.append(
                 {
-                    "workers": float(workers),
+                    "width": float(width),
                     "build_seconds": seconds,
-                    "speedup": serial_seconds / seconds if seconds else 0.0,
+                    "speedup": result.rows[0]["build_seconds"] / seconds
+                    if result.rows
+                    else 1.0,
                 }
             )
+        serial, derived = engines
+        assert (
+            serial.array_index.fingerprint() == derived.array_index.fingerprint()
+        )
+        for sid, entry in serial._entries.items():
+            other = derived._entries[sid].embedded
+            assert entry.embedded.x.tobytes() == other.x.tobytes()
+            assert entry.embedded.y.tobytes() == other.y.tobytes()
         return result
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)

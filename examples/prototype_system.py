@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import EngineConfig, IMGRNEngine, SyntheticConfig
-from repro.core.persistence import load_engine, save_engine
+from repro.core.persistence import load_engine_sharded, save_engine_sharded
 from repro.data.queries import extract_query
 from repro.data.synthetic import generate_database, generate_matrix
 
@@ -40,10 +40,12 @@ def main() -> None:
 
     # --- 2. persist + restore --------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
-        archive = Path(tmp) / "imgrn_engine.npz"
-        save_engine(engine, archive)
-        size_kib = archive.stat().st_size / 1024
-        engine = load_engine(archive)
+        directory = Path(tmp) / "imgrn_engine"
+        save_engine_sharded(engine, directory)
+        size_kib = sum(
+            f.stat().st_size for f in directory.rglob("*") if f.is_file()
+        ) / 1024
+        engine = load_engine_sharded(directory)
         print(
             f"[2] saved engine ({size_kib:.0f} KiB), restored in "
             f"{engine.build_seconds:.2f}s (embeddings reused, no sampling)"

@@ -45,9 +45,7 @@ from .core.measures import (
     randomized_measure_probability,
 )
 from .core.persistence import (
-    load_engine,
     load_engine_sharded,
-    save_engine,
     save_engine_sharded,
 )
 from .core.inference import (
@@ -139,8 +137,6 @@ __all__ = [
     "BaselineEngine",
     "LinearScanEngine",
     "MeasureScanEngine",
-    "save_engine",
-    "load_engine",
     "save_engine_sharded",
     "load_engine_sharded",
     # serving

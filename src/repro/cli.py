@@ -9,7 +9,7 @@ Runs any of the paper's experiments and prints its series, e.g.::
 
 plus the operational commands::
 
-    imgrn build --workers 4 --save index_dir   # parallel sharded build
+    imgrn build --save index_dir         # sharded build, saved to a directory
     imgrn query --trace-out trace.json   # run queries, dump a Chrome trace
     imgrn serve-batch --serve-workers 8  # concurrent batch via QueryServer
     imgrn serve index_dir --port 8080    # network daemon over a sharded save
@@ -76,12 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     itime.add_argument("--seed", type=int, default=7)
     itime.add_argument("--mc-samples", type=int, default=200)
     itime.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool workers for batched inference",
-    )
-    itime.add_argument(
         "--batch-size",
         type=int,
         default=32,
@@ -136,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     pbuild = sub.add_parser(
         "build",
         help="build an IM-GRN index over a synthetic DB "
-        "(parallel sharded build; optionally persist it)",
+        "(sharded build; optionally persist it)",
     )
     pbuild.add_argument("--n-matrices", type=int, default=60)
     pbuild.add_argument(
@@ -147,35 +141,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
     )
     pbuild.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool workers for the per-matrix build work",
-    )
-    pbuild.add_argument(
         "--shard-size",
         type=int,
         default=16,
         help="matrices per build shard (dispatch + persistence unit)",
-    )
-    pbuild.add_argument(
-        "--backend",
-        default="process",
-        choices=["process", "serial"],
-        help="shard execution backend",
-    )
-    pbuild.add_argument(
-        "--compare-serial",
-        action="store_true",
-        help="also time a serial build and report the speedup",
     )
     pbuild.add_argument("--seed", type=int, default=7)
     pbuild.add_argument(
         "--save",
         default=None,
         metavar="PATH",
-        help="persist the engine: *.npz for one archive, anything else "
-        "for a per-shard directory",
+        help="persist the engine as a per-shard directory "
+        "(what `imgrn serve` reads)",
     )
     pbuild.add_argument(
         "--trace-out",
@@ -231,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tolerated missing query edges for --kind similarity",
     )
     query.add_argument("--seed", type=int, default=7)
-    query.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool workers for the index build",
-    )
     query.add_argument(
         "--trace-out",
         default=None,
@@ -510,18 +481,14 @@ def _run_build(args: argparse.Namespace) -> int:
         ObservabilityConfig,
         SyntheticConfig,
     )
-    from .core.persistence import save_engine, save_engine_sharded
+    from .core.persistence import save_engine_sharded
     from .core.query import IMGRNEngine
     from .data.synthetic import generate_database
     from .obs.exporters import write_chrome_trace
 
     config = EngineConfig(
         seed=args.seed,
-        build=BuildConfig(
-            workers=args.workers,
-            shard_size=args.shard_size,
-            backend=args.backend,
-        ),
+        build=BuildConfig(shard_size=args.shard_size),
         observability=ObservabilityConfig(
             tracing=args.trace_out is not None,
             shared_registry=False,
@@ -536,29 +503,17 @@ def _run_build(args: argparse.Namespace) -> int:
     shards = -(-len(database) // args.shard_size)
     print(
         f"built {len(database)} matrices ({database.total_genes()} points) "
-        f"in {seconds:.3f}s -- {shards} shard(s), "
-        f"workers={args.workers}, backend={args.backend}"
+        f"in {seconds:.3f}s -- {shards} shard(s)"
     )
-    if args.compare_serial:
-        serial = IMGRNEngine(
-            database, config.with_(build=config.build.with_(workers=0))
-        )
-        serial_seconds = serial.build()
-        speedup = serial_seconds / seconds if seconds > 0 else float("inf")
-        print(f"serial build: {serial_seconds:.3f}s (speedup {speedup:.2f}x)")
     if args.save:
         target = Path(args.save)
-        if target.suffix == ".npz":
-            save_engine(engine, target)
-            print(f"engine saved to {target}")
-        else:
-            report = save_engine_sharded(engine, target)
-            print(
-                f"engine saved to {target}/ "
-                f"({len(report['written'])} shard(s) written, "
-                f"{len(report['skipped'])} unchanged, "
-                f"index arrays: {report['index_arrays']})"
-            )
+        report = save_engine_sharded(engine, target)
+        print(
+            f"engine saved to {target}/ "
+            f"({len(report['written'])} shard(s) written, "
+            f"{len(report['skipped'])} unchanged, "
+            f"index arrays: {report['index_arrays']})"
+        )
     if args.trace_out:
         path = write_chrome_trace(engine.obs.tracer, args.trace_out)
         print(f"trace written to {path}")
@@ -567,12 +522,7 @@ def _run_build(args: argparse.Namespace) -> int:
 
 def _run_query(args: argparse.Namespace) -> int:
     """Build + query an engine over a synthetic database, export telemetry."""
-    from .config import (
-        BuildConfig,
-        EngineConfig,
-        ObservabilityConfig,
-        SyntheticConfig,
-    )
+    from .config import EngineConfig, ObservabilityConfig, SyntheticConfig
     from .core.spec import QuerySpec
     from .data.queries import generate_query_workload
     from .data.synthetic import generate_database
@@ -584,7 +534,6 @@ def _run_query(args: argparse.Namespace) -> int:
 
     config = EngineConfig(
         seed=args.seed,
-        build=BuildConfig(workers=args.workers),
         observability=ObservabilityConfig(
             tracing=args.trace_out is not None,
             shared_registry=False,
@@ -957,7 +906,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             sizes=tuple(args.sizes),
             seed=args.seed,
             mc_samples=args.mc_samples,
-            workers=args.workers,
             batch_size=args.batch_size,
             cache=not args.no_cache,
             measure_sequential=not args.no_sequential,

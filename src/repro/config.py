@@ -92,10 +92,10 @@ DEFAULTS = Defaults()
 class InferenceConfig:
     """Knobs of the batched edge-probability engine.
 
-    Controls *how* edge probabilities are computed (batching, caching,
-    parallelism) without ever changing *what* is computed: every setting
-    of these knobs yields the same probabilities for the same data and
-    estimator seed (see :mod:`repro.core.batch_inference`).
+    Controls *how* edge probabilities are computed (batching, caching)
+    without ever changing *what* is computed: every setting of these
+    knobs yields the same probabilities for the same data and estimator
+    seed (see :mod:`repro.core.batch_inference`).
 
     Attributes
     ----------
@@ -103,10 +103,6 @@ class InferenceConfig:
         Number of gene columns whose permutation blocks are stacked into
         one matrix multiply. Larger batches amortize more BLAS calls at
         the cost of a ``batch_size * n_samples x n`` score buffer.
-    workers:
-        ``ProcessPoolExecutor`` worker count for all-pairs inference.
-        ``0`` or ``1`` keeps everything in-process (the default; worker
-        processes only pay off for large matrices).
     cache:
         Enable the content-addressed edge-probability cache. Safe to
         share across matrices and queries: keys are derived from the
@@ -117,7 +113,6 @@ class InferenceConfig:
     """
 
     batch_size: int = 32
-    workers: int = 0
     cache: bool = True
     cache_size: int = 262_144
 
@@ -126,8 +121,6 @@ class InferenceConfig:
             raise ValidationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.workers < 0:
-            raise ValidationError(f"workers must be >= 0, got {self.workers}")
         if self.cache_size < 1:
             raise ValidationError(
                 f"cache_size must be >= 1, got {self.cache_size}"
@@ -140,7 +133,7 @@ class InferenceConfig:
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Knobs of the sharded, optionally parallel index build.
+    """Knobs of the sharded index build.
 
     Controls *how* :meth:`repro.core.query.IMGRNEngine.build` executes --
     never *what* it builds: every setting yields a bit-identical tree,
@@ -148,39 +141,25 @@ class BuildConfig:
     because each matrix is embedded under its own
     ``(seed, source_id)``-keyed random stream and shard outputs are merged
     in database order (asserted in ``tests/test_parallel_build.py``).
+    How many processes embed the shards is derived, not configured (see
+    :func:`repro.core.parallel_build.build_width`).
 
     Attributes
     ----------
-    workers:
-        ``ProcessPoolExecutor`` worker count for the per-matrix build work
-        (pivot selection, embedding, expectation computation). ``0`` or
-        ``1`` keeps the build in-process.
     shard_size:
         Matrices per build shard. A shard is the unit of progress
         accounting (one ``build.shard`` span each), of worker dispatch
-        (shards are striped round-robin over workers) and of persistence
-        (:func:`repro.core.persistence.save_engine_sharded` writes one
-        archive per shard).
-    backend:
-        ``"process"`` (default) fans shards across a process pool when
-        ``workers > 1``; ``"serial"`` forces the in-process path
-        regardless of ``workers`` (debugging / platforms without fork).
+        (shards are striped round-robin over the build's processes) and
+        of persistence (:func:`repro.core.persistence.save_engine_sharded`
+        writes one archive per shard).
     """
 
-    workers: int = 0
     shard_size: int = 16
-    backend: str = "process"
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValidationError(f"workers must be >= 0, got {self.workers}")
         if self.shard_size < 1:
             raise ValidationError(
                 f"shard_size must be >= 1, got {self.shard_size}"
-            )
-        if self.backend not in ("process", "serial"):
-            raise ValidationError(
-                f"backend must be 'process' or 'serial', got {self.backend!r}"
             )
 
     def with_(self, **changes: object) -> "BuildConfig":
@@ -258,10 +237,10 @@ class EngineConfig:
     seed:
         Seed for every stochastic component of the engine.
     inference:
-        Batching/caching/parallelism knobs of the edge-probability engine
+        Batching/caching knobs of the edge-probability engine
         (:class:`InferenceConfig`); never changes the computed values.
     build:
-        Sharding/parallelism knobs of the index build
+        Sharding knob of the index build
         (:class:`BuildConfig`); never changes the built index.
     observability:
         Tracing/metrics knobs (:class:`ObservabilityConfig`); never

@@ -62,41 +62,6 @@ def _raw_pages(matrix: GeneFeatureMatrix) -> int:
     return _pages(matrix.num_samples * matrix.num_genes)
 
 
-def _store_stripe_worker(
-    args: tuple[list[tuple[int, list[tuple[int, np.ndarray]]]], int, int, str, int],
-) -> list[tuple[int, list[tuple[int, np.ndarray]], float]]:
-    """Process-pool entry point: materialize one stripe of store shards.
-
-    Each shard is ``(shard_index, [(source_id, values), ...])``; the
-    returned probabilities are exactly what the in-process
-    :meth:`BatchInferenceEngine.probability_matrix` computes (both paths
-    reduce to :func:`repro.core.batch_inference.batched_probability_matrix`
-    with content-keyed permutation streams).
-    """
-    from .batch_inference import batched_probability_matrix
-
-    shards, n_samples, seed, semantics, batch_size = args
-    out: list[tuple[int, list[tuple[int, np.ndarray]], float]] = []
-    for shard_index, matrices in shards:
-        started = time.perf_counter()
-        probs = [
-            (
-                sid,
-                batched_probability_matrix(
-                    values,
-                    n_samples=n_samples,
-                    seed=seed,
-                    semantics=semantics,
-                    batch_size=batch_size,
-                    workers=0,
-                ),
-            )
-            for sid, values in matrices
-        ]
-        out.append((shard_index, probs, time.perf_counter() - started))
-    return out
-
-
 class _CompetitorEngine(_QueryMixin):
     """What the two Section-6.1 competitors share: the batched
     edge-probability engine and unpruned query-graph inference."""
@@ -174,37 +139,19 @@ class BaselineEngine(_CompetitorEngine):
         scale: one float per gene pair per matrix. Probabilities come from
         the same per-pair estimator the online engines use, so answers are
         bit-identical across engines.
-
-        Mirrors the IM-GRN build knobs: with ``config.build.workers > 1``
-        the per-matrix materialization fans out across a process pool in
-        shards of ``config.build.shard_size`` matrices, producing the same
-        store bit-for-bit (content-keyed permutation streams).
         """
         metrics = self.obs.metrics
         built_matrices = metrics.counter(
             _names.BUILD_MATRICES, help="matrices materialized", engine="baseline"
         )
-        build_config = self.config.build
-        matrices = list(self.database)
         started = time.perf_counter()
         store: dict[int, np.ndarray] = {}
         total_pairs = 0
-        parallel = (
-            build_config.backend == "process"
-            and build_config.workers > 1
-            and len(matrices) > 1
-        )
-        with self.obs.tracer.span(
-            "build", engine="baseline", workers=build_config.workers
-        ):
-            if parallel:
-                store = self._build_store_parallel(matrices)
-            else:
-                for matrix in matrices:
-                    store[matrix.source_id] = self._inference.probability_matrix(
-                        matrix.values
-                    )
-            for matrix in matrices:
+        with self.obs.tracer.span("build", engine="baseline"):
+            for matrix in self.database:
+                store[matrix.source_id] = self._inference.probability_matrix(
+                    matrix.values
+                )
                 total_pairs += matrix.num_genes * (matrix.num_genes - 1) // 2
                 built_matrices.inc()
         self._store = store
@@ -214,83 +161,6 @@ class BaselineEngine(_CompetitorEngine):
             _names.BUILD_SECONDS, help="store build seconds", engine="baseline"
         ).observe(self.precompute_seconds)
         return self.precompute_seconds
-
-    def _build_store_parallel(
-        self, matrices: list[GeneFeatureMatrix]
-    ) -> dict[int, np.ndarray]:
-        """Materialize the store across a process pool (bit-identical).
-
-        Shards of ``config.build.shard_size`` matrices are striped
-        round-robin over the workers; the parent records one
-        ``build.shard`` span per shard. The edge-probability cache is not
-        seeded from worker results (a pure speed matter -- the store, not
-        the cache, serves Baseline queries).
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        build_config = self.config.build
-        est = self._estimator
-        tracer = self.obs.tracer
-        metrics = self.obs.metrics
-        shard_size = build_config.shard_size
-        shards = [
-            (
-                index,
-                [
-                    (m.source_id, m.values)
-                    for m in matrices[start : start + shard_size]
-                ],
-            )
-            for index, start in enumerate(
-                range(0, len(matrices), shard_size)
-            )
-        ]
-        workers = build_config.workers
-        stripes = [shards[w::workers] for w in range(workers)]
-        payloads = [
-            (
-                stripe,
-                est.resolved_samples(),
-                est.seed,
-                est.semantics,
-                self.config.inference.batch_size,
-            )
-            for stripe in stripes
-            if stripe
-        ]
-        store: dict[int, np.ndarray] = {}
-        pairs = metrics.counter(
-            _names.INFERENCE_PAIRS, help="edge probabilities estimated"
-        )
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            for worker, results in enumerate(
-                pool.map(_store_stripe_worker, payloads)
-            ):
-                for shard_index, probs, seconds in results:
-                    with tracer.span(
-                        "build.shard",
-                        shard=shard_index,
-                        sources=len(probs),
-                        worker=worker,
-                    ) as span:
-                        span.set(seconds=seconds)
-                    for sid, matrix_probs in probs:
-                        store[sid] = matrix_probs
-                        n = matrix_probs.shape[0]
-                        pairs.inc(n * (n - 1) // 2)
-                    metrics.counter(
-                        _names.BUILD_SHARDS,
-                        help="build shards embedded",
-                        engine="baseline",
-                        worker=str(worker),
-                    ).inc()
-                    metrics.histogram(
-                        _names.BUILD_SHARD_SECONDS,
-                        help="per-shard embed seconds",
-                        engine="baseline",
-                        worker=str(worker),
-                    ).observe(seconds)
-        return store
 
     def _retrieve(
         self, spec: QuerySpec, query_graph: ProbabilisticGraph, metrics

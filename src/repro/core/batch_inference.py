@@ -1,4 +1,4 @@
-"""Batched, cached, optionally parallel edge-probability computation.
+"""Batched, cached edge-probability computation.
 
 The scalar estimators in :mod:`repro.core.inference` draw a fresh
 ``n_samples x l`` permutation block *per pair*, which makes every caller
@@ -21,14 +21,15 @@ provides the batched engine those callers share:
   indexed source admits the target columns it estimates; query-graph
   inference and a removed source's transient state gather on a hit and
   draw on a miss without admitting, so the store grows with stored
-  columns only, never with ad-hoc query columns;
-* an opt-in ``ProcessPoolExecutor`` path that shards the pair grid by
-  target column (round-robin stripes, so shard costs balance) for large
-  matrices.
+  columns only, never with ad-hoc query columns.
+
+The GEMMs already use every core through BLAS, so there is no process
+pool here: sharding the pair grid over processes lost to the in-process
+path at every measured size.
 
 Every path draws the *same* ``default_rng`` stream per pair -- keyed by
 ``(seed, content_seed(standardized target column))`` -- so batched,
-cached, parallel and scalar estimates are identical for the same data
+cached and scalar estimates are identical for the same data
 and estimator parameters, in any evaluation order.
 """
 
@@ -182,40 +183,25 @@ def _target_columns(
     return out
 
 
-def _chunk_worker(
-    args: tuple[np.ndarray, list[int], int, int, str, int],
-) -> list[tuple[int, np.ndarray]]:
-    """Process-pool entry point: score one shard of target columns."""
-    std, targets, n_samples, seed, semantics, batch_size = args
-    col_seeds = {t: content_seed(std[:, t]) for t in targets}
-    return _target_columns(
-        std, col_seeds, targets, n_samples, seed, semantics, batch_size
-    )
-
-
 def batched_probability_matrix(
     matrix: np.ndarray,
     n_samples: int = 200,
     seed: int = 7,
     semantics: str = "one_sided",
     batch_size: int = 32,
-    workers: int = 0,
 ) -> np.ndarray:
     """All-pairs edge probabilities for the columns of an ``l x n`` matrix.
 
     Batched implementation behind
     :func:`repro.core.inference.edge_probability` with
-    ``method="matrix"``; ``batch_size`` and ``workers`` only trade
-    memory/parallelism for speed and never change the returned
-    probabilities.
+    ``method="matrix"``; ``batch_size`` only trades memory for speed and
+    never changes the returned probabilities.
     """
     _check_batch_args(n_samples, semantics)
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     std = standardize_columns(matrix)
-    return _probability_matrix_std(
-        std, n_samples, seed, semantics, batch_size, workers
-    )
+    return _probability_matrix_std(std, n_samples, seed, semantics, batch_size)
 
 
 def _probability_matrix_std(
@@ -224,38 +210,17 @@ def _probability_matrix_std(
     seed: int,
     semantics: str,
     batch_size: int,
-    workers: int,
     col_seeds: dict[int, int] | None = None,
 ) -> np.ndarray:
     n_genes = std.shape[1]
     result = np.zeros((n_genes, n_genes), dtype=np.float64)
     targets = list(range(1, n_genes))
-    if not targets:
-        return result
-    if workers > 1 and len(targets) >= workers:
-        # Round-robin stripes: the cost of column t grows with t, so
-        # contiguous shards would leave early workers idle.
-        shards = [targets[w::workers] for w in range(workers)]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                _chunk_worker,
-                [
-                    (std, shard, n_samples, seed, semantics, batch_size)
-                    for shard in shards
-                ],
-            )
-            for chunk in chunks:
-                for t, col in chunk:
-                    result[:t, t] = col
-    else:
-        if col_seeds is None:
-            col_seeds = {t: content_seed(std[:, t]) for t in targets}
-        for t, col in _target_columns(
-            std, col_seeds, targets, n_samples, seed, semantics, batch_size
-        ):
-            result[:t, t] = col
+    if col_seeds is None:
+        col_seeds = {t: content_seed(std[:, t]) for t in targets}
+    for t, col in _target_columns(
+        std, col_seeds, targets, n_samples, seed, semantics, batch_size
+    ):
+        result[:t, t] = col
     result += result.T
     return result
 
@@ -355,12 +320,12 @@ class EdgeProbabilityCache:
 
 
 class BatchInferenceEngine:
-    """Batched, cached, optionally parallel edge-probability engine.
+    """Batched, cached edge-probability engine.
 
     Wraps an :class:`~repro.core.inference.EdgeProbabilityEstimator` (the
     *what*: sample count, semantics, seed) with an
-    :class:`~repro.config.InferenceConfig` (the *how*: batching, caching,
-    workers). All methods return the same probabilities the wrapped
+    :class:`~repro.config.InferenceConfig` (the *how*: batching and
+    caching). All methods return the same probabilities the wrapped
     estimator's scalar path computes -- batching and caching are pure
     execution strategies.
     """
@@ -619,8 +584,7 @@ class BatchInferenceEngine:
     def probability_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """All-pairs edge probabilities for the columns of ``matrix``.
 
-        Batched (and, when configured, process-parallel) computation; a
-        whole-matrix memo entry plus per-pair entries are written to the
+        Batched computation; a whole-matrix memo entry plus per-pair entries are written to the
         cache so later single-pair lookups hit.
         """
         est = self.estimator
@@ -653,7 +617,6 @@ class BatchInferenceEngine:
                 est.seed,
                 est.semantics,
                 self.config.batch_size,
-                self.config.workers,
                 col_seeds=col_seeds,
             )
         if self.cache is not None:

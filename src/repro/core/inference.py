@@ -250,8 +250,8 @@ class EdgeProbabilityEstimator:
     ) -> np.ndarray:
         """All-pairs edge probabilities for the columns of ``matrix``.
 
-        ``inference`` tunes batching/parallelism only; the probabilities
-        are identical for every setting (and to the scalar path).
+        ``inference`` tunes batching only; the probabilities are
+        identical for every setting (and to the scalar path).
         """
         cfg = inference or InferenceConfig()
         return _matrix_probability(
@@ -260,7 +260,6 @@ class EdgeProbabilityEstimator:
             seed=self.seed,
             semantics=self.semantics,
             batch_size=cfg.batch_size,
-            workers=cfg.workers,
         )
 
 
@@ -270,15 +269,13 @@ def _matrix_probability(
     seed: int = 7,
     semantics: str = "one_sided",
     batch_size: int = 32,
-    workers: int = 0,
 ) -> np.ndarray:
     """All-pairs edge probabilities for the columns of an ``l x n`` matrix.
 
     Vectorized over pairs: one permutation batch per column ``t`` scores
     all ``s < t`` at once, and ``batch_size`` columns share one matrix
-    multiply (see :mod:`repro.core.batch_inference`); ``workers > 1``
-    shards the columns over a process pool. Neither knob changes the
-    returned probabilities.
+    multiply (see :mod:`repro.core.batch_inference`); ``batch_size`` never
+    changes the returned probabilities.
 
     Returns
     -------
@@ -297,7 +294,6 @@ def _matrix_probability(
         seed=seed,
         semantics=semantics,
         batch_size=batch_size,
-        workers=workers,
     )
 
 
@@ -328,8 +324,7 @@ def edge_probability(
         * ``"exact"`` -- full ``l!`` enumeration, ``l <= 8`` (kwargs:
           ``semantics``);
         * ``"matrix"`` -- vectorized all-pairs sweep (kwargs:
-          ``n_samples``, ``seed``, ``semantics``, ``batch_size``,
-          ``workers``).
+          ``n_samples``, ``seed``, ``semantics``, ``batch_size``).
 
     Returns
     -------
@@ -380,7 +375,7 @@ def infer_grn(
     estimator:
         Sampling policy; defaults to :class:`EdgeProbabilityEstimator()`.
     inference:
-        Batching/parallelism knobs for the all-pairs sweep; the inferred
+        Batching knobs for the all-pairs sweep; the inferred
         graph is identical for every setting (and the same seed).
     """
     if not 0.0 <= gamma < 1.0:

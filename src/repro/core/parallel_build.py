@@ -1,4 +1,4 @@
-"""Sharded, optionally process-parallel index-construction helpers.
+"""Sharded index-construction helpers and the one build fan-out.
 
 Fig. 13 of the paper shows index construction dominating IM-GRN's offline
 cost; the per-matrix work (pivot selection, embedding, expected-distance
@@ -10,22 +10,27 @@ fans that work out with:
 * :func:`partition_shards` cuts the database into shards of
   ``BuildConfig.shard_size`` matrices -- the unit of progress spans,
   worker dispatch and per-shard persistence;
+* :func:`build_width` derives how many processes embed them from the
+  input and the machine: ``min(usable CPUs, shards)``, or 1 where a
+  fork would be unsafe or would drop the build's spans;
 * :func:`embed_with_padding` embeds one matrix exactly as the serial
   build always has (pivots padded when ``n_i < d``), callable from a
   worker process;
-* :func:`stripe_worker` is the ``ProcessPoolExecutor`` entry point: one
-  round-robin stripe of shards per worker (the sharding pattern proven in
-  :mod:`repro.core.batch_inference`), returning the embedded matrices plus
-  per-shard wall seconds.
+* :func:`fan_out` embeds round-robin stripes of shards in forked worker
+  processes, returning the embedded matrices plus per-shard wall seconds.
 
 Packing shard outputs into the index stays in the parent process and
-follows database order, so the parallel build is bit-identical to the
+follows database order, so a build of any width is bit-identical to the
 serial one (asserted in ``tests/test_parallel_build.py``).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
+from concurrent import futures
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -41,9 +46,11 @@ __all__ = [
     "ShardSpec",
     "ShardResult",
     "partition_shards",
+    "usable_cpus",
+    "build_width",
     "embed_with_padding",
     "embed_shard",
-    "stripe_worker",
+    "fan_out",
 ]
 
 
@@ -185,13 +192,54 @@ def embed_shard(
     )
 
 
-def stripe_worker(
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one, else the machine's count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def build_width(shards: int, tracing: bool) -> int:
+    """Processes that embed ``shards`` build shards: ``min(CPUs, shards)``.
+
+    The build stays serial (width 1) when a fan-out cannot win or is
+    unsafe: fewer than 2 shards or usable CPUs; another Python thread is
+    alive (forking a threaded process is unsafe, and Python 3.12+ warns);
+    the tracer is on (worker processes would drop the ``build.*`` spans);
+    or the platform cannot fork.
+    """
+    if (
+        shards < 2
+        or tracing
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return max(1, min(usable_cpus(), shards))
+
+
+def _embed_stripe(
     args: tuple[list[ShardSpec], EngineConfig, str],
 ) -> list[ShardResult]:
-    """Process-pool entry point: embed one round-robin stripe of shards.
-
-    Workers never see the tracer (spans stay in the parent); the returned
-    per-shard seconds feed the parent's ``build.shard_seconds`` histogram.
-    """
+    """Worker entry point: embed one round-robin stripe of shards."""
     shards, config, pivot_strategy = args
     return [embed_shard(shard, config, pivot_strategy) for shard in shards]
+
+
+def fan_out(
+    shards: list[ShardSpec], width: int, config: EngineConfig, pivot_strategy: str
+) -> list[list[ShardResult]]:
+    """Embed ``shards`` in ``width`` forked processes, one per stripe.
+
+    Shards are striped round-robin (``shards[w::width]``; shard cost is
+    roughly uniform, so stripes balance). Returns each worker's shard
+    results; workers never see the tracer, and the per-shard seconds they
+    measure feed the parent's ``build.shard_seconds`` histogram.
+    """
+    payloads = [(shards[w::width], config, pivot_strategy) for w in range(width)]
+    with futures.ProcessPoolExecutor(
+        width, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        return list(pool.map(_embed_stripe, payloads))

@@ -2,17 +2,20 @@
 
 The conclusion of the paper sketches a prototype system that keeps a
 standing index over gene feature data from many institutions. That needs
-the build artifacts to survive process restarts. This module serializes
+the build artifacts to survive process restarts. A save is one directory
+(the only format the serving daemon reads) holding
 
-* the database (values, gene IDs, truth edges),
-* the engine configuration,
-* every matrix's embedding (pivot indices, x/y coordinates),
+* one compressed ``shard_NNNN.npz`` per build shard: the shard's
+  matrices (values, gene IDs, truth edges) and embeddings (pivot
+  indices, x/y coordinates),
+* ``index_arrays/``: the array-store snapshot as raw ``.npy`` files,
+* ``meta.json``: the engine configuration and per-matrix fingerprints.
 
-into one compressed ``.npz`` archive. Loading restores the database and
-embeddings and packs the (already-embedded) points into a fresh index --
-skipping pivot selection and expectation computation, the
-numerically heavy part of :meth:`IMGRNEngine.build`. Because every
-component is deterministic given the archive, a loaded engine answers
+Loading restores the database and embeddings and packs the
+(already-embedded) points into a fresh index -- skipping pivot selection
+and expectation computation, the numerically heavy part of
+:meth:`IMGRNEngine.build` -- or maps the snapshot read-only. Because
+every component is deterministic given the save, a loaded engine answers
 queries identically to the one that was saved (asserted in tests).
 """
 
@@ -41,15 +44,10 @@ from .query import IMGRNEngine, _MatrixEntry
 from .standardize import standardize_matrix
 
 __all__ = [
-    "save_engine",
-    "load_engine",
     "save_engine_sharded",
     "load_engine_sharded",
     "sharded_save_fingerprint",
 ]
-
-#: Archive format version (bump on layout changes).
-_FORMAT_VERSION = 1
 
 #: Sharded-directory format version (bump on layout changes).
 _SHARDED_FORMAT_VERSION = 1
@@ -127,57 +125,6 @@ def _restore_matrix(archive, sid: int) -> tuple[GeneFeatureMatrix, EmbeddedMatri
         y=y,
     )
     return matrix, embedded
-
-
-def save_engine(engine: IMGRNEngine, path: str | Path) -> None:
-    """Serialize a built engine to ``path`` (compressed ``.npz``).
-
-    Raises
-    ------
-    IndexNotBuiltError
-        If the engine has not been built.
-    """
-    if not engine.is_built:
-        raise IndexNotBuiltError("build() the engine before saving it")
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "config": dataclasses.asdict(engine.config),
-        "source_ids": [int(s) for s in engine.database.source_ids],
-    }
-    payload: dict[str, np.ndarray] = {
-        "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    }
-    for matrix in engine.database:
-        payload.update(_matrix_payload(engine, matrix))
-    with _io.BytesIO() as buffer:
-        np.savez_compressed(buffer, **payload)
-        Path(path).write_bytes(buffer.getvalue())
-
-
-def load_engine(path: str | Path) -> IMGRNEngine:
-    """Restore an engine saved by :func:`save_engine` (index rebuilt from
-    the stored embeddings; no pivot selection or sampling re-runs)."""
-    with np.load(Path(path)) as archive:
-        try:
-            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        except KeyError as exc:
-            raise ValidationError(f"{path}: not an engine archive") from exc
-        if meta.get("format_version") != _FORMAT_VERSION:
-            raise ValidationError(
-                f"{path}: unsupported archive version "
-                f"{meta.get('format_version')!r}"
-            )
-        config = _config_from_dict(meta["config"])
-        database = GeneFeatureDatabase()
-        embeddings: dict[int, EmbeddedMatrix] = {}
-        for sid in meta["source_ids"]:
-            matrix, embedded = _restore_matrix(archive, sid)
-            database.add(matrix)
-            embeddings[int(sid)] = embedded
-
-    engine = IMGRNEngine(database, config)
-    _install_index(engine, embeddings)
-    return engine
 
 
 def _install_index(
@@ -474,7 +421,7 @@ def load_engine_sharded(
     """Restore an engine from a sharded save.
 
     Without ``database``, the matrices stored in the shards are restored
-    verbatim (the sharded twin of :func:`load_engine`). With ``database``,
+    verbatim. With ``database``,
     the given matrices become the engine's database and each one reuses
     its stored embedding when its content fingerprint still matches --
     only changed or new matrices re-run pivot selection and embedding.

@@ -52,6 +52,13 @@ from .batch_inference import (
 from .embedding import EmbeddedMatrix
 from .inference import EdgeProbabilityEstimator
 from .matching import Embedding
+from .parallel_build import (
+    build_width,
+    embed_shard,
+    embed_with_padding,
+    fan_out,
+    partition_shards,
+)
 from .probgraph import ProbabilisticGraph, edge_key
 from .pruning import (
     graph_existence_prunable,
@@ -541,19 +548,18 @@ class IMGRNEngine(_QueryMixin):
 
         The numerically heavy per-matrix work (pivot selection, embedding,
         expected-distance computation) runs in shards of
-        ``config.build.shard_size`` matrices; with ``config.build.workers
-        > 1`` the shards are striped round-robin across a
-        ``ProcessPoolExecutor``. Shard outputs are merged in database
-        order, so every ``BuildConfig`` setting produces a bit-identical
-        index (see :mod:`repro.core.parallel_build`). The points are then
+        ``config.build.shard_size`` matrices, striped over
+        :func:`~repro.core.parallel_build.build_width` forked processes
+        (``min(usable CPUs, shards)``; serial under tracing or beside a
+        live thread). Shard outputs are merged in database order, so every
+        width produces a bit-identical index (see
+        :mod:`repro.core.parallel_build`). The points are then
         STR-packed in one pass (:meth:`_repack`) -- a deliberate departure
         from the paper's one-at-a-time R* insertion (§5.1) with identical
         answers and fewer pages read per query.
 
         Returns the wall-clock build time in seconds (what Fig. 13 plots).
         """
-        from .parallel_build import partition_shards
-
         config = self.config
         tracer = self.obs.tracer
         metrics = self.obs.metrics
@@ -564,13 +570,9 @@ class IMGRNEngine(_QueryMixin):
         self._inference.clear_blocks()
         matrices = list(self.database)
         shards = partition_shards(matrices, config.build.shard_size)
-        with tracer.span(
-            "build",
-            engine=_ENGINE,
-            workers=config.build.workers,
-            shards=len(shards),
-        ):
-            embedded_by_source = self._embed_shards(shards, pivot_strategy)
+        width = build_width(len(shards), tracer.enabled)
+        with tracer.span("build", engine=_ENGINE, width=width, shards=len(shards)):
+            embedded_by_source = self._embed_shards(shards, pivot_strategy, width)
             with tracer.span("build.merge", engine=_ENGINE, matrices=len(matrices)):
                 for matrix in matrices:
                     self._entries[matrix.source_id] = _MatrixEntry(
@@ -596,88 +598,45 @@ class IMGRNEngine(_QueryMixin):
         ).observe(self.build_seconds)
         return self.build_seconds
 
-    def _embed_shards(self, shards, pivot_strategy: str) -> dict:
-        """Embed every shard, in-process or across a process pool.
+    def _embed_shards(self, shards, pivot_strategy: str, width: int) -> dict:
+        """Embed every shard, in-process or across ``width`` processes.
 
-        Returns ``{source_id: EmbeddedMatrix}``. The parallel path stripes
-        shards round-robin over the workers (shard cost is roughly uniform,
-        so stripes balance) and records one ``build.shard`` span per shard
-        in the parent; the worker-measured embed seconds travel back as the
-        span's ``seconds`` attribute and the ``build.shard_seconds``
-        histogram.
+        Returns ``{source_id: EmbeddedMatrix}``. The in-process path
+        records one ``build.shard`` span per shard; either path counts
+        each shard's worker-measured embed seconds into the
+        ``build.shards`` / ``build.shard_seconds`` series per worker.
         """
-        from .parallel_build import embed_shard, stripe_worker
-
         config = self.config
         tracer = self.obs.tracer
         metrics = self.obs.metrics
-
-        def record(seconds: float, worker: int) -> None:
-            metrics.counter(
-                _names.BUILD_SHARDS,
-                help="build shards embedded",
-                engine=_ENGINE,
-                worker=str(worker),
-            ).inc()
-            metrics.histogram(
-                _names.BUILD_SHARD_SECONDS,
-                help="per-shard embed seconds",
-                engine=_ENGINE,
-                worker=str(worker),
-            ).observe(seconds)
-
-        out: dict[int, EmbeddedMatrix] = {}
-        workers = config.build.workers
-        parallel = (
-            config.build.backend == "process" and workers > 1 and len(shards) > 1
-        )
-        if not parallel:
+        if width > 1:
+            stripes = fan_out(shards, width, config, pivot_strategy)
+        else:
+            stripes = [[]]
             for shard in shards:
                 with tracer.span(
-                    "build.shard",
-                    shard=shard.index,
-                    sources=len(shard.matrices),
-                    worker=0,
+                    "build.shard", shard=shard.index, sources=len(shard.matrices)
                 ) as span:
-                    result = embed_shard(
-                        shard, config, pivot_strategy, tracer=tracer
-                    )
+                    result = embed_shard(shard, config, pivot_strategy, tracer=tracer)
                     span.set(seconds=result.seconds)
+                stripes[0].append(result)
+        out: dict[int, EmbeddedMatrix] = {}
+        for worker, results in enumerate(stripes):
+            for result in results:
                 for embedded in result.embedded:
                     out[embedded.source_id] = embedded
-                record(result.seconds, worker=0)
-            return out
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        stripes = [shards[w::workers] for w in range(workers)]
-        payloads = [
-            (stripe, config, pivot_strategy) for stripe in stripes if stripe
-        ]
-        try:
-            # Fork (where available) skips re-importing the interpreter in
-            # every worker; significant for the small builds the benchmark
-            # floors time, and a no-op on platforms without fork.
-            mp_context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - spawn-only platforms
-            mp_context = None
-        with ProcessPoolExecutor(
-            max_workers=len(payloads), mp_context=mp_context
-        ) as pool:
-            for worker, results in enumerate(pool.map(stripe_worker, payloads)):
-                for result in results:
-                    # The embed ran in the worker process; the span records
-                    # its identity and worker-measured seconds post-hoc.
-                    with tracer.span(
-                        "build.shard",
-                        shard=result.index,
-                        sources=len(result.embedded),
-                        worker=worker,
-                    ) as span:
-                        span.set(seconds=result.seconds)
-                    for embedded in result.embedded:
-                        out[embedded.source_id] = embedded
-                    record(result.seconds, worker=worker)
+                metrics.counter(
+                    _names.BUILD_SHARDS,
+                    help="build shards embedded",
+                    engine=_ENGINE,
+                    worker=str(worker),
+                ).inc()
+                metrics.histogram(
+                    _names.BUILD_SHARD_SECONDS,
+                    help="per-shard embed seconds",
+                    engine=_ENGINE,
+                    worker=str(worker),
+                ).observe(result.seconds)
         return out
 
     def _embed_with_padding(
@@ -687,8 +646,6 @@ class IMGRNEngine(_QueryMixin):
         rng: np.random.Generator,
     ) -> EmbeddedMatrix:
         """Embed one matrix under this engine's config (pivots padded)."""
-        from .parallel_build import embed_with_padding
-
         return embed_with_padding(
             matrix.values,
             matrix.gene_ids,

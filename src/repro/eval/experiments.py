@@ -247,7 +247,6 @@ def inference_time(
     organism: str = "ecoli",
     mc_samples: int = 200,
     seed: int = 7,
-    workers: int = 0,
     batch_size: int = 32,
     cache: bool = True,
     measure_sequential: bool = True,
@@ -264,9 +263,7 @@ def inference_time(
     estimator = EdgeProbabilityEstimator(
         n_samples=mc_samples, semantics="two_sided", seed=seed
     )
-    inference = InferenceConfig(
-        batch_size=batch_size, workers=workers, cache=cache
-    )
+    inference = InferenceConfig(batch_size=batch_size, cache=cache)
     for n_i in sizes:
         spec = ORGANISMS[organism].scaled(n_i)
         matrix = generate_organism_matrix(

@@ -64,7 +64,7 @@ ORACLE_QUERIES = 6
 def _config(seed: int = SEED, **changes) -> EngineConfig:
     return EngineConfig(
         seed=seed,
-        build=BuildConfig(workers=0, shard_size=3),
+        build=BuildConfig(shard_size=3),
         observability=ObservabilityConfig(shared_registry=False),
         **changes,
     )

@@ -1,7 +1,7 @@
-"""Tests for the batched/cached/parallel edge-probability engine.
+"""Tests for the batched/cached edge-probability engine.
 
 The contract under test: every execution strategy -- scalar per-pair,
-batched matrix, pair blocks, cached, multi-process -- returns *identical*
+batched matrix, pair blocks, cached -- returns *identical*
 probabilities for the same data and estimator parameters. That is what
 makes batching safe to wire through every engine.
 """
@@ -151,13 +151,6 @@ class TestBitIdentity:
             matrix, method="matrix", n_samples=64, seed=5, batch_size=batch_size
         )
         assert np.array_equal(varied, reference)
-
-    def test_workers_invariance(self, matrix):
-        reference = edge_probability(matrix, method="matrix", n_samples=64, seed=5)
-        parallel = edge_probability(
-            matrix, method="matrix", n_samples=64, seed=5, workers=2
-        )
-        assert np.array_equal(parallel, reference)
 
     def test_pair_blocks_equal_scalar(self, matrix):
         estimator = EdgeProbabilityEstimator(n_samples=64, seed=5)
@@ -391,15 +384,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             InferenceConfig(batch_size=0)
         with pytest.raises(ValidationError):
-            InferenceConfig(workers=-1)
-        with pytest.raises(ValidationError):
             InferenceConfig(cache_size=0)
 
     def test_config_with_copies(self):
         config = InferenceConfig()
-        tuned = config.with_(batch_size=8, workers=2)
+        tuned = config.with_(batch_size=8, cache=False)
         assert tuned.batch_size == 8
-        assert tuned.workers == 2
+        assert tuned.cache is False
         assert config.batch_size == 32  # original untouched
 
     def test_non_2d_matrix_rejected(self):

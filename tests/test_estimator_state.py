@@ -55,7 +55,7 @@ def _config(**changes) -> EngineConfig:
     return EngineConfig(
         seed=SEED,
         mc_samples=64,
-        build=BuildConfig(workers=0, shard_size=3),
+        build=BuildConfig(shard_size=3),
         observability=ObservabilityConfig(shared_registry=False),
         **changes,
     )

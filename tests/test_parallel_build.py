@@ -1,12 +1,16 @@
 """Parallel sharded build, incremental maintenance, per-shard persistence.
 
 The contract under test: however the index is produced -- serial build,
-process-parallel build, add/remove maintenance, or a (partial) reload from
-a sharded save -- the resulting engine is bit-identical to a fresh serial
-build over the same database.
+a build fanned out over processes, add/remove maintenance, or a (partial)
+reload from a sharded save -- the resulting engine is bit-identical to a
+fresh serial build over the same database. The build's width is derived
+(:func:`repro.core.parallel_build.build_width`); tests fake its CPU probe
+so the fan-out runs even on a 1-CPU host.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from repro.config import (
     ObservabilityConfig,
     SyntheticConfig,
 )
+from repro.core import parallel_build
+from repro.core.parallel_build import build_width
 from repro.core.persistence import load_engine_sharded, save_engine_sharded
 from repro.core.query import IMGRNEngine
 from repro.data.database import GeneFeatureDatabase
@@ -27,12 +33,21 @@ from repro.data.synthetic import generate_database
 SEED = 11
 
 
-def _config(workers: int = 0, shard_size: int = 3) -> EngineConfig:
+def _config(shard_size: int = 3, tracing: bool = False) -> EngineConfig:
     return EngineConfig(
         seed=SEED,
-        build=BuildConfig(workers=workers, shard_size=shard_size),
-        observability=ObservabilityConfig(shared_registry=False),
+        build=BuildConfig(shard_size=shard_size),
+        observability=ObservabilityConfig(tracing=tracing, shared_registry=False),
     )
+
+
+def _build_on(cpus: int, database, config: EngineConfig | None = None):
+    """Build with the CPU probe faked to ``cpus``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel_build, "usable_cpus", lambda: cpus)
+        engine = IMGRNEngine(database, config or _config())
+        engine.build()
+    return engine
 
 
 def _assert_engines_identical(a: IMGRNEngine, b: IMGRNEngine) -> None:
@@ -73,16 +88,12 @@ def queries(database):
 
 @pytest.fixture(scope="module")
 def serial_engine(database):
-    engine = IMGRNEngine(database, _config(workers=0))
-    engine.build()
-    return engine
+    return _build_on(1, database)
 
 
 @pytest.fixture(scope="module")
 def parallel_engine(database):
-    engine = IMGRNEngine(database, _config(workers=2))
-    engine.build()
-    return engine
+    return _build_on(2, database)
 
 
 def test_parallel_build_bit_identical(serial_engine, parallel_engine):
@@ -91,19 +102,6 @@ def test_parallel_build_bit_identical(serial_engine, parallel_engine):
 
 def test_parallel_build_same_answers(serial_engine, parallel_engine, queries):
     assert _answers(serial_engine, queries) == _answers(parallel_engine, queries)
-
-
-def test_serial_backend_matches_process_backend(database, serial_engine):
-    engine = IMGRNEngine(
-        database,
-        EngineConfig(
-            seed=SEED,
-            build=BuildConfig(workers=4, shard_size=3, backend="serial"),
-            observability=ObservabilityConfig(shared_registry=False),
-        ),
-    )
-    engine.build()
-    _assert_engines_identical(serial_engine, engine)
 
 
 def test_add_remove_round_trip(database, queries):
@@ -180,11 +178,7 @@ def test_sharded_reload_reembeds_only_changed_matrix(
 
 def test_build_config_validation():
     with pytest.raises(ValueError):
-        BuildConfig(workers=-1)
-    with pytest.raises(ValueError):
         BuildConfig(shard_size=0)
-    with pytest.raises(ValueError):
-        BuildConfig(backend="thread")
 
 
 def test_parallel_build_records_shard_telemetry(parallel_engine):
@@ -193,4 +187,56 @@ def test_parallel_build_records_shard_telemetry(parallel_engine):
         key: value for key, value in snapshot.items() if "build.shards" in key
     }
     assert sum(shard_counts.values()) == 3  # 9 matrices / shard_size 3
+    # Two worker processes embedded the shards (stripes of 2 and 1).
+    assert sorted(shard_counts.values()) == [1.0, 2.0]
     assert any("build.shard_seconds" in key for key in snapshot)
+
+
+class TestBuildWidth:
+    """The one rule: ``min(usable CPUs, shards)``, else serial."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def fake(count: int) -> None:
+            monkeypatch.setattr(parallel_build, "usable_cpus", lambda: count)
+
+        fake(4)
+        return fake
+
+    def test_min_of_cpus_and_shards(self, cpus):
+        assert build_width(3, tracing=False) == 3
+        assert build_width(9, tracing=False) == 4
+        cpus(2)
+        assert build_width(13, tracing=False) == 2
+
+    def test_fewer_than_two_shards_is_serial(self, cpus):
+        assert build_width(1, tracing=False) == 1
+        assert build_width(0, tracing=False) == 1
+
+    def test_one_cpu_is_serial(self, cpus):
+        cpus(1)
+        assert build_width(9, tracing=False) == 1
+
+    def test_live_thread_is_serial(self, cpus):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert build_width(9, tracing=False) == 1
+        finally:
+            release.set()
+            thread.join()
+        assert build_width(9, tracing=False) == 4
+
+    def test_tracing_is_serial(self, cpus):
+        assert build_width(9, tracing=True) == 1
+
+    def test_traced_build_keeps_its_spans(self, database, serial_engine):
+        engine = _build_on(2, database, _config(tracing=True))
+        _assert_engines_identical(serial_engine, engine)
+        spans = engine.obs.tracer.spans
+        build = next(span for span in spans if span.name == "build")
+        assert build.attrs["width"] == 1
+        names = [span.name for span in spans]
+        assert names.count("build.embed") == len(database)
+        assert names.count("build.shard") == 3

@@ -51,7 +51,7 @@ def _config(cache: bool = True) -> EngineConfig:
     return EngineConfig(
         seed=SEED,
         mc_samples=64,
-        build=BuildConfig(workers=0, shard_size=4),
+        build=BuildConfig(shard_size=4),
         inference=InferenceConfig(cache=cache),
         observability=ObservabilityConfig(shared_registry=False),
     )

@@ -1,4 +1,8 @@
-"""Tests for engine save/load (prototype-system persistence)."""
+"""Tests for engine save/load (prototype-system persistence).
+
+A save is a sharded directory (:func:`save_engine_sharded`); the bit-level
+shard contract lives in ``tests/test_parallel_build.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import IMGRNEngine
-from repro.core.persistence import load_engine, save_engine
+from repro.core.persistence import load_engine_sharded, save_engine_sharded
 from repro.errors import IndexNotBuiltError, ValidationError
 
 from conftest import TEST_CONFIG, assert_store_invariants
@@ -16,9 +20,9 @@ class TestSaveLoad:
     def test_roundtrip_answers_identical(
         self, built_engine, query_workload, tmp_path
     ):
-        path = tmp_path / "engine.npz"
-        save_engine(built_engine, path)
-        loaded = load_engine(path)
+        path = tmp_path / "engine"
+        save_engine_sharded(built_engine, path)
+        loaded = load_engine_sharded(path)
         for query in query_workload:
             original = built_engine.query(query, gamma=0.5, alpha=0.2)
             restored = loaded.query(query, gamma=0.5, alpha=0.2)
@@ -26,9 +30,9 @@ class TestSaveLoad:
             assert restored.stats.candidates == original.stats.candidates
 
     def test_roundtrip_preserves_embeddings(self, built_engine, tmp_path):
-        path = tmp_path / "engine.npz"
-        save_engine(built_engine, path)
-        loaded = load_engine(path)
+        path = tmp_path / "engine"
+        save_engine_sharded(built_engine, path)
+        loaded = load_engine_sharded(path)
         for source_id, entry in built_engine._entries.items():
             restored = loaded._entries[source_id].embedded
             np.testing.assert_array_equal(restored.x, entry.embedded.x)
@@ -38,9 +42,9 @@ class TestSaveLoad:
     def test_roundtrip_preserves_config_and_database(
         self, built_engine, tmp_path
     ):
-        path = tmp_path / "engine.npz"
-        save_engine(built_engine, path)
-        loaded = load_engine(path)
+        path = tmp_path / "engine"
+        save_engine_sharded(built_engine, path)
+        loaded = load_engine_sharded(path)
         assert loaded.config == built_engine.config
         assert loaded.database.source_ids == built_engine.database.source_ids
         assert_store_invariants(loaded.array_index, loaded.config.rstar_max_entries)
@@ -51,9 +55,9 @@ class TestSaveLoad:
         from repro.config import SyntheticConfig
         from repro.data.synthetic import generate_matrix
 
-        path = tmp_path / "engine.npz"
-        save_engine(built_engine, path)
-        loaded = load_engine(path)
+        path = tmp_path / "engine"
+        save_engine_sharded(built_engine, path)
+        loaded = load_engine_sharded(path)
         new_matrix = generate_matrix(
             SyntheticConfig(
                 genes_range=(10, 14), samples_range=(8, 12), gene_pool=50, seed=5
@@ -68,27 +72,24 @@ class TestSaveLoad:
     def test_save_unbuilt_rejected(self, small_database, tmp_path):
         engine = IMGRNEngine(small_database, TEST_CONFIG)
         with pytest.raises(IndexNotBuiltError):
-            save_engine(engine, tmp_path / "x.npz")
+            save_engine_sharded(engine, tmp_path / "x")
 
     def test_load_garbage_rejected(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        np.savez(path, foo=np.zeros(3))
+        path = tmp_path / "garbage"
+        path.mkdir()
+        (path / "meta.json").write_text('{"foo": [0, 0, 0]}', encoding="utf-8")
         with pytest.raises(ValidationError):
-            load_engine(path)
+            load_engine_sharded(path)
 
 
 def _rewrite_meta(path, mutate):
-    """Load an engine archive, apply ``mutate`` to its meta dict, re-save."""
+    """Apply ``mutate`` to a sharded save's ``meta.json`` dict, in place."""
     import json
 
-    with np.load(path) as archive:
-        payload = {key: archive[key] for key in archive.files}
-    meta = json.loads(bytes(payload["meta"]).decode("utf-8"))
+    meta_path = path / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     mutate(meta)
-    payload["meta"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(path, **payload)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
 
 class TestConfigCompatibility:
@@ -115,16 +116,38 @@ class TestConfigCompatibility:
     def test_archive_missing_observability_loads(
         self, built_engine, query_workload, tmp_path
     ):
-        path = tmp_path / "old.npz"
-        save_engine(built_engine, path)
+        path = tmp_path / "old"
+        save_engine_sharded(built_engine, path)
 
         def mutate(meta):
             del meta["config"]["observability"]
             meta["config"]["future_knob"] = 123
 
         _rewrite_meta(path, mutate)
-        loaded = load_engine(path)
+        loaded = load_engine_sharded(path)
         assert loaded.config.observability == built_engine.config.observability
         original = built_engine.query(query_workload[0], gamma=0.5, alpha=0.2)
         restored = loaded.query(query_workload[0], gamma=0.5, alpha=0.2)
         assert restored.answer_sources() == original.answer_sources()
+
+    def test_save_with_removed_execution_knobs_loads(
+        self, built_engine, query_workload, tmp_path
+    ):
+        """Saves written while the build and inference widths were config
+        fields still load, and answer identically."""
+        path = tmp_path / "knobs"
+        save_engine_sharded(built_engine, path)
+
+        def mutate(meta):
+            meta["config"]["build"].update(workers=4, backend="process")
+            meta["config"]["inference"]["workers"] = 2
+
+        _rewrite_meta(path, mutate)
+        loaded = load_engine_sharded(path)
+        assert loaded.config == built_engine.config
+        for query in query_workload:
+            original = built_engine.query(query, gamma=0.5, alpha=0.2)
+            restored = loaded.query(query, gamma=0.5, alpha=0.2)
+            assert [(a.source_id, a.probability) for a in restored.answers] == [
+                (a.source_id, a.probability) for a in original.answers
+            ]
