@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import tempfile
 import time
@@ -40,8 +41,13 @@ from repro.config import BuildConfig, EngineConfig, ObservabilityConfig, Synthet
 from repro.core import parallel_build
 from repro.core.baseline import BaselineEngine
 from repro.core.persistence import load_engine_sharded, save_engine_sharded
-from repro.core.pruning import index_pair_prunable, index_pairs_prunable
+from repro.core.pruning import (
+    index_pair_prunable,
+    index_pairs_prunable,
+    markov_edge_upper_bounds,
+)
 from repro.core.query import IMGRNEngine
+from repro.core.standardize import standardize_matrix
 from repro.data.queries import generate_query_workload
 from repro.data.synthetic import generate_database
 from repro.index.arraystore import min_dist_many
@@ -161,12 +167,103 @@ def _scalar_min_dist(low: np.ndarray, high: np.ndarray, point: np.ndarray) -> fl
     return float(np.sqrt(delta @ delta))
 
 
+def _leaf_markov_reference(engine, columns, rows_s, rows_t) -> np.ndarray:
+    """The leaf Markov bound one source at a time: per source, one
+    contiguous difference row and one dot per pair, the statistics read
+    from ``columns`` (``{source: (std, squares, means)}``)."""
+    store = engine.array_index
+    limit = 1_000_000  # the engine's payload key: source * limit + column
+    sources = store.entry_source_ids[rows_t]
+    order = np.argsort(sources, kind="stable")
+    sources = sources[order]
+    anchor_cols = store.entry_payloads[rows_s[order]] % limit
+    cols = store.entry_payloads[rows_t[order]] % limit
+    starts = np.flatnonzero(np.diff(sources, prepend=-1))
+    stops = np.append(starts[1:], sources.shape[0])
+    distance: list[float] = []
+    squares_t, means_t, anchors = [], [], []
+    for source, s, start, stop in zip(
+        sources[starts].tolist(),
+        anchor_cols[starts].tolist(),
+        starts.tolist(),
+        stops.tolist(),
+    ):
+        std, squares, means = columns[source]
+        t = cols[start:stop]
+        rows = np.subtract(std.T[s], std.T[t], order="C")
+        distance += [math.sqrt(row @ row) for row in rows]
+        squares_t.append(squares[t])
+        means_t.append(means[t])
+        anchors.append((squares[s], means[s], std.shape[0]))
+    squares_s, means_s, length = np.repeat(anchors, stops - starts, axis=0).T
+    value = np.concatenate(squares_t) + squares_s - (
+        2.0 * length * np.concatenate(means_t) * means_s
+    )
+    markov = np.empty(sources.shape[0])
+    markov[order] = markov_edge_upper_bounds(
+        distance, np.sqrt(np.where(value > 0.0, value, 0.0))
+    )
+    return markov
+
+
+def _leaf_bench(rounds: int) -> dict[str, float]:
+    """The leaf Markov bound: per-source reference vs the column table's
+    batched kernel over the same joined pairs (each source's column 0
+    against its next eight columns), byte-identical outputs."""
+    database = generate_database(
+        SyntheticConfig(
+            weights="uni", genes_range=(10, 12), samples_range=(12, 24), seed=SEED
+        ),
+        8,
+    )
+    engine = IMGRNEngine(database, EngineConfig(seed=SEED, observability=_OBS))
+    engine.build()
+    columns = {}
+    for matrix in database:
+        std = standardize_matrix(matrix.values)
+        cols = [std[:, c] for c in range(std.shape[1])]
+        columns[matrix.source_id] = (
+            std,
+            np.array([float(x @ x) for x in cols]),
+            np.array([float(x.mean()) for x in cols]),
+        )
+    table = engine._table
+    row_of = {int(p): r for r, p in enumerate(table.store.entry_payloads)}
+    pairs = [
+        (row_of[m.source_id * 1_000_000], row_of[m.source_id * 1_000_000 + c])
+        for m in database
+        for c in range(1, 9)
+    ]
+    rows_s, rows_t = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+
+    started = time.perf_counter()
+    for _ in range(rounds):
+        reference = _leaf_markov_reference(engine, columns, rows_s, rows_t)
+    reference_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    for _ in range(rounds):
+        batched = table.markov_bounds(rows_s, rows_t)
+    table_seconds = time.perf_counter() - started
+    assert batched.tobytes() == reference.tobytes(), "leaf Markov bounds diverged"
+    return {
+        "leaf_pairs": float(len(pairs)),
+        "leaf_reference_seconds": reference_seconds,
+        "leaf_table_seconds": table_seconds,
+        "leaf_table_over_reference": reference_seconds / table_seconds
+        if table_seconds > 0
+        else 0.0,
+    }
+
+
 def bench_traversal_micro() -> dict[str, float]:
-    """Vectorized vs scalar traversal hot path (MinDist + Lemma 6).
+    """Vectorized vs scalar traversal hot path (MinDist, Lemma 6, and the
+    leaf Markov bound).
 
     Times per-child / per-pair scalar calls against the single NumPy
     calls the array store makes, on the same synthetic inputs, and
-    asserts the outputs are identical.
+    asserts the outputs are identical; then times the leaf Markov bound
+    one source at a time against the column table's batched kernel
+    (:func:`_leaf_bench`, reported under its own ``leaf_*`` keys).
     """
     rng = np.random.default_rng(SEED)
     n_boxes, dim = 192, 8
@@ -220,6 +317,7 @@ def bench_traversal_micro() -> dict[str, float]:
         else 0.0,
         "minidist_boxes": float(n_boxes),
         "lemma6_pairs": float(n_s * n_t),
+        **_leaf_bench(rounds),
     }
 
 

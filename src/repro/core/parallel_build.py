@@ -18,6 +18,8 @@ fans that work out with:
   worker process;
 * :func:`fan_out` embeds round-robin stripes of shards in forked worker
   processes, returning the embedded matrices plus per-shard wall seconds.
+  Each worker sends its stripe back over a one-way pipe that the calling
+  thread reads: no pool, and no helper thread in the parent.
 
 Packing shard outputs into the index stays in the parent process and
 follows database order, so a build of any width is bit-identical to the
@@ -30,7 +32,6 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent import futures
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -221,11 +222,19 @@ def build_width(shards: int, tracing: bool) -> int:
 
 
 def _embed_stripe(
-    args: tuple[list[ShardSpec], EngineConfig, str],
-) -> list[ShardResult]:
-    """Worker entry point: embed one round-robin stripe of shards."""
-    shards, config, pivot_strategy = args
-    return [embed_shard(shard, config, pivot_strategy) for shard in shards]
+    connection, shards: list[ShardSpec], config: EngineConfig, pivot_strategy: str
+) -> None:
+    """Worker entry point: embed one round-robin stripe of shards and send
+    ``(True, results)``, or ``(False, exception)`` if embedding raised."""
+    try:
+        message = (True, [embed_shard(s, config, pivot_strategy) for s in shards])
+    except Exception as exc:  # re-raised in the parent
+        message = (False, exc)
+    try:
+        connection.send(message)
+    except Exception as exc:  # an unpicklable exception or result
+        connection.send((False, RuntimeError(f"build worker failed: {exc!r}")))
+    connection.close()
 
 
 def fan_out(
@@ -234,12 +243,46 @@ def fan_out(
     """Embed ``shards`` in ``width`` forked processes, one per stripe.
 
     Shards are striped round-robin (``shards[w::width]``; shard cost is
-    roughly uniform, so stripes balance). Returns each worker's shard
+    roughly uniform, so stripes balance). Each forked worker inherits its
+    stripe and sends the results back over a one-way pipe, which the
+    calling thread reads stripe by stripe. Returns each worker's shard
     results; workers never see the tracer, and the per-shard seconds they
     measure feed the parent's ``build.shard_seconds`` histogram.
+
+    A worker's exception is re-raised here, and a worker that dies
+    without an answer raises :class:`RuntimeError`. Every worker is
+    terminated and joined before this returns or raises.
     """
-    payloads = [(shards[w::width], config, pivot_strategy) for w in range(width)]
-    with futures.ProcessPoolExecutor(
-        width, mp_context=multiprocessing.get_context("fork")
-    ) as pool:
-        return list(pool.map(_embed_stripe, payloads))
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for w in range(width):
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_embed_stripe,
+                args=(send, shards[w::width], config, pivot_strategy),
+                daemon=True,
+            )
+            process.start()
+            workers.append((process, receive))
+            send.close()  # the worker holds the only write end
+        stripes = []
+        for process, receive in workers:
+            try:
+                ok, payload = receive.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"build worker exited with code {process.exitcode} "
+                    "before sending its shards"
+                ) from None
+            if not ok:
+                raise payload
+            stripes.append(payload)
+        return stripes
+    finally:
+        for process, receive in workers:
+            receive.close()
+            if process.is_alive():
+                process.terminate()
+            process.join()

@@ -41,7 +41,6 @@ from ..data.matrix import GeneFeatureMatrix
 from ..errors import IndexNotBuiltError, ValidationError
 from .embedding import EmbeddedMatrix
 from .query import IMGRNEngine, _MatrixEntry
-from .standardize import standardize_matrix
 
 __all__ = [
     "save_engine_sharded",
@@ -144,11 +143,7 @@ def _install_index(
     inverted = InvertedBitVectorFile(engine.config.bitvector_bits)
     for matrix in engine.database:
         embedded = embeddings[matrix.source_id]
-        engine._entries[matrix.source_id] = _MatrixEntry(
-            matrix=matrix,
-            embedded=embedded,
-            standardized=standardize_matrix(matrix.values),
-        )
+        engine._entries[matrix.source_id] = _MatrixEntry.of(matrix, embedded)
         for gene_id in embedded.gene_ids:
             inverted.add(gene_id, matrix.source_id)
     engine.inverted_file = inverted
@@ -170,7 +165,8 @@ def _install_mmap_index(
     the snapshot's original page IDs still validates, and the inverted
     file is rebuilt from the snapshot's (gene, source) entry columns --
     signatures are order-independent ORs, so it matches the one saved
-    from bit for bit.
+    from bit for bit. The store is published with a column table built
+    from the reloaded matrices (tables are never persisted).
     """
     from ..index.arraystore import ArrayStore
     from ..index.invertedfile import InvertedBitVectorFile
@@ -198,12 +194,10 @@ def _install_mmap_index(
     for row in range(store.num_entries):
         inverted.add(int(gene_ids[row]), int(source_ids[row]))
     for matrix in engine.database:
-        engine._entries[matrix.source_id] = _MatrixEntry(
-            matrix=matrix,
-            embedded=embeddings[matrix.source_id],
-            standardized=standardize_matrix(matrix.values),
+        engine._entries[matrix.source_id] = _MatrixEntry.of(
+            matrix, embeddings[matrix.source_id]
         )
-    engine.array_index = store
+    engine._publish(store)
     engine.inverted_file = inverted
     engine.build_seconds = time.perf_counter() - started
 

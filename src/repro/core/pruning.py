@@ -40,6 +40,8 @@ __all__ = [
     "pivot_pruning_condition",
     "index_pair_prunable",
     "index_pairs_prunable",
+    "index_pruning_floor",
+    "index_pruning_possible",
 ]
 
 
@@ -358,6 +360,52 @@ def index_pairs_prunable(
     best_gap = (gamma * eb_x_min - gamma_s).max(axis=1)
     threshold = best_gap[:, None] - gamma_s
     return (eb_y_max <= threshold).any(axis=1)
+
+
+def index_pruning_floor(
+    x_min: np.ndarray, y_max: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node summaries that bound Inequality 10 from above.
+
+    ``x_min`` and ``y_max`` are the ``(N, d)`` corners ``E_x^-`` and
+    ``E_y^+`` of ``N`` nodes. Returns ``(reach, floor)``: each node's
+    ``max_r E_x^-[r]`` and ``min_w E_y^+[w]``, the inputs of
+    :func:`index_pruning_possible`.
+    """
+    x_min = np.asarray(x_min, dtype=np.float64)
+    y_max = np.asarray(y_max, dtype=np.float64)
+    if x_min.ndim != 2 or x_min.shape != y_max.shape:
+        raise ValidationError(
+            "corner arrays must share one 2-D (nodes x pivots) shape, got "
+            f"{x_min.shape}, {y_max.shape}"
+        )
+    return x_min.max(axis=1), y_max.min(axis=1)
+
+
+def index_pruning_possible(
+    reach: np.ndarray, floor: np.ndarray, gamma: float
+) -> bool:
+    """Whether Lemma 6 can prune any pair ``(E_a, E_b)`` of these nodes.
+
+    Returns False when every node ``b`` has ``floor[b] > fl(gamma *
+    reach[b])`` (see :func:`index_pruning_floor`); then
+    :func:`index_pairs_prunable` is False for every pair whose ``E_b`` is
+    one of the nodes, whatever ``E_a`` is. The proof holds in floating
+    point because the pivot distances are ``>= 0`` and rounding is
+    monotone: ``fl(gamma * E_ax^+)`` is ``>= 0``, so subtracting it never
+    raises a value, and every threshold of Inequality 10 is at most
+    ``max_r fl(gamma * E_bx^-[r]) = fl(gamma * reach[b])``. Pruning
+    needs some ``E_by^+[w]`` at or below a threshold, so ``floor[b]``
+    above that maximum rules it out.
+
+    The gate is store-level: it reads every node's summary and decides
+    for the whole walk. ``min(floor / reach)`` over the nodes is the
+    store's floor, below which Lemma 6 cannot fire (0.885 and 1.012 on
+    the two benchmark stores; see EXPERIMENTS.md, caveat 2).
+    """
+    if not 0.0 <= gamma < 1.0:
+        raise ValidationError(f"gamma must be in [0,1), got {gamma}")
+    return not bool((floor > gamma * reach).all())
 
 
 def combine_edge_bounds(markov: float, pivot: float) -> float:

@@ -49,6 +49,7 @@ from .batch_inference import (
     EstimatorState,
     standardize_columns,
 )
+from .column_table import ColumnTable, pair_distances, source_columns
 from .embedding import EmbeddedMatrix
 from .inference import EdgeProbabilityEstimator
 from .matching import Embedding
@@ -69,7 +70,6 @@ from .pruning import (
 )
 from .refine import BatchEdgeEvaluator, CandidateRefiner
 from .spec import QuerySpec
-from .standardize import standardize_matrix
 
 __all__ = ["IMGRNAnswer", "IMGRNResult", "IMGRNEngine"]
 
@@ -365,40 +365,36 @@ class _QueryMixin:
         return answers
 
 
-def _row_distances(std: np.ndarray, col_s: int, cols_t: np.ndarray) -> list[float]:
-    """``dist(std[:, col_s], std[:, t])`` for each ``t`` in ``cols_t``.
-
-    Each difference is one contiguous row reduced by one BLAS dot, the
-    reduction :func:`numpy.linalg.norm` applies to a 1-D difference, so
-    every distance equals ``np.linalg.norm(std[:, col_s] - std[:, t])``
-    bit for bit (a summing ``einsum`` would drift in the last ulp).
-    """
-    rows = np.subtract(std.T[col_s], std.T[cols_t], order="C")
-    return [math.sqrt(row @ row) for row in rows]
-
-
 @dataclass
 class _MatrixEntry:
     """Per-matrix build artifacts the query phase needs.
 
-    ``standardized`` (:func:`~repro.core.standardize.standardize_matrix`)
-    serves the traversal bounds; refinement reads the source's
-    :meth:`estimator_state` instead, whose columns are standardized the
-    way the estimator's content keys require.
+    ``columns``, ``squares`` and ``means``
+    (:func:`~repro.core.column_table.source_columns`) feed the
+    traversal's :class:`~repro.core.column_table.ColumnTable`;
+    once a table is published, ``columns`` is a view of its rows there.
+    Refinement reads the source's :meth:`estimator_state` instead, whose
+    columns are standardized the way the estimator's content keys
+    require.
     """
 
     matrix: GeneFeatureMatrix
     embedded: EmbeddedMatrix
-    standardized: np.ndarray = field(repr=False)
-    _column_stats: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    columns: np.ndarray = field(repr=False)
+    squares: np.ndarray = field(repr=False)
+    means: np.ndarray = field(repr=False)
     _estimator_state: EstimatorState | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _state_lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
+
+    @classmethod
+    def of(cls, matrix: GeneFeatureMatrix, embedded: EmbeddedMatrix) -> "_MatrixEntry":
+        """The entry of ``matrix``, its column statistics computed eagerly."""
+        columns, squares, means = source_columns(matrix.values)
+        return cls(matrix, embedded, columns, squares, means)
 
     def estimator_state(self, inference: BatchInferenceEngine) -> EstimatorState:
         """The source's refinement :class:`EstimatorState`, built by
@@ -420,26 +416,6 @@ class _MatrixEntry:
                     )
         return state
 
-    def column_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per standardized column ``x``: ``(x @ x, x.mean())``.
-
-        The inputs of the Jensen expectation, computed with
-        :func:`~repro.core.randomization.expected_squared_randomized_distance`'s
-        own expressions on first use. The read-only pair is published as
-        one tuple, so a concurrent reader sees either nothing (and
-        computes the same values itself) or all of it.
-        """
-        stats = self._column_stats
-        if stats is None:
-            std = self.standardized
-            columns = [std[:, c] for c in range(std.shape[1])]
-            squares = np.array([float(x @ x) for x in columns], dtype=np.float64)
-            means = np.array([float(x.mean()) for x in columns], dtype=np.float64)
-            squares.flags.writeable = False
-            means.flags.writeable = False
-            stats = self._column_stats = (squares, means)
-        return stats
-
 
 class IMGRNEngine(_QueryMixin):
     """The indexed IM-GRN query engine of Section 5."""
@@ -457,10 +433,11 @@ class IMGRNEngine(_QueryMixin):
         self.obs = Observability.from_config(self.config.observability)
         self._series = SeriesTable(self.obs.metrics, QueryStats.field_of)
         self.pages = PageManager()
-        #: The index (see :mod:`repro.index.arraystore`): repacked by
-        #: :meth:`_repack` after every index change, or installed directly
-        #: by the persistence layer when reloading via ``np.memmap``.
-        self.array_index: ArrayStore | None = None
+        #: The index (see :mod:`repro.index.arraystore`) with its column
+        #: table, published as one reference by :meth:`_publish`: after
+        #: every repack, or when the persistence layer installs a
+        #: ``np.memmap`` reload.
+        self._table: ColumnTable | None = None
         self.inverted_file: InvertedBitVectorFile | None = None
         self.build_seconds: float = 0.0
         #: Set by :func:`repro.core.persistence.load_engine_sharded`:
@@ -481,10 +458,16 @@ class IMGRNEngine(_QueryMixin):
     # Build
     # ------------------------------------------------------------------
     @property
-    def is_built(self) -> bool:
-        return self.array_index is not None
+    def array_index(self) -> ArrayStore | None:
+        """The published index store (``None`` before :meth:`build`)."""
+        table = self._table
+        return None if table is None else table.store
 
-    def _repack(self) -> None:
+    @property
+    def is_built(self) -> bool:
+        return self._table is not None
+
+    def _repack(self, changed: frozenset[int] | None = None) -> None:
         """STR-pack every indexed source's points into a fresh index.
 
         Sources are packed in indexing order (database order, added
@@ -492,7 +475,8 @@ class IMGRNEngine(_QueryMixin):
         fresh :meth:`build` over the same sources uses, so maintenance
         and rebuild give byte-identical stores. The page-ID space only
         grows, so a query still holding the previous store keeps passing
-        its page bounds checks.
+        its page bounds checks. ``changed`` is forwarded to
+        :meth:`_publish`.
         """
         embedded = [entry.embedded for entry in self._entries.values()]
         for e in embedded:  # validates the source and its last column's key
@@ -513,7 +497,26 @@ class IMGRNEngine(_QueryMixin):
                 bitvector_bits=self.config.bitvector_bits,
             )
         self.pages.reserve(store.pages_allocated)
-        self.array_index = store
+        self._publish(store, changed)
+
+    def _publish(
+        self, store: ArrayStore, changed: frozenset[int] | None = None
+    ) -> None:
+        """Build ``store``'s column table and publish the pair at once.
+
+        ``changed`` names the sample lengths whose sources came or went
+        since the last publication: only their length buffers are rebuilt,
+        so an added source costs its own rows (plus one copy of its length
+        group). ``None`` rebuilds every buffer.
+        """
+        self._table = ColumnTable.build(
+            store,
+            self._entries,
+            payload_limit=_PAYLOAD_GENE_LIMIT,
+            num_pivots=self.config.num_pivots,
+            previous=None if changed is None else self._table,
+            changed=changed or frozenset(),
+        )
 
     def _source_state(self, source: int) -> EstimatorState:
         """The indexed source's estimator state; a source removed while a
@@ -575,10 +578,8 @@ class IMGRNEngine(_QueryMixin):
             embedded_by_source = self._embed_shards(shards, pivot_strategy, width)
             with tracer.span("build.merge", engine=_ENGINE, matrices=len(matrices)):
                 for matrix in matrices:
-                    self._entries[matrix.source_id] = _MatrixEntry(
-                        matrix=matrix,
-                        embedded=embedded_by_source[matrix.source_id],
-                        standardized=standardize_matrix(matrix.values),
+                    self._entries[matrix.source_id] = _MatrixEntry.of(
+                        matrix, embedded_by_source[matrix.source_id]
                     )
                 with tracer.span("build.inverted_file", matrices=len(matrices)):
                     for matrix in matrices:
@@ -711,11 +712,8 @@ class IMGRNEngine(_QueryMixin):
         expected = math.sqrt(2.0 * length)  # Jensen bound, standardized vectors
         pairs = list(itertools.combinations(range(len(ids)), 2))
         with tracer.span("query.infer.prune", pairs=len(pairs)):
-            distances = [
-                distance
-                for s in range(len(ids) - 1)
-                for distance in _row_distances(std, s, np.arange(s + 1, len(ids)))
-            ]
+            s_cols, t_cols = np.triu_indices(len(ids), 1)
+            distances = pair_distances(std.T[s_cols], std.T[t_cols])
             prunable = markov_edge_upper_bounds(distances, expected) <= gamma
             pruned_lemma3.inc(int(np.count_nonzero(prunable)))
             survivors = list(itertools.compress(pairs, ~prunable))
@@ -839,14 +837,12 @@ class IMGRNEngine(_QueryMixin):
             self.database.add(matrix)
             rng = np.random.default_rng((self.config.seed, matrix.source_id))
             embedded = self._embed_with_padding(matrix, "cost_model", rng)
-            self._entries[matrix.source_id] = _MatrixEntry(
-                matrix=matrix,
-                embedded=embedded,
-                standardized=standardize_matrix(matrix.values),
+            entry = self._entries[matrix.source_id] = _MatrixEntry.of(
+                matrix, embedded
             )
             for gene_id in embedded.gene_ids:
                 self.inverted_file.add(gene_id, matrix.source_id)
-            self._repack()
+            self._repack(frozenset({entry.columns.shape[1]}))
         self.obs.metrics.counter(
             _names.BUILD_MATRICES, help="matrices indexed", engine=_ENGINE
         ).inc()
@@ -890,7 +886,7 @@ class IMGRNEngine(_QueryMixin):
             genes=entry.matrix.num_genes,
         ):
             self.inverted_file.remove_source(source_id, entry.matrix.gene_ids)
-            self._repack()
+            self._repack(frozenset({entry.columns.shape[1]}))
             state = entry._estimator_state
             if state is not None:
                 self._inference.drop_blocks(state.seeds)
@@ -933,10 +929,19 @@ class IMGRNEngine(_QueryMixin):
         order) and filtered in vectorized passes of at most
         ``_SLICE_CELLS`` cells: gene range (exact, on the gene-ID
         coordinate), then the ``V_f`` and ``V_d`` signatures, then Lemma
-        6. Leaf pairs are joined row-wise (anchor row x neighbor row of
-        one source) in (leaf pair, neighbor row) order; each slice's
-        joined point pairs are bounded in one :meth:`_leaf_pair_bounds`
-        call and Lemma 3 drops those at or below ``gamma``.
+        6 -- unless the store-level gate
+        (:meth:`~repro.core.column_table.ColumnTable.lemma6_may_prune`)
+        proves that no node pair of the store can prune at ``gamma``,
+        in which case the walk skips the kernel with the same survivors
+        and counters. Leaf pairs are joined row-wise (anchor row x
+        neighbor row of one source) in (leaf pair, neighbor row) order;
+        each slice's joined point pairs are bounded in one
+        :meth:`_leaf_pair_bounds` call and Lemma 3 drops those at or
+        below ``gamma``.
+
+        The walk reads the published column table once and uses its
+        store throughout, so a concurrent repack never mixes two stores
+        in one query.
 
         This reaches the leaf pairs in depth-first preorder, the order a
         deepest-level-first priority queue with push-order ties pops
@@ -948,8 +953,10 @@ class IMGRNEngine(_QueryMixin):
         Returns ``{(source_id, neighbor_gene): edge upper bound}`` for
         every anchor-incident pair the Lemma-3 leaf bound does not prune.
         """
-        store = self.array_index
-        assert store is not None and self.inverted_file is not None
+        table = self._table
+        assert table is not None and self.inverted_file is not None
+        store = table.store
+        lemma6 = table.lemma6_may_prune(gamma)
         config = self.config
         bits = config.bitvector_bits
         d = config.num_pivots
@@ -1043,6 +1050,8 @@ class IMGRNEngine(_QueryMixin):
             alive = (vd_words[s_out] & q_both_vd & vd_words[t_out]).any(axis=1)
             pruned_source_sig.inc(int(alive.size - np.count_nonzero(alive)))
             s_out, t_out = s_out[alive], t_out[alive]
+            if not lemma6:
+                return s_out, t_out
             prunable = index_pairs_prunable(
                 highs[s_out, 0:gene_dim:2],
                 lows[t_out, 0:gene_dim:2],
@@ -1064,7 +1073,9 @@ class IMGRNEngine(_QueryMixin):
                 return
             t_rows = concat_ranges(child_start[t_nodes], n_t)
             t_pair = np.repeat(np.arange(t_nodes.shape[0]), n_t)
-            is_neighbor = np.isin(gene_ids[t_rows], neighbor_arr)
+            genes = gene_ids[t_rows]
+            idx = np.minimum(np.searchsorted(neighbor_arr, genes), last_neighbor)
+            is_neighbor = neighbor_arr[idx] == genes
             t_rows, t_pair = t_rows[is_neighbor], t_pair[is_neighbor]
             # Join on (leaf pair, source): a source holds the anchor gene
             # once, so each neighbor row meets at most one anchor row.
@@ -1080,7 +1091,7 @@ class IMGRNEngine(_QueryMixin):
             rows_t = t_rows[joined]
             if rows_t.size == 0:
                 return
-            bounds = self._leaf_pair_bounds(rows_s, rows_t)
+            bounds = self._leaf_pair_bounds(table, rows_s, rows_t)
             keep = bounds > gamma  # Lemma 3 prunes ub <= gamma
             pruned_leaf.inc(int(keep.size - np.count_nonzero(keep)))
             rows_t = rows_t[keep]
@@ -1115,58 +1126,28 @@ class IMGRNEngine(_QueryMixin):
                 break
         return candidates
 
-    def _leaf_pair_bounds(self, rows_s: np.ndarray, rows_t: np.ndarray) -> np.ndarray:
+    def _leaf_pair_bounds(
+        self, table: ColumnTable, rows_s: np.ndarray, rows_t: np.ndarray
+    ) -> np.ndarray:
         """Tightest sound upper bounds for joined index-entry pairs.
 
         Pair ``i`` joins anchor entry ``rows_s[i]`` with neighbor entry
         ``rows_t[i]`` of the same source. Its bound is the minimum of the
         pivot bound (embedded coordinates only, Section 4.2) and the
         Markov bound on the true distance (Lemma 4); both are sound, so
-        their minimum is. The Markov inputs are gathered per source: the
-        distances by :func:`_row_distances`, the Jensen expectation
-        ``E[dist(X_t^R, X_s)]`` from the cached
-        :meth:`_MatrixEntry.column_stats`.
+        their minimum is. The Markov half comes from ``table``
+        (:meth:`~repro.core.column_table.ColumnTable.markov_bounds`): one
+        batched distance kernel per sample length over the gathered
+        column rows, no per-source work.
         """
-        store = self.array_index
         d = self.config.num_pivots
-        points = store.entry_points
+        points = table.store.entry_points
         pivot = pivot_edge_upper_bounds(
             points[rows_s, 0 : 2 * d : 2],
             points[rows_t, 0 : 2 * d : 2],
             points[rows_t, 1 : 2 * d : 2],
         )
-        sources = store.entry_source_ids[rows_t]
-        order = np.argsort(sources, kind="stable")
-        sources = sources[order]
-        anchor_cols = store.entry_payloads[rows_s[order]] % _PAYLOAD_GENE_LIMIT
-        cols = store.entry_payloads[rows_t[order]] % _PAYLOAD_GENE_LIMIT
-        starts = np.flatnonzero(np.diff(sources, prepend=-1))
-        stops = np.append(starts[1:], sources.shape[0])
-        distance: list[float] = []
-        squares_t, means_t, anchors = [], [], []
-        for source, s, start, stop in zip(
-            sources[starts].tolist(),
-            anchor_cols[starts].tolist(),  # a source holds the anchor once
-            starts.tolist(),
-            stops.tolist(),
-        ):
-            entry = self._entries[source]
-            std = entry.standardized
-            squares, means = entry.column_stats()
-            t = cols[start:stop]
-            distance += _row_distances(std, s, t)
-            squares_t.append(squares[t])
-            means_t.append(means[t])
-            anchors.append((squares[s], means[s], std.shape[0]))
-        squares_s, means_s, length = np.repeat(anchors, stops - starts, axis=0).T
-        # expected_randomized_distance_jensen(x_t, x_s), term by term.
-        value = np.concatenate(squares_t) + squares_s - (
-            2.0 * length * np.concatenate(means_t) * means_s
-        )
-        markov = np.empty_like(pivot)
-        markov[order] = markov_edge_upper_bounds(
-            distance, np.sqrt(np.where(value > 0.0, value, 0.0))
-        )
+        markov = table.markov_bounds(rows_s, rows_t)
         return np.where(markov < pivot, markov, pivot)
 
     # ------------------------------------------------------------------

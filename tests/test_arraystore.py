@@ -34,6 +34,7 @@ from repro.core.pruning import (
 from repro.core.query import IMGRNEngine
 from repro.core.randomization import expected_randomized_distance_jensen
 from repro.core.spec import QuerySpec
+from repro.core.standardize import standardize_matrix
 from repro.data.database import GeneFeatureDatabase
 from repro.data.queries import generate_query_workload
 from repro.data.synthetic import generate_database
@@ -151,7 +152,7 @@ def _leaf_pair_bound(engine, source, gene_s, gene_t, point_s, point_t) -> float:
         point_s[0 : 2 * d : 2], point_t[0 : 2 * d : 2], point_t[1 : 2 * d : 2]
     )
     entry = engine._entries[source]
-    std = entry.standardized
+    std = standardize_matrix(entry.matrix.values)
     x_s = std[:, entry.matrix.column_index(gene_s)]
     x_t = std[:, entry.matrix.column_index(gene_t)]
     distance = float(np.linalg.norm(x_s - x_t))
@@ -502,10 +503,26 @@ def _spec_answers(engine, specs) -> list[tuple]:
     ]
 
 
+def _assert_table_matches_store(table, engine) -> None:
+    """``table`` describes its own store: each entry's length, column
+    statistics and buffered column are those of the entry's source."""
+    store = table.store
+    assert table.entry_length.shape == (store.num_entries,)
+    for row in range(store.num_entries):
+        # Payload keys pack (source, column) as source * 1_000_000 + column.
+        source, column = divmod(int(store.entry_payloads[row]), 1_000_000)
+        x = standardize_matrix(engine.database.get(source).values)[:, column]
+        length = int(table.entry_length[row])
+        assert length == x.shape[0]
+        assert table.entry_square[row] == x @ x
+        assert table.entry_mean[row] == x.mean()
+        buffered = table.buffers[length][table.entry_row[row]]
+        assert buffered.tobytes() == x.tobytes()
+
+
 class TestConcurrentLeafBounds:
-    """Eight threads querying a fresh engine, whose per-source column
-    statistics (the leaf bound's Jensen inputs) are filled lazily by the
-    queries themselves, answer exactly like a serial run."""
+    """Threads querying while the index changes read one consistent
+    store and column table each, and answer exactly like a serial run."""
 
     THREADS = 8
 
@@ -549,7 +566,7 @@ class TestConcurrentLeafBounds:
         assert any(serial)  # the comparison is not vacuously empty
 
         engine = make()
-        assert all(e._column_stats is None for e in engine._entries.values())
+        _assert_table_matches_store(engine._table, engine)
         barrier = threading.Barrier(self.THREADS)
 
         def run():
@@ -557,7 +574,7 @@ class TestConcurrentLeafBounds:
             return _spec_answers(engine, specs)
 
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads inside the lazy fill
+        sys.setswitchinterval(1e-6)  # switch threads inside the walk
         try:
             with ThreadPoolExecutor(self.THREADS) as pool:
                 futures = [pool.submit(run) for _ in range(self.THREADS)]
@@ -565,37 +582,77 @@ class TestConcurrentLeafBounds:
         finally:
             sys.setswitchinterval(interval)
         assert runs == [serial] * self.THREADS
-        filled = [e for e in engine._entries.values() if e._column_stats]
-        assert filled
-        for entry in filled:
-            squares, means = entry.column_stats()
-            assert squares.shape == means.shape == (entry.matrix.num_genes,)
-            assert not squares.flags.writeable and not means.flags.writeable
 
-    def test_readers_see_all_or_nothing(self, oracle_case):
-        """Threads racing to fill one source's statistics each get the
-        complete values, never a half-filled array."""
-        engine, _queries = oracle_case
-        entries = list(engine._entries.values())
-        reference = [[a.tolist() for a in e.column_stats()] for e in entries]
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_queries_read_their_stores_table(self, seed):
+        """One writer adds and removes sources while the other threads
+        query: every leaf bound reads the table published with the store
+        its walk started from, and every published table matches its
+        store."""
+        matrices = list(_oracle_database(seed))
+        head = GeneFeatureDatabase()
+        for matrix in matrices[:-4]:
+            head.add(matrix)
+        engine = _oracle_engine(head, seed)
+        engine.build()
+        queries = generate_query_workload(
+            _oracle_database(seed), n_q=5, count=ORACLE_QUERIES, rng=seed
+        )
+        specs = [QuerySpec(query, 0.4, 0.2) for query in queries]
+
+        published = {engine.array_index: engine._table}
+        publish = engine._publish
+
+        def publish_and_record(store, changed=None):
+            publish(store, changed)
+            published[store] = engine._table
+
+        read = []
+        leaf_pair_bounds = engine._leaf_pair_bounds
+
+        def record_read(table, rows_s, rows_t):
+            read.append(table)
+            return leaf_pair_bounds(table, rows_s, rows_t)
+
+        engine._publish = publish_and_record
+        engine._leaf_pair_bounds = record_read
+        writing = threading.Event()
+        writing.set()
         barrier = threading.Barrier(self.THREADS)
 
-        def read():
+        def write():
             barrier.wait(timeout=60)
-            return [[a.tolist() for a in e.column_stats()] for e in entries]
+            try:
+                for added, removed in zip(matrices[-4:], matrices[:4]):
+                    engine.add_matrix(added)
+                    engine.remove_matrix(removed.source_id)
+            finally:
+                writing.clear()
+
+        def query():
+            barrier.wait(timeout=60)
+            rounds = 0
+            while writing.is_set() or rounds == 0:
+                _spec_answers(engine, specs)
+                rounds += 1
+            return rounds
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _round in range(5):
-                for entry in entries:
-                    entry._column_stats = None
-                with ThreadPoolExecutor(self.THREADS) as pool:
-                    futures = [pool.submit(read) for _ in range(self.THREADS)]
-                    reads = [future.result(timeout=120) for future in futures]
-                assert reads == [reference] * self.THREADS
+            with ThreadPoolExecutor(self.THREADS) as pool:
+                writer = pool.submit(write)
+                readers = [pool.submit(query) for _ in range(self.THREADS - 1)]
+                writer.result(timeout=300)
+                assert all(r.result(timeout=300) for r in readers)
         finally:
             sys.setswitchinterval(interval)
+        assert len(published) == 9  # the build, then 4 adds and 4 removals
+        assert read and all(published[table.store] is table for table in read)
+        tables = {id(t): t for t in read}
+        assert len(tables) > 1  # queries did overlap the repacks
+        for table in tables.values():
+            _assert_table_matches_store(table, engine)
 
 
 class TestTraversalGolden:

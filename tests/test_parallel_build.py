@@ -10,6 +10,8 @@ so the fan-out runs even on a 1-CPU host.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -190,6 +192,43 @@ def test_parallel_build_records_shard_telemetry(parallel_engine):
     # Two worker processes embedded the shards (stripes of 2 and 1).
     assert sorted(shard_counts.values()) == [1.0, 2.0]
     assert any("build.shard_seconds" in key for key in snapshot)
+
+
+class TestFanOut:
+    """Worker failures reach the caller, and no worker outlives a build."""
+
+    @staticmethod
+    def _fan_out(database, embed):
+        shards = parallel_build.partition_shards(list(database), 3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel_build, "embed_shard", embed)
+            return parallel_build.fan_out(shards, 2, _config(), "cost_model")
+
+    def test_worker_exception_is_reraised(self, database):
+        def embed(shard, *args):
+            if shard.index == 1:
+                raise ValueError(f"shard {shard.index} is bad")
+            return parallel_build.ShardResult(shard.index, (), 0.0)
+
+        with pytest.raises(ValueError, match="shard 1 is bad"):
+            self._fan_out(database, embed)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_raises(self, database):
+        def embed(shard, *args):
+            os._exit(3)
+
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            self._fan_out(database, embed)
+        assert multiprocessing.active_children() == []
+
+    def test_stripes_come_back_in_worker_order(self, database):
+        def embed(shard, *args):
+            return parallel_build.ShardResult(shard.index, (), 0.0)
+
+        stripes = self._fan_out(database, embed)
+        assert [[r.index for r in stripe] for stripe in stripes] == [[0, 2], [1]]
+        assert multiprocessing.active_children() == []
 
 
 class TestBuildWidth:

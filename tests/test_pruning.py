@@ -14,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.config import EngineConfig, ObservabilityConfig, SyntheticConfig
+from repro.core.column_table import ColumnTable
 from repro.core.inference import edge_probability
 from repro.core.pruning import (
     combine_edge_bounds,
@@ -22,6 +24,8 @@ from repro.core.pruning import (
     graph_existence_upper_bound,
     index_pair_prunable,
     index_pairs_prunable,
+    index_pruning_floor,
+    index_pruning_possible,
     markov_edge_upper_bound,
     markov_edge_upper_bounds,
     pivot_edge_upper_bound,
@@ -32,8 +36,12 @@ from repro.core.randomization import (
     enumerate_permutation_distances,
     expected_randomized_distance_jensen,
 )
+from repro.core.query import IMGRNEngine
 from repro.core.standardize import standardize_vector
+from repro.data.queries import generate_query_workload
+from repro.data.synthetic import generate_database
 from repro.errors import ValidationError
+from repro.obs import MetricsRegistry
 
 
 def _standardized_pair(rng, length=6):
@@ -85,6 +93,120 @@ class TestMarkovBound:
             distance, expected_randomized_distance_jensen(y, x)
         )
         assert bound >= 1.0 / math.sqrt(2.0) - 1e-9
+
+
+#: Non-negative corner values: small exact ones (so the gate's ties,
+#: ``y == gamma * x``, occur) mixed with arbitrary finite ones.
+_CORNER_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.45, 0.5, 0.9, 1.0, 2.0]),
+    st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+_GAMMAS = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.9]),
+    st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
+)
+
+
+@st.composite
+def _node_corners(draw):
+    """``(x_min, x_max, y_max)`` of ``n`` nodes over ``d`` pivots."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    corner = hnp.arrays(np.float64, (n, d), elements=_CORNER_VALUES)
+    x_min = draw(corner)
+    return x_min, x_min + draw(corner), draw(corner)
+
+
+def _walks(engine, queries, gammas) -> list[tuple]:
+    """Each (query, gamma) walk: ordered items, every counter, page reads."""
+    out = []
+    for i, query in enumerate(queries):
+        genes = query.gene_ids
+        anchor = genes[i % len(genes)]
+        neighbors = sorted(g for g in genes if g != anchor)
+        for gamma in gammas:
+            pages = engine.pages.counter()
+            metrics = MetricsRegistry()
+            walked = engine._traverse(
+                anchor, neighbors, gamma, pages=pages, metrics=metrics
+            )
+            out.append(
+                (list(walked.items()), metrics.snapshot(), pages.accesses)
+            )
+    return out
+
+
+class TestIndexPruningFloor:
+    """The node-level floor of Inequality 10 and the store-level gate that
+    skips Lemma 6 below it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_node_corners(), _GAMMAS)
+    # Gate closed by one ulp: floor == nextafter(gamma * reach).
+    @example(
+        (np.array([[2.0]]), np.array([[2.0]]), np.array([[np.nextafter(1.8, 2)]])),
+        0.9,
+    )
+    # A tie (floor == gamma * reach) opens the gate, and pair (0, 1) prunes.
+    @example(
+        (np.array([[0.0], [2.0]]), np.array([[0.0], [2.0]]), np.array([[5.0], [1.8]])),
+        0.9,
+    )
+    def test_closed_gate_means_no_pair_prunes(self, corners, gamma):
+        x_min, x_max, y_max = corners
+        n = x_min.shape[0]
+        a, b = np.divmod(np.arange(n * n), n)  # every (E_a, E_b) node pair
+        prunable = index_pairs_prunable(x_max[a], x_min[b], y_max[b], gamma)
+        reach, floor = index_pruning_floor(x_min, y_max)
+        if prunable.any():
+            assert index_pruning_possible(reach, floor, gamma)
+
+    def test_gate_reads_the_floor(self):
+        reach, floor = index_pruning_floor(
+            np.array([[1.0, 4.0], [2.0, 0.0]]), np.array([[3.0, 5.0], [9.0, 8.0]])
+        )
+        assert reach.tolist() == [4.0, 2.0] and floor.tolist() == [3.0, 8.0]
+        # The store's floor is min(floor / reach) = 0.75.
+        assert not index_pruning_possible(reach, floor, 0.74)
+        assert index_pruning_possible(reach, floor, 0.75)
+        with pytest.raises(ValidationError):
+            index_pruning_possible(reach, floor, 1.0)
+        with pytest.raises(ValidationError):
+            index_pruning_floor(np.ones((2, 2)), np.ones((2, 3)))
+
+    def test_gated_walk_equals_ungated(self, monkeypatch):
+        """An atlas-shaped store (Uni weights, 12-24 samples, 5-gene
+        queries; fan-out 4 so a 24-matrix tree is deep enough for its
+        floor to fall below 0.9): the gate is closed at 0.5 and open at
+        0.9, and either way the walk equals one that always runs Lemma 6,
+        item for item and counter for counter."""
+        database = generate_database(
+            SyntheticConfig(
+                weights="uni",
+                genes_range=(30, 60),
+                samples_range=(12, 24),
+                gene_pool=200,
+                seed=5,
+            ),
+            24,
+        )
+        engine = IMGRNEngine(
+            database,
+            EngineConfig(
+                seed=5,
+                rstar_max_entries=4,
+                observability=ObservabilityConfig(shared_registry=False),
+            ),
+        )
+        engine.build()
+        table = engine._table
+        assert not table.lemma6_may_prune(0.5)
+        assert table.lemma6_may_prune(0.9)
+        queries = generate_query_workload(database, n_q=5, count=8, rng=5)
+        gated = _walks(engine, queries, (0.5, 0.9))
+        assert any(items for items, _metrics, _pages in gated)
+        monkeypatch.setattr(ColumnTable, "lemma6_may_prune", lambda self, g: True)
+        assert _walks(engine, queries, (0.5, 0.9)) == gated
 
 
 class TestEdgeInferencePruning:
