@@ -246,10 +246,11 @@ def save_engine_sharded(
 ) -> dict[str, list[str]]:
     """Serialize a built engine as one archive per build shard.
 
-    The database is cut into shards of ``engine.config.build.shard_size``
-    matrices (the same shard boundary the parallel build uses); each shard
-    becomes one ``shard_NNNN.npz`` next to a ``meta.json`` that records the
-    config plus per-matrix content fingerprints. Saving over an existing
+    The indexed sources, in indexing order, are cut into shards of
+    ``engine.config.build.shard_size`` matrices (the same shard boundary
+    the parallel build uses); each shard becomes one ``shard_NNNN.npz``
+    next to a ``meta.json`` that records the config plus per-matrix
+    content fingerprints. Saving over an existing
     directory skips shards whose sources, fingerprints and
     embedding-relevant config are unchanged -- so after
     :func:`load_engine_sharded` refreshed one changed matrix, only that
@@ -283,7 +284,9 @@ def save_engine_sharded(
 
     config_key = _embedding_config_key(engine.config)
     shard_size = engine.config.build.shard_size
-    matrices = list(engine.database)
+    # The indexed sources in indexing order: a removed source stays in
+    # the database but not in the save, whose reload packs this order.
+    matrices = [entry.matrix for entry in engine._entries.values()]
     written: list[str] = []
     skipped: list[str] = []
     shard_entries: list[dict] = []

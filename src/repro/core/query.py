@@ -375,7 +375,9 @@ class _MatrixEntry:
     once a table is published, ``columns`` is a view of its rows there.
     Refinement reads the source's :meth:`estimator_state` instead, whose
     columns are standardized the way the estimator's content keys
-    require.
+    require. ``points`` and ``genes`` are the source's packer rows (its
+    index points and their gene IDs, in column order), which every
+    :meth:`IMGRNEngine._repack` concatenates.
     """
 
     matrix: GeneFeatureMatrix
@@ -383,6 +385,8 @@ class _MatrixEntry:
     columns: np.ndarray = field(repr=False)
     squares: np.ndarray = field(repr=False)
     means: np.ndarray = field(repr=False)
+    points: np.ndarray = field(repr=False)
+    genes: np.ndarray = field(repr=False)
     _estimator_state: EstimatorState | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -392,9 +396,21 @@ class _MatrixEntry:
 
     @classmethod
     def of(cls, matrix: GeneFeatureMatrix, embedded: EmbeddedMatrix) -> "_MatrixEntry":
-        """The entry of ``matrix``, its column statistics computed eagerly."""
+        """The entry of ``matrix``, its column statistics and packer rows
+        computed eagerly.
+
+        Raises
+        ------
+        ValidationError
+            If the source's columns have no payload keys
+            (:meth:`IMGRNEngine._payload_key`), before anything is built.
+        """
+        IMGRNEngine._payload_key(
+            embedded.source_id, max(embedded.num_genes - 1, 0)
+        )
         columns, squares, means = source_columns(matrix.values)
-        return cls(matrix, embedded, columns, squares, means)
+        genes = np.asarray(embedded.gene_ids, dtype=np.int64)
+        return cls(matrix, embedded, columns, squares, means, embedded.points(), genes)
 
     def estimator_state(self, inference: BatchInferenceEngine) -> EstimatorState:
         """The source's refinement :class:`EstimatorState`, built by
@@ -473,24 +489,20 @@ class IMGRNEngine(_QueryMixin):
         Sources are packed in indexing order (database order, added
         sources last), each source's genes in column order -- the order a
         fresh :meth:`build` over the same sources uses, so maintenance
-        and rebuild give byte-identical stores. The page-ID space only
-        grows, so a query still holding the previous store keeps passing
-        its page bounds checks. ``changed`` is forwarded to
-        :meth:`_publish`.
+        and rebuild give byte-identical stores. The packer rows are each
+        entry's own (:class:`_MatrixEntry`), so a repack only concatenates
+        them. The page-ID space only grows, so a query still holding the
+        previous store keeps passing its page bounds checks. ``changed``
+        is forwarded to :meth:`_publish`.
         """
-        embedded = [entry.embedded for entry in self._entries.values()]
-        for e in embedded:  # validates the source and its last column's key
-            self._payload_key(e.source_id, max(len(e.gene_ids) - 1, 0))
-        sources = np.array([e.source_id for e in embedded], dtype=np.int64)
-        sizes = np.array([len(e.gene_ids) for e in embedded], dtype=np.int64)
+        entries = self._entries.values()
+        sources = np.fromiter(self._entries, dtype=np.int64, count=len(entries))
+        sizes = np.array([e.genes.shape[0] for e in entries], dtype=np.int64)
         dim = 2 * self.config.num_pivots + 1
         with self.obs.tracer.span("build.index_insert", points=int(sizes.sum())):
             store = str_pack(
-                np.concatenate([np.empty((0, dim))] + [e.points() for e in embedded]),
-                np.fromiter(
-                    itertools.chain.from_iterable(e.gene_ids for e in embedded),
-                    dtype=np.int64,
-                ),
+                np.concatenate([np.empty((0, dim))] + [e.points for e in entries]),
+                np.concatenate([np.empty(0, np.int64)] + [e.genes for e in entries]),
                 np.repeat(sources, sizes),
                 concat_ranges(sources * _PAYLOAD_GENE_LIMIT, sizes),
                 max_entries=self.config.rstar_max_entries,
@@ -567,24 +579,27 @@ class IMGRNEngine(_QueryMixin):
         tracer = self.obs.tracer
         metrics = self.obs.metrics
         started = time.perf_counter()
-        self.pages = PageManager()
         inverted = InvertedBitVectorFile(config.bitvector_bits)
-        self._entries = {}
-        self._inference.clear_blocks()
         matrices = list(self.database)
         shards = partition_shards(matrices, config.build.shard_size)
         width = build_width(len(shards), tracer.enabled)
         with tracer.span("build", engine=_ENGINE, width=width, shards=len(shards)):
             embedded_by_source = self._embed_shards(shards, pivot_strategy, width)
             with tracer.span("build.merge", engine=_ENGINE, matrices=len(matrices)):
-                for matrix in matrices:
-                    self._entries[matrix.source_id] = _MatrixEntry.of(
+                entries = {
+                    matrix.source_id: _MatrixEntry.of(
                         matrix, embedded_by_source[matrix.source_id]
                     )
+                    for matrix in matrices
+                }
                 with tracer.span("build.inverted_file", matrices=len(matrices)):
                     for matrix in matrices:
                         for gene_id in matrix.gene_ids:
                             inverted.add(gene_id, matrix.source_id)
+                # Every entry validated: only now replace the engine's state.
+                self.pages = PageManager()
+                self._entries = entries
+                self._inference.clear_blocks()
                 self._repack()
         self.inverted_file = inverted
         self.build_seconds = time.perf_counter() - started
@@ -824,7 +839,9 @@ class IMGRNEngine(_QueryMixin):
         IndexNotBuiltError
             If :meth:`build` has not run yet.
         ValidationError
-            If the source ID already exists (via the database).
+            If the source ID already exists (via the database) or the
+            matrix has too many genes to key (:meth:`_payload_key`); the
+            engine is then unchanged.
         """
         self._require_mutable("add_matrix")
         tracer = self.obs.tracer
@@ -834,12 +851,13 @@ class IMGRNEngine(_QueryMixin):
             source=matrix.source_id,
             genes=matrix.num_genes,
         ):
-            self.database.add(matrix)
             rng = np.random.default_rng((self.config.seed, matrix.source_id))
             embedded = self._embed_with_padding(matrix, "cost_model", rng)
-            entry = self._entries[matrix.source_id] = _MatrixEntry.of(
-                matrix, embedded
-            )
+            # Both steps validate before the first mutation: a rejected
+            # arrival leaves the engine as it was.
+            entry = _MatrixEntry.of(matrix, embedded)
+            self.database.add(matrix)
+            self._entries[matrix.source_id] = entry
             for gene_id in embedded.gene_ids:
                 self.inverted_file.add(gene_id, matrix.source_id)
             self._repack(frozenset({entry.columns.shape[1]}))

@@ -10,13 +10,15 @@ or a removed source) is a repack.
 
 Per level, the packer tiles the level's keys (the points at the leaves,
 the children's MBR centers above) into pages of at most ``M`` entries:
-recursively sort into slabs along each axis -- the gene-ID axis first,
-the traversal's most selective one -- then cut the last axis into pages.
-A page below ``m = max(2, round(0.4 M))`` is merged into a neighbour
-(the union split in half if it overflows), so every page but a lone root
-holds ``[m, M]`` entries. Node MBRs come from ``np.minimum/maximum``
-``.reduceat`` over each page's rows, the ``V_f`` / ``V_d`` signatures
-from ``np.bitwise_or.reduceat`` over signature words.
+sort into slabs along each axis -- the gene-ID axis first, the
+traversal's most selective one -- then cut the last axis into pages,
+with one batched sort per depth over every slab still too big. A page
+below ``m = max(2, round(0.4 M))`` is merged into a neighbour (the union
+split in half if it overflows), so every page but a lone root holds
+``[m, M]`` entries. Node MBRs come from ``np.minimum/maximum.reduceat``
+over each page's rows. A leaf's ``V_f`` / ``V_d`` signature words OR its
+entries' hash bits in place (``np.bitwise_or.at``); a parent's OR its
+children's words (``np.bitwise_or.reduceat``).
 
 Sorting is stable, so the packing is a pure function of the input
 columns and their order: equal inputs give byte-identical stores.
@@ -93,17 +95,22 @@ def str_pack(
     # rows at the leaves; sizes is the node_child_count column), pages
     # numbered in creation order.
     levels = []
-    lows, highs = points, points
-    vf = _signature_rows(gene_ids, bitvector_bits, words, 0)
-    vd = _signature_rows(source_ids, bitvector_bits, words, SOURCE_SALT)
-    keys = points
+    lows = highs = keys = points
+    vf = vd = None
     while True:
         perm, sizes = _tile(keys, axis_order, max_entries, minimum)
         starts = np.cumsum(sizes) - sizes
-        lows = np.minimum.reduceat(lows[perm], starts, axis=0)
-        highs = np.maximum.reduceat(highs[perm], starts, axis=0)
-        vf = np.bitwise_or.reduceat(vf[perm], starts, axis=0)
-        vd = np.bitwise_or.reduceat(vd[perm], starts, axis=0)
+        lows = np.minimum.reduceat(lows.take(perm, axis=0), starts, axis=0)
+        highs = np.maximum.reduceat(highs.take(perm, axis=0), starts, axis=0)
+        if vf is None:  # leaves: each entry's hash bit, OR-ed into its page
+            pages = np.repeat(np.arange(sizes.shape[0]), sizes)
+            vf = _leaf_signatures(gene_ids[perm], pages, bitvector_bits, words, 0)
+            vd = _leaf_signatures(
+                source_ids[perm], pages, bitvector_bits, words, SOURCE_SALT
+            )
+        else:
+            vf = np.bitwise_or.reduceat(vf.take(perm, axis=0), starts, axis=0)
+            vd = np.bitwise_or.reduceat(vd.take(perm, axis=0), starts, axis=0)
         columns = {
             "node_lows": lows,
             "node_highs": highs,
@@ -126,7 +133,7 @@ def str_pack(
     for level in range(height - 1, -1, -1):
         perm, starts, columns = levels[level]
         for name, column in columns.items():
-            parts[name].append(column[order])
+            parts[name].append(column.take(order, axis=0))
         counts = columns["node_child_count"][order]
         row += order.shape[0]
         first_child = row if level else 0  # child node, or entry row
@@ -137,7 +144,7 @@ def str_pack(
     num_nodes = row
     arrays.update(
         node_page_ids=np.arange(num_nodes),
-        entry_points=points[order],
+        entry_points=points.take(order, axis=0),
         entry_gene_ids=gene_ids[order],
         entry_source_ids=source_ids[order],
         entry_payloads=payloads[order],
@@ -158,41 +165,104 @@ def _tile(
 
     Returns ``(perm, sizes)``: page ``k`` holds rows
     ``perm[sum(sizes[:k]) : sum(sizes[:k + 1])]``.
+
+    One depth at a time: every segment still over ``capacity`` is
+    stably sorted along the depth's axis in one batched call, then cut
+    into slabs (the last axis: into pages). A segment at or under
+    ``capacity`` is a page. Each segment is a contiguous run of ``perm``,
+    so ordering the pages by where they start gives the depth-first page
+    order of a recursive tiler.
     """
-    dim = keys.shape[1]
-    parts: list[np.ndarray] = []
-    sizes: list[int] = []
-
-    def tile(rows: np.ndarray, depth: int) -> None:
-        n = rows.shape[0]
-        if n <= capacity:
-            parts.append(rows)
-            sizes.append(n)
-            return
-        rows = rows[np.argsort(keys[rows, axis_order[depth]], kind="stable")]
-        if depth >= dim - 1:
-            pages = [capacity] * (n // capacity)
-            if n % capacity:
-                pages.append(n % capacity)
-            if len(pages) >= 2 and pages[-1] < minimum:
-                # Even out an undersized last page with its neighbour.
-                merged = pages[-2] + pages[-1]
-                pages[-2:] = [merged // 2, merged - merged // 2]
-            parts.append(rows)
-            sizes.extend(pages)
-            return
-        num_pages = math.ceil(n / capacity)
-        remaining_axes = dim - depth
-        slabs = max(
-            1, math.ceil(num_pages ** ((remaining_axes - 1) / remaining_axes))
-        )
-        slab_size = math.ceil(n / slabs)
-        for start in range(0, n, slab_size):
-            tile(rows[start : start + slab_size], depth + 1)
-
-    tile(np.arange(keys.shape[0], dtype=np.int64), 0)
+    n, dim = keys.shape
+    perm = np.arange(n, dtype=np.int64)
+    if n <= capacity:
+        return perm, np.array([n], dtype=np.int64)
+    # Pages found so far, by where they start in perm.
+    page_starts: list[np.ndarray] = []
+    page_sizes: list[np.ndarray] = []
+    starts = np.zeros(1, dtype=np.int64)  # this depth's oversized segments
+    lengths = np.array([n], dtype=np.int64)
+    for depth in range(dim):
+        rows = concat_ranges(starts, lengths)
+        section = perm[rows]
+        perm[rows] = section[
+            _segment_argsort(keys[section, axis_order[depth]], lengths)
+        ]
+        if depth == dim - 1:
+            chunk_starts, sizes, last = _cut(
+                starts, lengths, np.full_like(lengths, capacity)
+            )
+            # Even out an undersized last page with its neighbour (every
+            # segment overflows, so it has one).
+            short = last[sizes[last] < minimum]
+            merged = sizes[short] + capacity
+            sizes[short - 1] = merged // 2
+            sizes[short] = merged - merged // 2
+            page_starts.append(chunk_starts)
+            page_sizes.append(sizes)
+            break
+        lengths_seen, inverse = np.unique(lengths, return_inverse=True)
+        slab = np.array(
+            [_slab_size(int(m), capacity, dim - depth) for m in lengths_seen],
+            dtype=np.int64,
+        )[inverse]
+        chunk_starts, chunk_lengths, _ = _cut(starts, lengths, slab)
+        fits = chunk_lengths <= capacity
+        page_starts.append(chunk_starts[fits])
+        page_sizes.append(chunk_lengths[fits])
+        starts, lengths = chunk_starts[~fits], chunk_lengths[~fits]
+        if lengths.shape[0] == 0:
+            break
+    order = np.argsort(np.concatenate(page_starts))
+    sizes = np.concatenate(page_sizes)[order].tolist()
     _fix_undersized(sizes, capacity, minimum)
-    return np.concatenate(parts), np.asarray(sizes, dtype=np.int64)
+    return perm, np.asarray(sizes, dtype=np.int64)
+
+
+def _cut(
+    starts: np.ndarray, lengths: np.ndarray, size: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut each segment ``[starts[i], starts[i] + lengths[i])`` into runs
+    of ``size[i]`` rows, the last run taking the rest.
+
+    Returns the runs' starts and lengths, segment by segment, and the
+    index of each segment's last run.
+    """
+    counts = -(-lengths // size)
+    size = np.repeat(size, counts)
+    runs = np.repeat(starts, counts) + size * concat_ranges(
+        np.zeros_like(counts), counts
+    )
+    last = np.cumsum(counts) - 1
+    size[last] = lengths - (counts - 1) * size[last]
+    return runs, size, last
+
+
+def _slab_size(n: int, capacity: int, remaining_axes: int) -> int:
+    """Rows per slab when ``n`` rows are cut along the first of
+    ``remaining_axes`` axes: ``ceil(P^((k-1)/k))`` slabs for ``P`` pages."""
+    num_pages = math.ceil(n / capacity)
+    slabs = max(1, math.ceil(num_pages ** ((remaining_axes - 1) / remaining_axes)))
+    return math.ceil(n / slabs)
+
+
+def _segment_argsort(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The stable argsort of each consecutive run of ``lengths`` values,
+    as positions into ``values``.
+
+    Several runs are padded with ``+inf`` into one 2-D block and sorted
+    along its rows at once; the (finite) values of a run sort ahead of
+    its padding, so each row's first ``length`` positions are the run's.
+    """
+    if lengths.shape[0] == 1:
+        return np.argsort(values, kind="stable")
+    offsets = np.cumsum(lengths) - lengths
+    rows = np.repeat(np.arange(lengths.shape[0]), lengths)
+    columns = concat_ranges(np.zeros_like(lengths), lengths)
+    block = np.full((lengths.shape[0], int(lengths.max())), np.inf)
+    block[rows, columns] = values
+    order = np.argsort(block, axis=1, kind="stable")
+    return order[rows, columns] + np.repeat(offsets, lengths)
 
 
 def _fix_undersized(sizes: list[int], capacity: int, minimum: int) -> None:
@@ -226,16 +296,22 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
-def _signature_rows(
-    values: np.ndarray, bits: int, words: int, salt: int
+def _leaf_signatures(
+    values: np.ndarray, pages: np.ndarray, bits: int, words: int, salt: int
 ) -> np.ndarray:
-    """One single-bit signature per value, as ``(n, words)`` uint64 rows."""
+    """Each page's signature words: the OR of its values' hash bits.
+
+    ``pages[i]`` is the (sorted) page of ``values[i]``; the result has one
+    ``(words,)`` uint64 row per page.
+    """
     positions = hash_bits(values, bits, salt)
-    rows = np.zeros((values.shape[0], words), dtype="<u8")
-    rows[np.arange(values.shape[0]), (positions // 64).astype(np.intp)] = (
-        np.uint64(1) << (positions % np.uint64(64))
+    out = np.zeros((int(pages[-1]) + 1, words), dtype="<u8")
+    np.bitwise_or.at(
+        out,
+        (pages, (positions // np.uint64(64)).astype(np.intp)),
+        np.uint64(1) << (positions % np.uint64(64)),
     )
-    return rows
+    return out
 
 
 def _empty_store(dim: int, bitvector_bits: int, words: int) -> ArrayStore:

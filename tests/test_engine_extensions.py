@@ -3,9 +3,12 @@ anchor strategies, and the faithful Baseline materialization."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.core.query as query_module
 from repro import BaselineEngine, EngineConfig, GeneFeatureDatabase, IMGRNEngine
 from repro.data.synthetic import generate_matrix
 from repro.config import SyntheticConfig
@@ -101,6 +104,73 @@ class TestAddMatrix:
         matrix = next(iter(small_database))
         with pytest.raises(IndexNotBuiltError):
             engine.add_matrix(matrix)
+
+    def test_rejected_arrival_leaves_engine_unchanged(
+        self, small_database, monkeypatch
+    ):
+        # Every small_database source has at most 16 genes; an arrival of
+        # 20 cannot be keyed under a 16-gene payload limit.
+        monkeypatch.setattr(query_module, "_PAYLOAD_GENE_LIMIT", 16)
+        engine = IMGRNEngine(small_database_copy(small_database), TEST_CONFIG)
+        engine.build()
+
+        def state():
+            inverted = engine.inverted_file
+            return (
+                engine.database.source_ids,
+                list(engine._entries),
+                {
+                    gene: (inverted.sources_signature(gene), inverted.sources_of(gene))
+                    for gene in range(60)
+                    if gene in inverted
+                },
+                engine.array_index.fingerprint(),
+            )
+
+        before = state()
+        synthetic = SyntheticConfig(
+            genes_range=(20, 20), samples_range=(8, 12), gene_pool=50, seed=3
+        )
+        too_wide = generate_matrix(synthetic, 900, rng=np.random.default_rng(3))
+        with pytest.raises(ValidationError, match="genes per source"):
+            engine.add_matrix(too_wide)
+        assert state() == before
+
+        fits = generate_matrix(
+            replace(synthetic, genes_range=(12, 12)), 901, rng=np.random.default_rng(4)
+        )
+        engine.add_matrix(fits)
+        assert engine.database.source_ids[-1] == 901
+        assert 901 in engine.inverted_file.sources_of(fits.gene_ids[0])
+        engine.remove_matrix(901)
+        engine.remove_matrix(engine.database.source_ids[0])
+        assert len(engine.array_index) == sum(
+            engine._entries[source].matrix.num_genes for source in engine._entries
+        )
+
+    def test_rejected_build_keeps_the_built_index(
+        self, small_database, query_workload, monkeypatch
+    ):
+        monkeypatch.setattr(query_module, "_PAYLOAD_GENE_LIMIT", 16)
+        engine = IMGRNEngine(small_database_copy(small_database), TEST_CONFIG)
+        engine.build()
+        answers = [
+            engine.query(q, gamma=0.5, alpha=0.2).answers for q in query_workload
+        ]
+        fingerprint = engine.array_index.fingerprint()
+        synthetic = SyntheticConfig(
+            genes_range=(20, 20), samples_range=(8, 12), gene_pool=50, seed=3
+        )
+        engine.database.add(
+            generate_matrix(synthetic, 900, rng=np.random.default_rng(3))
+        )
+        with pytest.raises(ValidationError, match="genes per source"):
+            engine.build()
+        assert 900 not in engine._entries
+        assert engine.array_index.fingerprint() == fingerprint
+        assert [
+            engine.query(q, gamma=0.5, alpha=0.2).answers for q in query_workload
+        ] == answers
 
 
 class TestAnchorStrategies:

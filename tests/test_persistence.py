@@ -6,10 +6,13 @@ shard contract lives in ``tests/test_parallel_build.py``.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro import IMGRNEngine
+from repro import GeneFeatureDatabase, IMGRNEngine
+from repro.config import BuildConfig
 from repro.core.persistence import load_engine_sharded, save_engine_sharded
 from repro.errors import IndexNotBuiltError, ValidationError
 
@@ -151,3 +154,47 @@ class TestConfigCompatibility:
             assert [(a.source_id, a.probability) for a in restored.answers] == [
                 (a.source_id, a.probability) for a in original.answers
             ]
+
+
+class TestSaveAfterRemoval:
+    """A save holds the indexed sources in indexing order, so a source
+    removed from the index (but kept by the database) is not saved."""
+
+    @pytest.fixture()
+    def engine(self, small_database):
+        database = GeneFeatureDatabase(list(small_database)[:8])
+        engine = IMGRNEngine(
+            database, dataclasses.replace(TEST_CONFIG, build=BuildConfig(shard_size=2))
+        )
+        engine.build()
+        return engine
+
+    def test_reload_equals_saved_engine(self, engine, query_workload, tmp_path):
+        engine.remove_matrix(engine.database.source_ids[3])
+        path = tmp_path / "engine"
+        save_engine_sharded(engine, path)
+        for mmap_index in (False, True):
+            loaded = load_engine_sharded(path, mmap_index=mmap_index)
+            assert list(loaded._entries) == list(engine._entries)
+            assert (
+                loaded.array_index.fingerprint() == engine.array_index.fingerprint()
+            )
+            for query in query_workload:
+                original = engine.query(query, gamma=0.5, alpha=0.2)
+                restored = loaded.query(query, gamma=0.5, alpha=0.2)
+                assert [(a.source_id, a.probability) for a in restored.answers] == [
+                    (a.source_id, a.probability) for a in original.answers
+                ]
+
+    def test_incremental_save_rewrites_shifted_shards(self, engine, tmp_path):
+        path = tmp_path / "engine"
+        first = save_engine_sharded(engine, path)
+        assert first["written"] == [f"shard_{i:04d}.npz" for i in range(4)]
+        engine.remove_matrix(engine.database.source_ids[3])
+        second = save_engine_sharded(engine, path)
+        # Shard 0 keeps its two sources; every later one shifts by one.
+        assert second["skipped"] == ["shard_0000.npz"]
+        assert second["written"] == [f"shard_{i:04d}.npz" for i in (1, 2, 3)]
+        loaded = load_engine_sharded(path)
+        assert loaded.database.source_ids == tuple(engine._entries)
+        assert loaded.array_index.fingerprint() == engine.array_index.fingerprint()
