@@ -39,7 +39,13 @@ from .pruning import (
 )
 from .standardize import standardize_matrix
 
-__all__ = ["ColumnTable", "SourceColumns", "pair_distances", "source_columns"]
+__all__ = [
+    "ColumnTable",
+    "SourceColumns",
+    "column_statistics",
+    "pair_distances",
+    "source_columns",
+]
 
 
 def pair_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -59,16 +65,24 @@ def pair_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def source_columns(
     values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(columns, squares, means)`` of one source's ``l x n`` matrix.
+    """``(columns, squares, means)`` of one source's ``l x n`` matrix:
+    :func:`column_statistics` of its
+    :func:`~repro.core.standardize.standardize_matrix` columns."""
+    return column_statistics(standardize_matrix(values))
 
-    ``columns`` holds the :func:`~repro.core.standardize.standardize_matrix`
-    columns as contiguous rows (``n x l``). ``squares[c]`` and ``means[c]``
-    equal ``x @ x`` and ``x.mean()`` for the standardized column ``x =
-    std[:, c]`` bit for bit: the dots run over the strided columns (a
-    contiguous dot blocks its sum differently), and each mean reduces one
-    contiguous row, as the mean of a column view does.
+
+def column_statistics(
+    std: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(columns, squares, means)`` of a standardized ``l x n`` matrix.
+
+    ``columns`` holds the columns of ``std`` as contiguous rows
+    (``n x l``). ``squares[c]`` and ``means[c]`` equal ``x @ x`` and
+    ``x.mean()`` for the column ``x = std[:, c]`` bit for bit: the dots
+    run over the strided columns (a contiguous dot blocks its sum
+    differently), and each mean reduces one contiguous row, as the mean
+    of a column view does.
     """
-    std = standardize_matrix(values)
     squares = np.matmul(std.T[:, None, :], std.T[:, :, None]).reshape(-1)
     columns = np.ascontiguousarray(std.T)
     return columns, squares, columns.mean(axis=1)

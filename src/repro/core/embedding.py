@@ -20,15 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionMismatchError, ValidationError
-from .pivots import _pairwise_distances_to, select_pivots, select_pivots_random
-from .randomization import (
-    default_rng,
-    expected_randomized_distance_jensen,
-    expected_randomized_distance_mc,
+from .column_table import column_statistics
+from .pivots import (
+    _pairwise_distances_to,
+    select_pivots_random,
+    select_pivots_standardized,
 )
+from .randomization import default_rng, expected_randomized_distance_mc
 from .standardize import standardize_matrix
 
-__all__ = ["EmbeddedMatrix", "embed_matrix", "interleave_coordinates"]
+__all__ = [
+    "EmbeddedMatrix",
+    "embed_matrix",
+    "interleave_coordinates",
+    "jensen_coordinates",
+]
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,26 @@ def interleave_coordinates(x: np.ndarray, y: np.ndarray, gene_id: int) -> np.nda
     return out
 
 
+def jensen_coordinates(std: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Jensen ``y`` coordinates of every column of ``std`` against each pivot.
+
+    ``y[s, r] = sqrt(max(0, (sq[s] + sq[p]) - (2 l mean[s]) mean[p]))`` for
+    ``p = pivots[r]``, over the column ``squares`` / ``means`` of
+    :func:`~repro.core.column_table.column_statistics`: the operations,
+    and their order, of
+    :func:`~repro.core.randomization.expected_randomized_distance_jensen`
+    on each pair, so every coordinate equals the per-pair call bit for bit.
+    The means need the contiguous column copy: ``std.mean(axis=0)`` sums
+    in another order than a column's own mean.
+    """
+    _columns, squares, means = column_statistics(std)
+    length = std.shape[0]
+    value = (squares[:, np.newaxis] + squares[pivots][np.newaxis, :]) - (
+        (2.0 * length) * means[:, np.newaxis]
+    ) * means[pivots][np.newaxis, :]
+    return np.sqrt(np.maximum(value, 0.0))
+
+
 def embed_matrix(
     matrix: np.ndarray,
     gene_ids: tuple[int, ...] | list[int],
@@ -162,9 +188,10 @@ def embed_matrix(
     with tracer.span(
         "build.pivots", source=int(source_id), strategy=pivot_strategy
     ):
+        std = standardize_matrix(arr)
         if pivot_strategy == "cost_model":
-            pivot_indices = select_pivots(
-                arr,
+            pivot_indices = select_pivots_standardized(
+                std,
                 num_pivots,
                 global_iter=pivot_global_iter,
                 swap_iter=pivot_swap_iter,
@@ -176,22 +203,15 @@ def embed_matrix(
     with tracer.span(
         "build.coordinates", source=int(source_id), mode=expectation_mode
     ):
-        std = standardize_matrix(arr)
         piv = np.asarray(pivot_indices, dtype=np.intp)
         x = _pairwise_distances_to(std, piv)
-
-        n = std.shape[1]
-        d = len(pivot_indices)
-        y = np.empty((n, d), dtype=np.float64)
         if expectation_mode == "jensen":
-            for s in range(n):
-                for r in range(d):
-                    y[s, r] = expected_randomized_distance_jensen(
-                        std[:, s], std[:, piv[r]]
-                    )
+            y = jensen_coordinates(std, piv)
         else:
+            n = std.shape[1]
+            y = np.empty((n, len(piv)), dtype=np.float64)
             for s in range(n):
-                for r in range(d):
+                for r in range(len(piv)):
                     y[s, r] = expected_randomized_distance_mc(
                         std[:, s],
                         std[:, piv[r]],

@@ -40,6 +40,7 @@ from ..data.database import GeneFeatureDatabase
 from ..data.matrix import GeneFeatureMatrix
 from ..errors import IndexNotBuiltError, ValidationError
 from .embedding import EmbeddedMatrix
+from .parallel_build import embed_with_padding
 from .query import IMGRNEngine, _MatrixEntry
 
 __all__ = [
@@ -144,8 +145,7 @@ def _install_index(
     for matrix in engine.database:
         embedded = embeddings[matrix.source_id]
         engine._entries[matrix.source_id] = _MatrixEntry.of(matrix, embedded)
-        for gene_id in embedded.gene_ids:
-            inverted.add(gene_id, matrix.source_id)
+        inverted.add_source(matrix.source_id, embedded.gene_ids)
     engine.inverted_file = inverted
     engine._repack()
     engine.build_seconds = time.perf_counter() - started
@@ -163,10 +163,12 @@ def _install_mmap_index(
     become the traversal's read path directly. The page-ID space is
     reserved on a fresh :class:`PageManager` so I/O accounting against
     the snapshot's original page IDs still validates, and the inverted
-    file is rebuilt from the snapshot's (gene, source) entry columns --
-    signatures are order-independent ORs, so it matches the one saved
-    from bit for bit. The store is published with a column table built
-    from the reloaded matrices (tables are never persisted).
+    file is rebuilt from the saved embeddings' gene IDs, as
+    :func:`_install_index` does -- the same (gene, source) pairs the
+    snapshot's entries hold, and signatures are order-independent ORs,
+    so it matches the one saved from bit for bit. The store is published
+    with a column table built from the reloaded matrices (tables are
+    never persisted).
     """
     from ..index.arraystore import ArrayStore
     from ..index.invertedfile import InvertedBitVectorFile
@@ -189,14 +191,10 @@ def _install_mmap_index(
     engine.pages = PageManager()
     engine.pages.reserve(store.pages_allocated)
     inverted = InvertedBitVectorFile(engine.config.bitvector_bits)
-    gene_ids = store.entry_gene_ids
-    source_ids = store.entry_source_ids
-    for row in range(store.num_entries):
-        inverted.add(int(gene_ids[row]), int(source_ids[row]))
     for matrix in engine.database:
-        engine._entries[matrix.source_id] = _MatrixEntry.of(
-            matrix, embeddings[matrix.source_id]
-        )
+        embedded = embeddings[matrix.source_id]
+        engine._entries[matrix.source_id] = _MatrixEntry.of(matrix, embedded)
+        inverted.add_source(matrix.source_id, embedded.gene_ids)
     engine._publish(store)
     engine.inverted_file = inverted
     engine.build_seconds = time.perf_counter() - started
@@ -496,7 +494,15 @@ def load_engine_sharded(
             reused.append(sid)
             continue
         rng = np.random.default_rng((config.seed, sid))
-        embeddings[sid] = engine._embed_with_padding(matrix, "cost_model", rng)
+        embeddings[sid] = embed_with_padding(
+            matrix.values,
+            matrix.gene_ids,
+            sid,
+            config,
+            "cost_model",
+            rng,
+            tracer=engine.obs.tracer,
+        )
         reembedded.append(sid)
     _install_index(engine, embeddings)
     engine.shard_load_report = {"reused": reused, "reembedded": reembedded}

@@ -594,8 +594,7 @@ class IMGRNEngine(_QueryMixin):
                 }
                 with tracer.span("build.inverted_file", matrices=len(matrices)):
                     for matrix in matrices:
-                        for gene_id in matrix.gene_ids:
-                            inverted.add(gene_id, matrix.source_id)
+                        inverted.add_source(matrix.source_id, matrix.gene_ids)
                 # Every entry validated: only now replace the engine's state.
                 self.pages = PageManager()
                 self._entries = entries
@@ -654,23 +653,6 @@ class IMGRNEngine(_QueryMixin):
                     worker=str(worker),
                 ).observe(result.seconds)
         return out
-
-    def _embed_with_padding(
-        self,
-        matrix: GeneFeatureMatrix,
-        pivot_strategy: str,
-        rng: np.random.Generator,
-    ) -> EmbeddedMatrix:
-        """Embed one matrix under this engine's config (pivots padded)."""
-        return embed_with_padding(
-            matrix.values,
-            matrix.gene_ids,
-            matrix.source_id,
-            self.config,
-            pivot_strategy,
-            rng,
-            tracer=self.obs.tracer,
-        )
 
     @staticmethod
     def _payload_key(source_id: int, gene_index: int) -> int:
@@ -852,14 +834,21 @@ class IMGRNEngine(_QueryMixin):
             genes=matrix.num_genes,
         ):
             rng = np.random.default_rng((self.config.seed, matrix.source_id))
-            embedded = self._embed_with_padding(matrix, "cost_model", rng)
+            embedded = embed_with_padding(
+                matrix.values,
+                matrix.gene_ids,
+                matrix.source_id,
+                self.config,
+                "cost_model",
+                rng,
+                tracer=tracer,
+            )
             # Both steps validate before the first mutation: a rejected
             # arrival leaves the engine as it was.
             entry = _MatrixEntry.of(matrix, embedded)
             self.database.add(matrix)
             self._entries[matrix.source_id] = entry
-            for gene_id in embedded.gene_ids:
-                self.inverted_file.add(gene_id, matrix.source_id)
+            self.inverted_file.add_source(matrix.source_id, embedded.gene_ids)
             self._repack(frozenset({entry.columns.shape[1]}))
         self.obs.metrics.counter(
             _names.BUILD_MATRICES, help="matrices indexed", engine=_ENGINE

@@ -32,11 +32,19 @@ class InvertedBitVectorFile:
 
     def add(self, gene_id: int, source_id: int) -> None:
         """Record that matrix ``source_id`` contains ``gene_id``."""
-        gene_id = int(gene_id)
+        self.add_source(source_id, (gene_id,))
+
+    def add_source(self, source_id: int, gene_ids: Iterable[int]) -> None:
+        """Record that matrix ``source_id`` contains every gene of
+        ``gene_ids``, hashing the source's signature once."""
         source_id = int(source_id)
         sig = signature(source_id, self.bits, SOURCE_SALT)
-        self._entries[gene_id] = self._entries.get(gene_id, 0) | sig
-        self._exact_sources.setdefault(gene_id, set()).add(source_id)
+        entries = self._entries
+        exact = self._exact_sources
+        for gene_id in gene_ids:
+            gene_id = int(gene_id)
+            entries[gene_id] = entries.get(gene_id, 0) | sig
+            exact.setdefault(gene_id, set()).add(source_id)
 
     def remove_source(self, source_id: int, gene_ids: Iterable[int]) -> None:
         """Forget that ``source_id`` contains the given genes.

@@ -7,7 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.embedding import embed_matrix, interleave_coordinates
+from repro.core.embedding import (
+    embed_matrix,
+    interleave_coordinates,
+    jensen_coordinates,
+)
+from repro.core.randomization import expected_randomized_distance_jensen
 from repro.core.standardize import standardize_matrix
 from repro.errors import DimensionMismatchError, ValidationError
 
@@ -125,3 +130,47 @@ class TestEmbedMatrix:
                 true_dist = float(np.linalg.norm(std[:, s] - std[:, t]))
                 lower = float(np.max(np.abs(emb.x[s] - emb.x[t])))
                 assert lower <= true_dist + 1e-9
+
+
+def _per_pair_jensen(std, pivots):
+    n = std.shape[1]
+    y = np.empty((n, len(pivots)), dtype=np.float64)
+    for s in range(n):
+        for r, p in enumerate(pivots):
+            y[s, r] = expected_randomized_distance_jensen(std[:, s], std[:, p])
+    return y
+
+
+@pytest.mark.parametrize(
+    ("length", "genes", "scale"),
+    [
+        (12, 50, 1.0),  # atlas-shaped
+        (17, 77, 3.0),
+        (23, 100, 1e-3),
+        (24, 100, 50.0),
+        (37, 27, 1.0),  # panel-shaped
+        (48, 30, 7.0),
+        (3, 9, 1.0),
+        (61, 5, 1e3),
+    ],
+)
+def test_jensen_coordinates_bit_equal_per_pair(length, genes, scale):
+    """The one-expression ``y`` equals the per-pair Jensen call bit for bit."""
+    gen = np.random.default_rng(length * 1000 + genes)
+    values = gen.normal(size=(length, genes)) * scale + gen.normal(size=genes)
+    std = standardize_matrix(values)
+    pivots = np.asarray(sorted(gen.choice(genes, size=min(4, genes), replace=False)))
+    fast = jensen_coordinates(std, pivots)
+    slow = _per_pair_jensen(std, pivots)
+    assert fast.view(np.int64).tolist() == slow.view(np.int64).tolist()
+    # Standardized means are ~0, so the cross term barely moves ``y``;
+    # the raw columns' offset means pin its operation order too.
+    raw = jensen_coordinates(values, pivots)
+    assert raw.view(np.int64).tolist() == _per_pair_jensen(values, pivots).view(
+        np.int64
+    ).tolist()
+    emb = embed_matrix(values, list(range(genes)), 0, num_pivots=2, rng=3)
+    piv = np.asarray(emb.pivot_indices)
+    assert emb.y.view(np.int64).tolist() == _per_pair_jensen(std, piv).view(
+        np.int64
+    ).tolist()
