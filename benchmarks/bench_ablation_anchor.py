@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import scaled, write_table
-from repro.config import EngineConfig, SyntheticConfig
+from conftest import ABLATION, ablation_workload, write_table
+from repro.config import EngineConfig
 from repro.core.query import IMGRNEngine
-from repro.data.queries import generate_query_workload
-from repro.data.synthetic import generate_database
-from repro.eval.counters import aggregate_stats
-from repro.eval.experiments import ExperimentResult
-from repro.eval.reporting import format_table
+from repro.eval.harness.report import per_query_means, text_table
+from repro.eval.harness.runner import primed_rows
 
 GAMMA = ALPHA = 0.5
 STRATEGIES = ("highest_degree", "random", "first")
@@ -26,10 +23,7 @@ STRATEGIES = ("highest_degree", "random", "first")
 
 @pytest.fixture(scope="module")
 def setup(bench_seed):
-    database = generate_database(
-        SyntheticConfig(weights="uni", seed=bench_seed), scaled(100)
-    )
-    queries = generate_query_workload(database, n_q=5, count=5, rng=bench_seed)
+    database, queries = ablation_workload()
     engines = {}
     for strategy in STRATEGIES:
         engine = IMGRNEngine(
@@ -55,23 +49,22 @@ def test_ablation_anchor_series(benchmark, setup):
     engines, queries = setup
 
     def sweep():
-        result = ExperimentResult(name="ablation_anchor", x_label="strategy")
-        answers = {}
-        for strategy, engine in engines.items():
-            results = [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries]
-            answers[strategy] = [r.answer_sources() for r in results]
-            agg = aggregate_stats([r.stats for r in results])
-            result.rows.append(
-                {
-                    "strategy": strategy,
-                    "cpu_seconds": agg["cpu_seconds"],
-                    "io_accesses": agg["io_accesses"],
-                    "candidates": agg["candidates"],
-                }
-            )
-        return result, answers
+        return [
+            row
+            for strategy, engine in engines.items()
+            for row in primed_rows(ABLATION, engine, queries, strategy=strategy)
+        ]
 
-    (result, answers) = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("ablation_anchor", format_table(result))
+    rows = per_query_means(
+        benchmark.pedantic(sweep, rounds=1, iterations=1), "strategy"
+    )
+    write_table("ablation_anchor", text_table("ablation_anchor", rows))
+    answers = {
+        strategy: [
+            engine.query(q, gamma=GAMMA, alpha=ALPHA).answer_sources()
+            for q in queries
+        ]
+        for strategy, engine in engines.items()
+    }
     for strategy in STRATEGIES[1:]:
         assert answers[strategy] == answers["highest_degree"]

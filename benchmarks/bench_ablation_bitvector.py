@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import scaled, write_table
-from repro.config import EngineConfig, SyntheticConfig
+from conftest import ABLATION, ablation_workload, write_table
+from repro.config import EngineConfig
 from repro.core.query import IMGRNEngine
-from repro.data.queries import generate_query_workload
-from repro.data.synthetic import generate_database
-from repro.eval.counters import aggregate_stats
-from repro.eval.experiments import ExperimentResult
-from repro.eval.reporting import format_table
+from repro.eval.harness.report import per_query_means, text_table
+from repro.eval.harness.runner import primed_rows
 
 GAMMA = ALPHA = 0.5
 WIDTHS = (16, 64, 256, 1024)
@@ -25,10 +22,7 @@ WIDTHS = (16, 64, 256, 1024)
 
 @pytest.fixture(scope="module")
 def setup(bench_seed):
-    database = generate_database(
-        SyntheticConfig(weights="uni", seed=bench_seed), scaled(100)
-    )
-    queries = generate_query_workload(database, n_q=5, count=5, rng=bench_seed)
+    database, queries = ablation_workload()
     engines = {}
     for bits in WIDTHS:
         engine = IMGRNEngine(
@@ -54,27 +48,24 @@ def test_ablation_bitvector_series(benchmark, setup):
     engines, queries = setup
 
     def sweep():
-        result = ExperimentResult(name="ablation_bitvector", x_label="B")
-        answers = {}
-        for bits, engine in engines.items():
-            results = [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries]
-            answers[bits] = [r.answer_sources() for r in results]
-            agg = aggregate_stats([r.stats for r in results])
-            result.rows.append(
-                {
-                    "B": float(bits),
-                    "cpu_seconds": agg["cpu_seconds"],
-                    "io_accesses": agg["io_accesses"],
-                    "candidates": agg["candidates"],
-                }
-            )
-        return result, answers
+        return [
+            row
+            for bits, engine in engines.items()
+            for row in primed_rows(ABLATION, engine, queries, B=bits)
+        ]
 
-    (result, answers) = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("ablation_bitvector", format_table(result))
+    rows = per_query_means(benchmark.pedantic(sweep, rounds=1, iterations=1), "B")
+    write_table("ablation_bitvector", text_table("ablation_bitvector", rows))
+    answers = {
+        bits: [
+            engine.query(q, gamma=GAMMA, alpha=ALPHA).answer_sources()
+            for q in queries
+        ]
+        for bits, engine in engines.items()
+    }
     # Signatures are filters, never deciders: identical answers at any B.
     for bits in WIDTHS[1:]:
         assert answers[bits] == answers[WIDTHS[0]]
     # Wider signatures can only help the traversal (same or less I/O).
-    io = {row["B"]: row["io_accesses"] for row in result.rows}
-    assert io[1024.0] <= io[16.0] * 1.05
+    io = {row["B"]: row["io_accesses"] for row in rows}
+    assert io[1024] <= io[16] * 1.05

@@ -11,24 +11,18 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import scaled, write_table
-from repro.config import EngineConfig, SyntheticConfig
+from conftest import ABLATION, ablation_workload, write_table
+from repro.config import EngineConfig
 from repro.core.query import IMGRNEngine
-from repro.data.queries import generate_query_workload
-from repro.data.synthetic import generate_database
-from repro.eval.counters import aggregate_stats
-from repro.eval.experiments import ExperimentResult
-from repro.eval.reporting import format_table
+from repro.eval.harness.report import per_query_means, text_table
+from repro.eval.harness.runner import primed_rows
 
 GAMMA = ALPHA = 0.5
 
 
 @pytest.fixture(scope="module")
 def setup(bench_seed):
-    database = generate_database(
-        SyntheticConfig(weights="uni", seed=bench_seed), scaled(100)
-    )
-    queries = generate_query_workload(database, n_q=5, count=5, rng=bench_seed)
+    database, queries = ablation_workload()
     engines = {}
     for mode in ("jensen", "mc"):
         engine = IMGRNEngine(
@@ -57,25 +51,29 @@ def test_ablation_expectation_series(benchmark, setup):
     engines, queries = setup
 
     def sweep():
-        result = ExperimentResult(name="ablation_expectation", x_label="mode")
-        answers = {}
-        for mode, engine in engines.items():
-            results = [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries]
-            answers[mode] = [r.answer_sources() for r in results]
-            agg = aggregate_stats([r.stats for r in results])
-            result.rows.append(
-                {
-                    "mode": mode,
-                    "build_seconds": engine.build_seconds,
-                    "cpu_seconds": agg["cpu_seconds"],
-                    "io_accesses": agg["io_accesses"],
-                    "candidates": agg["candidates"],
-                }
+        return [
+            row
+            for mode, engine in engines.items()
+            for row in primed_rows(
+                ABLATION,
+                engine,
+                queries,
+                mode=mode,
+                build_seconds=engine.build_seconds,
             )
-        return result, answers
+        ]
 
-    (result, answers) = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("ablation_expectation", format_table(result))
+    rows = per_query_means(
+        benchmark.pedantic(sweep, rounds=1, iterations=1), "mode", "build_seconds"
+    )
+    write_table("ablation_expectation", text_table("ablation_expectation", rows))
+    answers = {
+        mode: [
+            engine.query(q, gamma=GAMMA, alpha=ALPHA).answer_sources()
+            for q in queries
+        ]
+        for mode, engine in engines.items()
+    }
     # Answers agree between modes (MC expectations tighten bounds but the
     # refinement recomputes exact probabilities either way).
     assert answers["jensen"] == answers["mc"]

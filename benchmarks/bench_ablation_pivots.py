@@ -11,16 +11,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import scaled, write_table
-from repro.config import EngineConfig, SyntheticConfig
+from conftest import ABLATION, ablation_workload, write_table
+from repro.config import EngineConfig
 from repro.core.pivots import pivot_cost
 from repro.core.query import IMGRNEngine
 from repro.core.standardize import standardize_matrix
-from repro.data.queries import generate_query_workload
-from repro.data.synthetic import generate_database
-from repro.eval.counters import aggregate_stats
-from repro.eval.experiments import ExperimentResult
-from repro.eval.reporting import format_table
+from repro.eval.harness.report import per_query_means, text_table
+from repro.eval.harness.runner import primed_rows
 
 GAMMA = ALPHA = 0.5
 STRATEGIES = ("cost_model", "random")
@@ -28,10 +25,7 @@ STRATEGIES = ("cost_model", "random")
 
 @pytest.fixture(scope="module")
 def setup(bench_seed):
-    database = generate_database(
-        SyntheticConfig(weights="uni", seed=bench_seed), scaled(100)
-    )
-    queries = generate_query_workload(database, n_q=5, count=5, rng=bench_seed)
+    database, queries = ablation_workload()
     engines = {}
     for strategy in STRATEGIES:
         engine = IMGRNEngine(database, EngineConfig(seed=bench_seed))
@@ -52,38 +46,53 @@ def test_build_speed_by_pivot_strategy(benchmark, setup, strategy, bench_seed):
     benchmark.pedantic(build, rounds=1, iterations=1)
 
 
-def test_ablation_pivot_series(benchmark, setup):
-    database, engines, queries = setup
-
-    def sweep():
-        result = ExperimentResult(name="ablation_pivots", x_label="strategy")
-        answers = {}
-        for strategy, engine in engines.items():
-            costs = [
+def _mean_cost(engine) -> float:
+    """The mean cost-model objective ``T_i`` of the engine's pivots."""
+    return float(
+        np.mean(
+            [
                 pivot_cost(
                     standardize_matrix(entry.matrix.values),
                     np.asarray(entry.embedded.pivot_indices),
                 )
                 for entry in engine._entries.values()
             ]
-            results = [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries]
-            answers[strategy] = [r.answer_sources() for r in results]
-            agg = aggregate_stats([r.stats for r in results])
-            result.rows.append(
-                {
-                    "strategy": strategy,
-                    "mean_T_i": float(np.mean(costs)),
-                    "build_seconds": engine.build_seconds,
-                    "cpu_seconds": agg["cpu_seconds"],
-                    "io_accesses": agg["io_accesses"],
-                    "candidates": agg["candidates"],
-                }
-            )
-        return result, answers
+        )
+    )
 
-    (result, answers) = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("ablation_pivots", format_table(result))
-    by_strategy = {row["strategy"]: row for row in result.rows}
+
+def test_ablation_pivot_series(benchmark, setup):
+    _database, engines, queries = setup
+
+    def sweep():
+        return [
+            row
+            for strategy, engine in engines.items()
+            for row in primed_rows(
+                ABLATION,
+                engine,
+                queries,
+                strategy=strategy,
+                mean_T_i=_mean_cost(engine),
+                build_seconds=engine.build_seconds,
+            )
+        ]
+
+    rows = per_query_means(
+        benchmark.pedantic(sweep, rounds=1, iterations=1),
+        "strategy",
+        "mean_T_i",
+        "build_seconds",
+    )
+    write_table("ablation_pivots", text_table("ablation_pivots", rows))
+    answers = {
+        strategy: [
+            engine.query(q, gamma=GAMMA, alpha=ALPHA).answer_sources()
+            for q in queries
+        ]
+        for strategy, engine in engines.items()
+    }
+    by_strategy = {row["strategy"]: row for row in rows}
     # The Fig.-3 swap search achieves a lower cost-model objective.
     assert by_strategy["cost_model"]["mean_T_i"] < by_strategy["random"]["mean_T_i"]
     # And never changes the answers.

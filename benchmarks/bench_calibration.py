@@ -14,18 +14,22 @@ from repro.eval.calibration import (
     false_edge_rate,
     null_measure_samples,
 )
-from repro.eval.reporting import format_table
+from repro.eval.harness.report import text_table
 
 
 def test_calibration_study(benchmark, bench_seed):
-    result = benchmark.pedantic(
+    table = benchmark.pedantic(
         calibration_table,
         kwargs=dict(n_pairs=150, length=20, mc_samples=200, seed=bench_seed),
         rounds=1,
         iterations=1,
     )
-    rows = {row["distribution"]: row for row in result.rows}
-    lines = [format_table(result), "", "false-edge rate vs nominal (gaussian null):"]
+    rows = {row["distribution"]: row for row in table}
+    lines = [
+        text_table("calibration", table),
+        "",
+        "false-edge rate vs nominal (gaussian null):",
+    ]
     values = null_measure_samples(
         "gaussian", n_pairs=300, length=20, mc_samples=200, rng=bench_seed
     )

@@ -14,8 +14,8 @@ from conftest import write_table
 from repro.core.correlation import absolute_correlation_matrix
 from repro.core.inference import EdgeProbabilityEstimator
 from repro.data.organisms import ORGANISMS, generate_organism_matrix
-from repro.eval.experiments import inference_time
-from repro.eval.reporting import format_table
+from repro.eval.harness.report import text_table
+from repro.eval.roc import inference_time
 
 SIZES = (50, 100, 150, 200)
 
@@ -41,18 +41,18 @@ def test_correlation_inference_speed(benchmark, n_i, bench_seed):
 
 
 def test_figure5b_series(benchmark, bench_seed):
-    result = benchmark.pedantic(
+    rows = benchmark.pedantic(
         inference_time,
         kwargs=dict(sizes=SIZES, mc_samples=200, seed=bench_seed),
         rounds=1,
         iterations=1,
     )
-    write_table("fig05b_inference_time", format_table(result))
-    for row in result.rows:
+    write_table("fig05b_inference_time", text_table("fig5b_inference_time", rows))
+    for row in rows:
         # IM-GRN trades efficiency for accuracy: always slower.
         assert row["imgrn_seconds"] > row["correlation_seconds"]
     # Cost grows with n_i.
-    times = [row["imgrn_seconds"] for row in result.rows]
+    times = [row["imgrn_seconds"] for row in rows]
     assert times[-1] > times[0]
 
 
@@ -63,14 +63,14 @@ def test_batched_speedup(benchmark, bench_seed):
     what query-graph inference and refinement paid per matrix before the
     batched engine.
     """
-    result = benchmark.pedantic(
+    rows = benchmark.pedantic(
         inference_time,
         kwargs=dict(sizes=(100,), mc_samples=200, seed=bench_seed),
         rounds=1,
         iterations=1,
     )
-    write_table("fig05b_batched_speedup", format_table(result))
-    row = result.rows[0]
+    write_table("fig05b_batched_speedup", text_table("fig5b_inference_time", rows))
+    row = rows[0]
     assert row["n_i"] == 100.0
     assert row["speedup"] >= 3.0, (
         f"batched inference only {row['speedup']:.1f}x faster than the "

@@ -21,8 +21,7 @@ import pytest
 from conftest import write_table
 from repro.core.inference import EdgeProbabilityEstimator
 from repro.data.organisms import ORGANISMS, generate_organism_matrix
-from repro.eval.experiments import roc_inference
-from repro.eval.reporting import format_roc_summary
+from repro.eval.roc import format_roc_summary, roc_curves
 
 GENES = 120
 SAMPLES = 40
@@ -47,7 +46,7 @@ def test_roc_shape_imgrn_beats_correlation(benchmark, organism):
 
     def sweep():
         return [
-            roc_inference(
+            roc_curves(
                 organism=organism,
                 genes=GENES,
                 samples=SAMPLES,

@@ -10,75 +10,55 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import scaled, write_table
-from repro.config import EngineConfig, SyntheticConfig
-from repro.core.baseline import BaselineEngine
-from repro.core.query import IMGRNEngine
-from repro.data.queries import generate_query_workload
-from repro.data.synthetic import generate_database
-from repro.eval.experiments import vs_baseline
-from repro.eval.reporting import format_table
+from conftest import figure_config, scaled, write_table
+from repro.eval.harness import ExperimentRunner, ScaleSpec
+from repro.eval.harness.report import per_query_means, text_table
 
-N_MATRICES = scaled(60)
-GENES_RANGE = (50, 100)
 NUM_QUERIES = 5
 GAMMA = ALPHA = 0.5
+SCALE = ScaleSpec(scaled(60), (50, 100))
+CONFIG = figure_config(
+    "fig6_vs_baseline",
+    engines=("imgrn", "baseline", "linear-scan"),
+    weights=("real", "uni", "gau"),
+    scales=(SCALE,),
+    gammas=(GAMMA,),
+    alphas=(ALPHA,),
+    num_queries=NUM_QUERIES,
+)
 
 
 @pytest.fixture(scope="module")
-def uni_setup(bench_seed):
-    database = generate_database(
-        SyntheticConfig(weights="uni", genes_range=GENES_RANGE, seed=bench_seed),
-        N_MATRICES,
-    )
-    engine = IMGRNEngine(database, EngineConfig(seed=bench_seed))
-    engine.build()
-    baseline = BaselineEngine(database, EngineConfig(seed=bench_seed))
-    baseline.build()
-    queries = generate_query_workload(
-        database, n_q=5, count=NUM_QUERIES, rng=bench_seed
-    )
-    return engine, baseline, queries
+def runner():
+    return ExperimentRunner(CONFIG)
 
 
-def test_imgrn_query_speed(benchmark, uni_setup):
-    engine, _baseline, queries = uni_setup
-    results = benchmark(
-        lambda: [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries]
-    )
-    assert len(results) == NUM_QUERIES
+def _query_all(runner, engine_name):
+    engine = runner.engine(engine_name, "uni", SCALE)
+    queries = runner.workload("uni", SCALE)
+    return lambda: [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries]
 
 
-def test_baseline_query_speed(benchmark, uni_setup):
-    _engine, baseline, queries = uni_setup
-    results = benchmark(
-        lambda: [baseline.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries]
-    )
-    assert len(results) == NUM_QUERIES
+def test_imgrn_query_speed(benchmark, runner):
+    assert len(benchmark(_query_all(runner, "imgrn"))) == NUM_QUERIES
 
 
-def test_figure6_series(benchmark, bench_seed):
-    result = benchmark.pedantic(
-        vs_baseline,
-        kwargs=dict(
-            n_matrices=N_MATRICES,
-            genes_range=GENES_RANGE,
-            num_queries=NUM_QUERIES,
-            gamma=GAMMA,
-            alpha=ALPHA,
-            seed=bench_seed,
-            include_linear_scan=True,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    write_table("fig06_vs_baseline", format_table(result))
-    for row in result.rows:
+def test_baseline_query_speed(benchmark, runner):
+    assert len(benchmark(_query_all(runner, "baseline"))) == NUM_QUERIES
+
+
+def test_figure6_series(benchmark, runner):
+    results = benchmark.pedantic(runner.run, rounds=1, iterations=1)
+    rows = per_query_means(results.rows, "engine")
+    write_table("fig06_vs_baseline", text_table("fig6_vs_baseline", rows))
+    for dataset in CONFIG.weights:
+        by_engine = {r["engine"]: r for r in rows if r["dataset"] == dataset}
+        imgrn, baseline = by_engine["imgrn"], by_engine["baseline"]
         # (a) IM-GRN I/O is far below the Baseline's full-store scan.
-        assert row["imgrn_io"] < row["baseline_io"], row["dataset"]
+        assert imgrn["io_accesses"] < baseline["io_accesses"], dataset
         # (c) candidates after pruning are a small set, far below the
         # Baseline's per-matrix candidate count.
-        assert row["imgrn_candidates"] < row["baseline_candidates"]
-        assert row["imgrn_candidates"] <= 25
+        assert imgrn["candidates"] < baseline["candidates"]
+        assert imgrn["candidates"] <= 25
         # Answer sets agree across engines (same semantics).
-        assert row["imgrn_answers"] == row["baseline_answers"]
+        assert imgrn["answers"] == baseline["answers"]

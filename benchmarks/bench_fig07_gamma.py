@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import legacy_table, write_table
-from repro.config import DEFAULTS
-from repro.eval.harness import ExperimentConfig, ExperimentRunner, ScaleSpec
-from repro.eval.reporting import format_table
+from conftest import DEFAULT_SCALE, default_sweep, figure_config, write_table
+from repro.eval.harness.report import per_query_means, text_table
 
 GAMMAS = (0.2, 0.3, 0.5, 0.8, 0.9)
 ALPHA = 0.5
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
-def test_query_speed_vs_gamma(benchmark, uni_workload, gamma):
-    engine, queries = uni_workload.engine, uni_workload.queries
+def test_query_speed_vs_gamma(benchmark, default_runner, gamma):
+    engine = default_runner.engine("imgrn", "uni", DEFAULT_SCALE)
+    queries = default_runner.workload("uni", DEFAULT_SCALE)
     benchmark.pedantic(
         lambda: [engine.query(q, gamma=gamma, alpha=ALPHA) for q in queries],
         rounds=3,
@@ -28,37 +27,22 @@ def test_query_speed_vs_gamma(benchmark, uni_workload, gamma):
     )
 
 
-def test_figure7_series(benchmark, uni_workload, gau_workload, bench_seed):
-    # The gamma sweep as a declarative experiment on the harness runner;
-    # the session workloads are primed in so nothing is rebuilt.
-    scale = ScaleSpec(len(uni_workload.database), DEFAULTS.genes_per_matrix)
-    config = ExperimentConfig(
-        name="fig7_gamma",
-        engines=("imgrn",),
-        baseline_engine="imgrn",
-        kinds=("containment",),
-        weights=("uni", "gau"),
-        scales=(scale,),
-        gammas=GAMMAS,
-        alphas=(ALPHA,),
-        n_q=DEFAULTS.query_genes,
-        num_queries=len(uni_workload.queries),
-        repeats=1,
-        seed=bench_seed,
+def test_figure7_series(benchmark, default_runner):
+    # The gamma sweep as a declarative experiment on the harness runner,
+    # over the session's engines (nothing is rebuilt).
+    runner = default_sweep(
+        default_runner,
+        figure_config("fig7_gamma", gammas=GAMMAS, alphas=(ALPHA,)),
     )
-    runner = ExperimentRunner(config)
-    runner.prime("imgrn", "uni", scale, uni_workload.engine, uni_workload.queries)
-    runner.prime("imgrn", "gau", scale, gau_workload.engine, gau_workload.queries)
-
     results = benchmark.pedantic(runner.run, rounds=1, iterations=1)
-    result = legacy_table(results, "fig7_gamma", "gamma")
-    write_table("fig07_gamma", format_table(result))
+    rows = per_query_means(results.rows, "gamma")
+    write_table("fig07_gamma", text_table("fig7_gamma", rows))
     for label in ("uni", "gau"):
-        rows = [r for r in result.rows if r["dataset"] == label]
-        assert len(rows) == len(GAMMAS)
+        points = [r for r in rows if r["dataset"] == label]
+        assert len(points) == len(GAMMAS)
         # Candidates / IO are monotonically non-increasing in gamma
         # (allowing the small-integer floor to be flat).
-        candidates = [r["candidates"] for r in rows]
+        candidates = [r["candidates"] for r in points]
         assert candidates[0] >= candidates[-1]
-        io = [r["io_accesses"] for r in rows]
+        io = [r["io_accesses"] for r in points]
         assert io[0] >= io[-1] * 0.8

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import legacy_table, write_table
-from repro.config import DEFAULTS
-from repro.eval.harness import ExperimentConfig, ExperimentRunner, ScaleSpec
-from repro.eval.reporting import format_table
+from conftest import DEFAULT_SCALE, default_sweep, figure_config, write_table
+from repro.eval.harness.report import per_query_means, text_table
 
 ALPHAS = (0.2, 0.3, 0.5, 0.8, 0.9)
 GAMMA = 0.5
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_query_speed_vs_alpha(benchmark, uni_workload, alpha):
-    engine, queries = uni_workload.engine, uni_workload.queries
+def test_query_speed_vs_alpha(benchmark, default_runner, alpha):
+    engine = default_runner.engine("imgrn", "uni", DEFAULT_SCALE)
+    queries = default_runner.workload("uni", DEFAULT_SCALE)
     benchmark.pedantic(
         lambda: [engine.query(q, gamma=GAMMA, alpha=alpha) for q in queries],
         rounds=3,
@@ -29,40 +28,25 @@ def test_query_speed_vs_alpha(benchmark, uni_workload, alpha):
     )
 
 
-def test_figure8_series(benchmark, uni_workload, gau_workload, bench_seed):
-    # The alpha sweep as a declarative experiment on the harness runner;
-    # the session workloads are primed in so nothing is rebuilt.
-    scale = ScaleSpec(len(uni_workload.database), DEFAULTS.genes_per_matrix)
-    config = ExperimentConfig(
-        name="fig8_alpha",
-        engines=("imgrn",),
-        baseline_engine="imgrn",
-        kinds=("containment",),
-        weights=("uni", "gau"),
-        scales=(scale,),
-        gammas=(GAMMA,),
-        alphas=ALPHAS,
-        n_q=DEFAULTS.query_genes,
-        num_queries=len(uni_workload.queries),
-        repeats=1,
-        seed=bench_seed,
+def test_figure8_series(benchmark, default_runner):
+    # The alpha sweep as a declarative experiment on the harness runner,
+    # over the session's engines (nothing is rebuilt).
+    runner = default_sweep(
+        default_runner,
+        figure_config("fig8_alpha", alphas=ALPHAS, gammas=(GAMMA,)),
     )
-    runner = ExperimentRunner(config)
-    runner.prime("imgrn", "uni", scale, uni_workload.engine, uni_workload.queries)
-    runner.prime("imgrn", "gau", scale, gau_workload.engine, gau_workload.queries)
-
     results = benchmark.pedantic(runner.run, rounds=1, iterations=1)
-    result = legacy_table(results, "fig8_alpha", "alpha")
-    write_table("fig08_alpha", format_table(result))
+    rows = per_query_means(results.rows, "alpha")
+    write_table("fig08_alpha", text_table("fig8_alpha", rows))
     for label in ("uni", "gau"):
-        rows = [r for r in result.rows if r["dataset"] == label]
-        assert len(rows) == len(ALPHAS)
+        points = [r for r in rows if r["dataset"] == label]
+        assert len(points) == len(ALPHAS)
         # I/O is insensitive to alpha: the traversal is gamma-driven.
-        io = [r["io_accesses"] for r in rows]
+        io = [r["io_accesses"] for r in points]
         assert max(io) <= min(io) * 1.2 + 10
         # Candidates are non-increasing in alpha (Lemma 5 only prunes more).
-        candidates = [r["candidates"] for r in rows]
+        candidates = [r["candidates"] for r in points]
         assert all(a >= b - 1e-9 for a, b in zip(candidates, candidates[1:]))
         # Answers shrink (or stay flat) as alpha grows.
-        answers = [r["answers"] for r in rows]
+        answers = [r["answers"] for r in points]
         assert answers[0] >= answers[-1]

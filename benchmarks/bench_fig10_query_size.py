@@ -9,67 +9,62 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import write_table
+from conftest import DEFAULT_SCALE, figure_config, write_table
 from repro.data.queries import generate_query_workload
-from repro.eval.counters import aggregate_stats
-from repro.eval.experiments import ExperimentResult
-from repro.eval.reporting import format_table
+from repro.eval.harness.report import per_query_means, text_table
+from repro.eval.harness.runner import primed_rows
 
 QUERY_SIZES = (2, 3, 5, 8, 10)
 GAMMA = ALPHA = 0.5
 
 
 @pytest.fixture(scope="module")
-def query_sets(uni_workload, gau_workload, bench_seed):
+def query_sets(default_runner, bench_seed):
     sets = {}
-    for label, workload in (("uni", uni_workload), ("gau", gau_workload)):
+    for label in ("uni", "gau"):
+        database = default_runner.database(label, DEFAULT_SCALE)
         for n_q in QUERY_SIZES:
             sets[(label, n_q)] = generate_query_workload(
-                workload.database, n_q=n_q, count=5, rng=(bench_seed, n_q)
+                database, n_q=n_q, count=5, rng=(bench_seed, n_q)
             )
     return sets
 
 
 @pytest.mark.parametrize("n_q", QUERY_SIZES)
-def test_query_speed_vs_nq(benchmark, uni_workload, query_sets, n_q):
+def test_query_speed_vs_nq(benchmark, default_runner, query_sets, n_q):
+    engine = default_runner.engine("imgrn", "uni", DEFAULT_SCALE)
     queries = query_sets[("uni", n_q)]
     benchmark.pedantic(
-        lambda: [
-            uni_workload.engine.query(q, gamma=GAMMA, alpha=ALPHA)
-            for q in queries
-        ],
+        lambda: [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries],
         rounds=3,
         iterations=1,
     )
 
 
-def test_figure10_series(benchmark, uni_workload, gau_workload, query_sets):
+def test_figure10_series(benchmark, default_runner, query_sets):
     def sweep():
-        result = ExperimentResult(name="fig10_query_size", x_label="n_Q")
-        for label, workload in (("uni", uni_workload), ("gau", gau_workload)):
-            for n_q in QUERY_SIZES:
-                stats = [
-                    workload.engine.query(q, gamma=GAMMA, alpha=ALPHA).stats
-                    for q in query_sets[(label, n_q)]
-                ]
-                agg = aggregate_stats(stats)
-                result.rows.append(
-                    {
-                        "dataset": label,
-                        "n_Q": float(n_q),
-                        "cpu_seconds": agg["cpu_seconds"],
-                        "io_accesses": agg["io_accesses"],
-                        "candidates": agg["candidates"],
-                        "answers": agg["answers"],
-                    }
-                )
-        return result
+        return [
+            row
+            for (label, n_q), queries in query_sets.items()
+            for row in primed_rows(
+                figure_config(
+                    "fig10_query_size",
+                    weights=(label,),
+                    gammas=(GAMMA,),
+                    alphas=(ALPHA,),
+                    n_q=n_q,
+                ),
+                default_runner.engine("imgrn", label, DEFAULT_SCALE),
+                queries,
+                n_Q=n_q,
+            )
+        ]
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("fig10_query_size", format_table(result))
+    rows = per_query_means(benchmark.pedantic(sweep, rounds=1, iterations=1), "n_Q")
+    write_table("fig10_query_size", text_table("fig10_query_size", rows))
     # Sanity: every sweep point completed and produced small candidate
     # sets; the U-shape itself is a soft trend at this scale, so assert
     # only that candidates stay bounded and costs stay sane.
-    for row in result.rows:
+    for row in rows:
         assert row["candidates"] <= 30
         assert row["cpu_seconds"] < 5.0

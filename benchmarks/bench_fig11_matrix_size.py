@@ -9,73 +9,54 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import scaled, write_table
-from repro.eval.counters import aggregate_stats
-from repro.eval.experiments import ExperimentResult, build_synthetic_workload
-from repro.eval.reporting import format_table
+from conftest import figure_config, scaled, write_table
+from repro.eval.harness import ExperimentRunner, ScaleSpec
+from repro.eval.harness.report import per_query_means, text_table
 
 RANGES = ((10, 20), (20, 50), (50, 100), (100, 150))
 GAMMA = ALPHA = 0.5
-N_MATRICES = scaled(100)
+SCALES = {genes_range: ScaleSpec(scaled(100), genes_range) for genes_range in RANGES}
+CONFIG = figure_config(
+    "fig11_matrix_size",
+    scales=tuple(SCALES.values()),
+    gammas=(GAMMA,),
+    alphas=(ALPHA,),
+)
 
 
 @pytest.fixture(scope="module")
-def workloads(bench_seed):
-    built = {}
-    for weights in ("uni", "gau"):
-        for genes_range in RANGES:
-            built[(weights, genes_range)] = build_synthetic_workload(
-                weights=weights,
-                n_matrices=N_MATRICES,
-                genes_range=genes_range,
-                num_queries=5,
-                seed=bench_seed,
-            )
+def runner():
+    built = ExperimentRunner(CONFIG)
+    for weights in CONFIG.weights:
+        for scale in CONFIG.scales:
+            built.engine("imgrn", weights, scale)
     return built
 
 
 @pytest.mark.parametrize("genes_range", RANGES)
-def test_query_speed_vs_matrix_width(benchmark, workloads, genes_range):
-    workload = workloads[("uni", genes_range)]
+def test_query_speed_vs_matrix_width(benchmark, runner, genes_range):
+    engine = runner.engine("imgrn", "uni", SCALES[genes_range])
+    queries = runner.workload("uni", SCALES[genes_range])
     benchmark.pedantic(
-        lambda: [
-            workload.engine.query(q, gamma=GAMMA, alpha=ALPHA)
-            for q in workload.queries
-        ],
+        lambda: [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries],
         rounds=3,
         iterations=1,
     )
 
 
-def test_figure11_series(benchmark, workloads):
-    def sweep():
-        result = ExperimentResult(name="fig11_matrix_size", x_label="n_range")
-        for weights in ("uni", "gau"):
-            for genes_range in RANGES:
-                workload = workloads[(weights, genes_range)]
-                stats = [
-                    workload.engine.query(q, gamma=GAMMA, alpha=ALPHA).stats
-                    for q in workload.queries
-                ]
-                agg = aggregate_stats(stats)
-                result.rows.append(
-                    {
-                        "dataset": weights,
-                        "n_range": f"[{genes_range[0]},{genes_range[1]}]",
-                        "cpu_seconds": agg["cpu_seconds"],
-                        "io_accesses": agg["io_accesses"],
-                        "candidates": agg["candidates"],
-                    }
-                )
-        return result
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("fig11_matrix_size", format_table(result))
-    for weights in ("uni", "gau"):
-        rows = [r for r in result.rows if r["dataset"] == weights]
+def test_figure11_series(benchmark, runner):
+    results = benchmark.pedantic(runner.run, rounds=1, iterations=1)
+    n_range = {s.label: "[{},{}]".format(*s.genes_range) for s in CONFIG.scales}
+    rows = per_query_means(
+        [{**row, "n_range": n_range[row["scale"]]} for row in results.rows],
+        "n_range",
+    )
+    write_table("fig11_matrix_size", text_table("fig11_matrix_size", rows))
+    for weights in CONFIG.weights:
+        points = [r for r in rows if r["dataset"] == weights]
         # Cost grows with matrix width: the widest range beats the
         # narrowest in both CPU and I/O.
-        assert rows[-1]["io_accesses"] > rows[0]["io_accesses"]
-        assert rows[-1]["cpu_seconds"] > rows[0]["cpu_seconds"]
+        assert points[-1]["io_accesses"] > points[0]["io_accesses"]
+        assert points[-1]["cpu_seconds"] > points[0]["cpu_seconds"]
         # Candidates stay small throughout.
-        assert all(r["candidates"] <= 30 for r in rows)
+        assert all(r["candidates"] <= 30 for r in points)

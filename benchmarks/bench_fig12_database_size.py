@@ -9,71 +9,53 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import scaled, write_table
-from repro.eval.counters import aggregate_stats
-from repro.eval.experiments import ExperimentResult, build_synthetic_workload
-from repro.eval.reporting import format_table
+from conftest import figure_config, scaled, write_table
+from repro.config import DEFAULTS
+from repro.eval.harness import ExperimentRunner, ScaleSpec
+from repro.eval.harness.report import per_query_means, text_table
 
 SIZES = (50, 100, 200, 400)
 GAMMA = ALPHA = 0.5
+SCALES = {n: ScaleSpec(scaled(n), DEFAULTS.genes_per_matrix) for n in SIZES}
+CONFIG = figure_config(
+    "fig12_database_size",
+    scales=tuple(SCALES.values()),
+    gammas=(GAMMA,),
+    alphas=(ALPHA,),
+)
 
 
 @pytest.fixture(scope="module")
-def workloads(bench_seed):
-    built = {}
-    for weights in ("uni", "gau"):
-        for n in SIZES:
-            built[(weights, n)] = build_synthetic_workload(
-                weights=weights,
-                n_matrices=scaled(n),
-                num_queries=5,
-                seed=bench_seed,
-            )
+def runner():
+    built = ExperimentRunner(CONFIG)
+    for weights in CONFIG.weights:
+        for scale in CONFIG.scales:
+            built.engine("imgrn", weights, scale)
     return built
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_query_speed_vs_database_size(benchmark, workloads, n):
-    workload = workloads[("uni", n)]
+def test_query_speed_vs_database_size(benchmark, runner, n):
+    engine = runner.engine("imgrn", "uni", SCALES[n])
+    queries = runner.workload("uni", SCALES[n])
     benchmark.pedantic(
-        lambda: [
-            workload.engine.query(q, gamma=GAMMA, alpha=ALPHA)
-            for q in workload.queries
-        ],
+        lambda: [engine.query(q, gamma=GAMMA, alpha=ALPHA) for q in queries],
         rounds=3,
         iterations=1,
     )
 
 
-def test_figure12_series(benchmark, workloads):
-    def sweep():
-        result = ExperimentResult(name="fig12_database_size", x_label="N")
-        for weights in ("uni", "gau"):
-            for n in SIZES:
-                workload = workloads[(weights, n)]
-                stats = [
-                    workload.engine.query(q, gamma=GAMMA, alpha=ALPHA).stats
-                    for q in workload.queries
-                ]
-                agg = aggregate_stats(stats)
-                result.rows.append(
-                    {
-                        "dataset": weights,
-                        "N": float(scaled(n)),
-                        "cpu_seconds": agg["cpu_seconds"],
-                        "io_accesses": agg["io_accesses"],
-                        "candidates": agg["candidates"],
-                    }
-                )
-        return result
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("fig12_database_size", format_table(result))
-    for weights in ("uni", "gau"):
-        rows = [r for r in result.rows if r["dataset"] == weights]
+def test_figure12_series(benchmark, runner):
+    results = benchmark.pedantic(runner.run, rounds=1, iterations=1)
+    rows = per_query_means(
+        [{**row, "N": row["n_matrices"]} for row in results.rows], "N"
+    )
+    write_table("fig12_database_size", text_table("fig12_database_size", rows))
+    for weights in CONFIG.weights:
+        points = [r for r in rows if r["dataset"] == weights]
         # Costs grow with N...
-        assert rows[-1]["io_accesses"] > rows[0]["io_accesses"]
+        assert points[-1]["io_accesses"] > points[0]["io_accesses"]
         # ...but sub-quadratically: 8x database -> well under 64x I/O.
-        assert rows[-1]["io_accesses"] < rows[0]["io_accesses"] * 64
+        assert points[-1]["io_accesses"] < points[0]["io_accesses"] * 64
         # Candidates stay flat/small as N grows (pruning power holds).
-        assert all(r["candidates"] <= 30 for r in rows)
+        assert all(r["candidates"] <= 30 for r in points)

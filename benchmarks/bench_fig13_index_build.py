@@ -18,8 +18,7 @@ from repro.core import parallel_build
 from repro.core.parallel_build import build_width
 from repro.core.query import IMGRNEngine
 from repro.data.synthetic import generate_database
-from repro.eval.experiments import ExperimentResult
-from repro.eval.reporting import format_table
+from repro.eval.harness.report import text_table
 
 RANGES = ((10, 20), (20, 50), (50, 100))
 SIZES = (50, 100, 200)
@@ -88,7 +87,7 @@ def test_figure13_width_series(benchmark, databases, bench_seed):
     config = EngineConfig(seed=bench_seed, build=BuildConfig(shard_size=8))
 
     def sweep():
-        result = ExperimentResult(name="fig13_parallel_build", x_label="width")
+        rows = []
         engines = []
         for cpus in (1, None):
             engine = IMGRNEngine(database, config)
@@ -98,13 +97,11 @@ def test_figure13_width_series(benchmark, databases, bench_seed):
             shards = -(-len(database) // config.build.shard_size)
             with _cpus(cpus):
                 width = build_width(shards, tracing=False)
-            result.rows.append(
+            rows.append(
                 {
-                    "width": float(width),
+                    "width": width,
                     "build_seconds": seconds,
-                    "speedup": result.rows[0]["build_seconds"] / seconds
-                    if result.rows
-                    else 1.0,
+                    "speedup": rows[0]["build_seconds"] / seconds if rows else 1.0,
                 }
             )
         serial, derived = engines
@@ -115,16 +112,16 @@ def test_figure13_width_series(benchmark, databases, bench_seed):
             other = derived._entries[sid].embedded
             assert entry.embedded.x.tobytes() == other.x.tobytes()
             assert entry.embedded.y.tobytes() == other.y.tobytes()
-        return result
+        return rows
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("fig13_parallel_build", format_table(result))
-    assert all(row["build_seconds"] > 0 for row in result.rows)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    write_table("fig13_parallel_build", text_table("fig13_parallel_build", rows))
+    assert all(row["build_seconds"] > 0 for row in rows)
 
 
 def test_figure13_series(benchmark, databases, bench_seed):
     def sweep():
-        result = ExperimentResult(name="fig13_index_build", x_label="sweep")
+        rows = []
         for weights in ("uni", "gau"):
             for genes_range in RANGES:
                 engine = IMGRNEngine(
@@ -132,12 +129,12 @@ def test_figure13_series(benchmark, databases, bench_seed):
                     EngineConfig(seed=bench_seed),
                 )
                 seconds = engine.build()
-                result.rows.append(
+                rows.append(
                     {
                         "dataset": weights,
                         "sweep": f"range[{genes_range[0]},{genes_range[1]}]",
                         "build_seconds": seconds,
-                        "index_pages": float(engine.pages.num_pages),
+                        "index_pages": engine.pages.num_pages,
                     }
                 )
             for n in SIZES:
@@ -145,25 +142,25 @@ def test_figure13_series(benchmark, databases, bench_seed):
                     databases[(weights, "N", n)], EngineConfig(seed=bench_seed)
                 )
                 seconds = engine.build()
-                result.rows.append(
+                rows.append(
                     {
                         "dataset": weights,
                         "sweep": f"N={scaled(n)}",
                         "build_seconds": seconds,
-                        "index_pages": float(engine.pages.num_pages),
+                        "index_pages": engine.pages.num_pages,
                     }
                 )
-        return result
+        return rows
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    write_table("fig13_index_build", format_table(result))
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    write_table("fig13_index_build", text_table("fig13_index_build", rows))
     for weights in ("uni", "gau"):
         ranges = [
-            r for r in result.rows
+            r for r in rows
             if r["dataset"] == weights and str(r["sweep"]).startswith("range")
         ]
         sizes = [
-            r for r in result.rows
+            r for r in rows
             if r["dataset"] == weights and str(r["sweep"]).startswith("N=")
         ]
         assert ranges[-1]["build_seconds"] > ranges[0]["build_seconds"]

@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import write_table
-from repro.eval.experiments import roc_pcorr
-from repro.eval.reporting import format_roc_summary
+from repro.eval.roc import format_roc_summary, roc_curves
 
 GENES = 120
 SAMPLES = 40
@@ -22,12 +21,13 @@ SEEDS = (7, 8, 9)
 def test_roc_shape_imgrn_beats_pcorr(benchmark):
     def sweep():
         return [
-            roc_pcorr(
+            roc_curves(
                 organism="ecoli",
                 genes=GENES,
                 samples=SAMPLES,
                 mc_samples=MC_SAMPLES,
                 seed=seed,
+                comparator="pcorr",
             )
             for seed in SEEDS
         ]

@@ -4,6 +4,11 @@ Every figure's bench writes its paper-style table to ``benchmarks/out/`` so
 EXPERIMENTS.md can quote measured numbers, and prints it (visible with
 ``pytest -s``). Scales are laptop-sized; set ``REPRO_BENCH_SCALE=2`` (or
 higher) to multiply the database sizes toward paper scale.
+
+The query sweeps run on :class:`repro.eval.harness.ExperimentRunner`:
+:func:`figure_config` is their common config, and the ``default_runner``
+fixture builds the Uni and Gau engines at the Table-2 defaults once per
+session for every bench that sweeps over them.
 """
 
 from __future__ import annotations
@@ -13,9 +18,14 @@ import os
 import pytest
 
 from _paths import out_path
+from repro.config import DEFAULTS
+from repro.eval.harness import ExperimentConfig, ExperimentRunner, ScaleSpec
 
 #: Multiplier applied to database sizes (REPRO_BENCH_SCALE env var).
 SCALE = max(1, int(os.environ.get("REPRO_BENCH_SCALE", "1")))
+
+#: The seed of every figure bench.
+BENCH_SEED = 7
 
 
 def scaled(n: int) -> int:
@@ -23,31 +33,61 @@ def scaled(n: int) -> int:
     return n * SCALE
 
 
-def legacy_table(results, name: str, x_label: str):
-    """Harness runner rows -> the paper-style per-query-mean series table.
+#: The session's default-parameter database (N scaled, Table-2 defaults).
+DEFAULT_SCALE = ScaleSpec(scaled(150), DEFAULTS.genes_per_matrix)
 
-    The figure benches that migrated onto
-    :class:`repro.eval.harness.ExperimentRunner` use this to keep their
-    ``benchmarks/out/`` tables byte-compatible with the hand-written
-    sweeps they replaced (the runner sums counters over the workload;
-    the tables plot per-query means).
+
+def figure_config(name: str, **fields: object) -> ExperimentConfig:
+    """One repeat of IM-GRN containment queries over Uni and Gau.
+
+    Table-2 defaults (gamma = alpha = 0.5, five 5-gene queries) on the
+    session's default scale; ``fields`` override any of them.
     """
-    from repro.eval.experiments import ExperimentResult
+    defaults: dict[str, object] = {
+        "name": name,
+        "engines": ("imgrn",),
+        "baseline_engine": "imgrn",
+        "weights": ("uni", "gau"),
+        "scales": (DEFAULT_SCALE,),
+        "gammas": (DEFAULTS.gamma,),
+        "alphas": (DEFAULTS.alpha,),
+        "n_q": DEFAULTS.query_genes,
+        "num_queries": 5,
+        "repeats": 1,
+        "seed": BENCH_SEED,
+    }
+    return ExperimentConfig(**{**defaults, **fields})
 
-    table = ExperimentResult(name=name, x_label=x_label)
-    for row in results.rows:
-        count = float(row["num_queries"]) or 1.0
-        table.rows.append(
-            {
-                "dataset": row["weights"],
-                x_label: row[x_label],
-                "cpu_seconds": row["cpu_seconds"] / count,
-                "io_accesses": row["io_accesses"] / count,
-                "candidates": row["candidates"] / count,
-                "answers": row["answers"] / count,
-            }
+
+#: The ablation benches' workload: 100 Uni matrices at the Table-2 defaults.
+ABLATION = figure_config(
+    "ablation",
+    weights=("uni",),
+    scales=(ScaleSpec(scaled(100), DEFAULTS.genes_per_matrix),),
+)
+
+
+def ablation_workload():
+    """The ablation database and its query workload (engines built by each bench)."""
+    runner = ExperimentRunner(ABLATION)
+    return (
+        runner.database("uni", ABLATION.scales[0]),
+        runner.workload("uni", ABLATION.scales[0]),
+    )
+
+
+def default_sweep(default_runner: ExperimentRunner, config) -> ExperimentRunner:
+    """A runner for ``config`` primed with the session's built engines."""
+    runner = ExperimentRunner(config)
+    for weights in config.weights:
+        runner.prime(
+            "imgrn",
+            weights,
+            DEFAULT_SCALE,
+            default_runner.engine("imgrn", weights, DEFAULT_SCALE),
+            default_runner.workload(weights, DEFAULT_SCALE),
         )
-    return table
+    return runner
 
 
 def write_table(name: str, text: str) -> None:
@@ -62,24 +102,10 @@ def write_table(name: str, text: str) -> None:
 
 @pytest.fixture(scope="session")
 def bench_seed() -> int:
-    return 7
+    return BENCH_SEED
 
 
 @pytest.fixture(scope="session")
-def uni_workload(bench_seed):
-    """Shared default-parameter Uni workload (N scaled, Table-2 defaults)."""
-    from repro.eval.experiments import build_synthetic_workload
-
-    return build_synthetic_workload(
-        weights="uni", n_matrices=scaled(150), num_queries=5, seed=bench_seed
-    )
-
-
-@pytest.fixture(scope="session")
-def gau_workload(bench_seed):
-    """Shared default-parameter Gau workload."""
-    from repro.eval.experiments import build_synthetic_workload
-
-    return build_synthetic_workload(
-        weights="gau", n_matrices=scaled(150), num_queries=5, seed=bench_seed
-    )
+def default_runner() -> ExperimentRunner:
+    """The Uni and Gau cells at the defaults, each built on first use."""
+    return ExperimentRunner(figure_config("defaults"))

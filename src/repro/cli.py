@@ -32,9 +32,8 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .eval import experiments
+from .eval.harness.report import text_table
 from .eval.harness.runner import ENGINE_REGISTRY
-from .eval.reporting import format_roc_summary, format_table, render_roc_ascii
 
 __all__ = ["main", "build_parser"]
 
@@ -861,6 +860,139 @@ def _run_stats(path: str | None, output_format: str) -> int:
     return 0
 
 
+def _run_index_build(seed: int) -> int:
+    """Fig. 13: IM-GRN build time vs ``[n_min, n_max]`` and vs ``N``."""
+    from .config import DEFAULTS, EngineConfig, SyntheticConfig
+    from .core.query import IMGRNEngine
+    from .data.synthetic import generate_database
+
+    sweep = [
+        (f"range[{lo},{hi}]", (lo, hi), DEFAULTS.n_matrices // 2)
+        for lo, hi in ((10, 20), (20, 50), (50, 100))
+    ] + [(f"N={n}", DEFAULTS.genes_per_matrix, n) for n in (50, 100, 200)]
+    rows = []
+    for weights in ("uni", "gau"):
+        for label, genes_range, n_matrices in sweep:
+            database = generate_database(
+                SyntheticConfig(weights=weights, genes_range=genes_range, seed=seed),
+                n_matrices,
+            )
+            engine = IMGRNEngine(database, EngineConfig(seed=seed))
+            rows.append(
+                {
+                    "dataset": weights,
+                    "sweep": label,
+                    "build_seconds": engine.build(),
+                    "index_pages": engine.pages.num_pages,
+                }
+            )
+    print(text_table("fig13_index_build", rows))
+    return 0
+
+
+#: Query-sweep subcommand -> (figure table name, its x-axis column).
+_SWEEPS = {
+    "vs-baseline": ("fig6_vs_baseline", "engine"),
+    "gamma": ("fig7_gamma", "gamma"),
+    "alpha": ("fig8_alpha", "alpha"),
+    "pivots": ("fig9_pivots", "d"),
+    "query-size": ("fig10_query_size", "n_Q"),
+    "matrix-size": ("fig11_matrix_size", "n_range"),
+    "database-size": ("fig12_database_size", "N"),
+}
+
+
+def _run_query_sweep(name: str, args: argparse.Namespace) -> int:
+    """Figs. 6-12: one query sweep on the experiment runner.
+
+    Axes the config has (engines, weights, scales, gamma, alpha) are
+    config values; pivots ``d`` and ``n_Q`` prime one runner per value
+    with an engine or query workload built here. Prints the per-query
+    means of every trial.
+    """
+    from dataclasses import replace
+
+    from .config import DEFAULTS, EngineConfig
+    from .core.query import IMGRNEngine
+    from .data.queries import generate_query_workload
+    from .eval.harness import ExperimentConfig, ExperimentRunner, ScaleSpec
+    from .eval.harness.report import per_query_means
+    from .eval.harness.runner import primed_rows
+
+    title, axis = _SWEEPS[name]
+    thresholds = (0.2, 0.3, 0.5, 0.8, 0.9)
+    n_matrices = DEFAULTS.n_matrices if args.n_matrices is None else args.n_matrices
+    scale = ScaleSpec(n_matrices, DEFAULTS.genes_per_matrix)
+    config = ExperimentConfig(
+        name=name,
+        engines=("imgrn",),
+        baseline_engine="imgrn",
+        weights=("uni", "gau"),
+        scales=(scale,),
+        gammas=(DEFAULTS.gamma,),
+        alphas=(DEFAULTS.alpha,),
+        n_q=DEFAULTS.query_genes,
+        num_queries=args.queries,
+        repeats=1,
+        seed=args.seed,
+    )
+    if name in ("pivots", "query-size"):
+        base = ExperimentRunner(config)
+        rows = []
+        for weights in config.weights:
+            database = base.database(weights, scale)
+            cell = replace(config, weights=(weights,))
+            if name == "pivots":
+                queries = base.workload(weights, scale)
+                for d in (1, 2, 3, 4):
+                    engine = IMGRNEngine(
+                        database, EngineConfig(num_pivots=d, seed=args.seed)
+                    )
+                    engine.build()
+                    rows += primed_rows(cell, engine, queries, d=d)
+            else:
+                engine = base.engine("imgrn", weights, scale)
+                for n_q in (2, 3, 5, 8, 10):
+                    queries = generate_query_workload(
+                        database, n_q=n_q, count=args.queries, rng=(args.seed, n_q)
+                    )
+                    rows += primed_rows(
+                        replace(cell, n_q=n_q), engine, queries, n_Q=n_q
+                    )
+    else:
+        if name == "vs-baseline":
+            linear_scan = ("linear-scan",) if args.linear_scan else ()
+            config = replace(
+                config,
+                engines=("imgrn", "baseline", *linear_scan),
+                weights=("real", "uni", "gau"),
+            )
+        elif name == "gamma":
+            config = replace(config, gammas=thresholds)
+        elif name == "alpha":
+            config = replace(config, alphas=thresholds)
+        elif name == "matrix-size":
+            ranges = ((10, 20), (20, 50), (50, 100), (100, 200))
+            config = replace(
+                config, scales=tuple(ScaleSpec(n_matrices, r) for r in ranges)
+            )
+        elif name == "database-size":
+            config = replace(
+                config,
+                scales=tuple(
+                    ScaleSpec(n, DEFAULTS.genes_per_matrix)
+                    for n in (50, 100, 200, 400)
+                ),
+            )
+        n_range = {s.label: "[{},{}]".format(*s.genes_range) for s in config.scales}
+        rows = [
+            {**row, "N": row["n_matrices"], "n_range": n_range[row["scale"]]}
+            for row in ExperimentRunner(config).run().rows
+        ]
+    print(text_table(title, per_query_means(rows, axis)))
+    return 0
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -888,12 +1020,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_stats(args.path, args.format)
 
     if name in ("roc", "pcorr"):
-        driver = experiments.roc_inference if name == "roc" else experiments.roc_pcorr
-        curves = driver(
+        from .eval.roc import format_roc_summary, render_roc_ascii, roc_curves
+
+        curves = roc_curves(
             organism=args.organism,
             genes=args.genes,
             mc_samples=args.mc_samples,
             seed=args.seed,
+            comparator="correlation" if name == "roc" else "pcorr",
         )
         print(format_roc_summary(curves))
         if args.plot:
@@ -902,7 +1036,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if name == "inference-time":
-        result = experiments.inference_time(
+        from .eval.roc import inference_time
+
+        rows = inference_time(
             sizes=tuple(args.sizes),
             seed=args.seed,
             mc_samples=args.mc_samples,
@@ -910,34 +1046,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             cache=not args.no_cache,
             measure_sequential=not args.no_sequential,
         )
-    elif name == "vs-baseline":
-        result = experiments.vs_baseline(
-            n_matrices=args.n_matrices,
-            num_queries=args.queries,
-            include_linear_scan=args.linear_scan,
-            seed=args.seed,
-        )
-    elif name == "index-build":
-        result = experiments.index_construction(seed=args.seed)
-    else:
-        sweep_kwargs: dict[str, object] = {
-            "num_queries": args.queries,
-            "seed": args.seed,
-        }
-        if args.n_matrices is not None and name != "database-size":
-            sweep_kwargs["n_matrices"] = args.n_matrices
-        driver_by_name = {
-            "gamma": experiments.vary_gamma,
-            "alpha": experiments.vary_alpha,
-            "pivots": experiments.vary_pivots,
-            "query-size": experiments.vary_query_size,
-            "matrix-size": experiments.vary_matrix_size,
-            "database-size": experiments.vary_database_size,
-        }
-        result = driver_by_name[name](**sweep_kwargs)  # type: ignore[operator]
+        print(text_table("fig5b_inference_time", rows))
+        return 0
 
-    print(format_table(result))
-    return 0
+    if name == "index-build":
+        return _run_index_build(args.seed)
+
+    return _run_query_sweep(name, args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -8,6 +8,8 @@ the organism's edge density, expression generated through the *same* linear
 model the paper uses for its synthetic data (``M = E (I - B)^{-1}``), at a
 configurable scale that preserves each organism's samples-to-genes aspect
 ratio. The gold standard rides along as ``truth_edges`` for ROC evaluation.
+:func:`build_real_database` cuts the paper's ``Real`` matrix database
+(Section 6.3) from these compendia.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import DEFAULTS
 from ..core.randomization import default_rng
 from ..errors import InternalError, ValidationError
+from .database import GeneFeatureDatabase
 from .matrix import GeneFeatureMatrix
 
 __all__ = [
     "OrganismSpec",
     "ORGANISMS",
+    "build_real_database",
     "generate_gold_standard",
     "generate_organism_matrix",
 ]
@@ -219,3 +224,52 @@ def generate_organism_matrix(
         f"failed to generate organism {spec.name!r} after {max_retries} tries: "
         f"{last_error}"
     )
+
+
+def build_real_database(
+    n_matrices: int = DEFAULTS.n_matrices,
+    genes_range: tuple[int, int] = DEFAULTS.genes_per_matrix,
+    samples_range: tuple[int, int] = DEFAULTS.samples_per_matrix,
+    seed: int = 7,
+) -> GeneFeatureDatabase:
+    """The ``Real`` data set: N/3 random sub-matrices from each organism.
+
+    Mirrors Section 6.3: one master compendium per organism, from which
+    ``l_i x n_i`` sub-matrices (random sample rows x random gene columns)
+    are cut, keeping the gold-standard edges among the kept genes.
+    """
+    if n_matrices < 3:
+        raise ValidationError(f"n_matrices must be >= 3, got {n_matrices}")
+    rng = np.random.default_rng(seed)
+    master_genes = max(2 * genes_range[1], 240)
+    master_samples = max(2 * samples_range[1], 60)
+    masters = []
+    for offset, name in enumerate(("ecoli", "saureus", "scerevisiae")):
+        spec = ORGANISMS[name].scaled(master_genes, master_samples)
+        masters.append(
+            generate_organism_matrix(
+                spec,
+                source_id=offset,
+                rng=np.random.default_rng((seed, offset)),
+                gene_id_offset=0,  # organisms share a gene namespace
+            )
+        )
+    database = GeneFeatureDatabase()
+    for source_id in range(n_matrices):
+        master = masters[source_id % len(masters)]
+        n_i = int(rng.integers(genes_range[0], genes_range[1] + 1))
+        l_i = int(rng.integers(samples_range[0], samples_range[1] + 1))
+        cols = sorted(
+            int(g)
+            for g in rng.choice(master.gene_ids, size=n_i, replace=False)
+        )
+        sub = master.submatrix(cols, source_id=source_id)
+        rows = np.sort(rng.choice(sub.num_samples, size=l_i, replace=False))
+        kept = set(sub.gene_ids)
+        truth = [(u, v) for u, v in sub.truth_edges if u in kept and v in kept]
+        database.add(
+            GeneFeatureMatrix(
+                sub.values[rows, :], sub.gene_ids, source_id, truth
+            )
+        )
+    return database

@@ -1,11 +1,13 @@
-"""Evaluation substrate: ROC curves, cost counters, per-figure experiments.
+"""Evaluation substrate: ROC curves, cost counters, the experiment harness.
 
-The experiment drivers live in :mod:`repro.eval.experiments` and are *not*
-re-exported here: they import the query engines, which themselves use the
+Every query sweep of the paper's Section 6 runs on
+:class:`repro.eval.harness.ExperimentRunner`; :mod:`repro.eval.roc` holds
+the inference-accuracy drivers (Figs. 5, 14, 15). The harness is *not*
+re-exported here: it imports the query engines, which themselves use the
 cost counters from this package, so an eager re-export would be circular.
-Import them explicitly::
+Import it explicitly::
 
-    from repro.eval.experiments import vary_gamma
+    from repro.eval.harness import ExperimentConfig, ExperimentRunner
 """
 
 from .counters import QueryStats, Stopwatch, aggregate_stats

@@ -28,7 +28,6 @@ from ..core.inference import edge_probability
 from ..core.measures import parametric_edge_probability
 from ..core.randomization import default_rng
 from ..errors import ValidationError
-from .experiments import ExperimentResult
 
 __all__ = [
     "NULL_DISTRIBUTIONS",
@@ -127,14 +126,14 @@ def calibration_table(
     length: int = 20,
     mc_samples: int = 200,
     seed: int = 7,
-) -> ExperimentResult:
+) -> list[dict[str, float | str]]:
     """Full calibration study: permutation vs parametric, per distribution.
 
-    For each null sample distribution, reports the permutation measure's
-    uniformity (mean / KS) and the parametric t-test measure's -- the
-    latter drifts off-uniform exactly on the non-Gaussian rows.
+    For each null sample distribution, one row reports the permutation
+    measure's uniformity (mean / KS) and the parametric t-test measure's
+    -- the latter drifts off-uniform exactly on the non-Gaussian rows.
     """
-    result = ExperimentResult(name="calibration", x_label="distribution")
+    rows = []
     for position, (name, draw) in enumerate(NULL_DISTRIBUTIONS.items()):
         gen = np.random.default_rng((seed, name == "heavy_tailed", name == "skewed"))
         permutation = null_measure_samples(
@@ -150,7 +149,7 @@ def calibration_table(
             parametric[index] = parametric_edge_probability(x, y)
         perm_report = uniformity_report(permutation)
         par_report = uniformity_report(parametric)
-        result.rows.append(
+        rows.append(
             {
                 "distribution": name,
                 "perm_mean": perm_report["mean"],
@@ -159,4 +158,4 @@ def calibration_table(
                 "param_ks": par_report["ks_statistic"],
             }
         )
-    return result
+    return rows

@@ -9,15 +9,15 @@ dataframe:
 * :mod:`repro.eval.harness.runner` -- :class:`ExperimentRunner` resolves
   a config into trials, executes them through ``QueryEngine.execute``
   and the existing :mod:`repro.obs` counters, and appends one tidy row
-  per trial;
+  per trial; every figure sweep of the CLI and the benches runs here;
 * :mod:`repro.eval.harness.results` -- :class:`ExperimentResults` with
   lazily computed, cached-exactly-once properties (medians, speedup
   matrices vs a named baseline engine, bootstrap CIs, Mann-Whitney U
   p-values), pandas-backed when pandas is importable and falling back
   to the zero-dependency :class:`~repro.eval.harness.frame.TidyFrame`
   otherwise;
-* :mod:`repro.eval.harness.report` -- markdown + HTML report generation
-  extending :mod:`repro.eval.reporting`;
+* :mod:`repro.eval.harness.report` -- the paper-style figure tables
+  (per-query means of runner rows) and the markdown + HTML reports;
 * :mod:`repro.eval.harness.trajectory` -- the stable ``BENCH_*.json``
   schema, per-PR archive helpers and the statistical
   ``compare-trajectory`` gate grown into

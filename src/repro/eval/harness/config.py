@@ -44,6 +44,10 @@ __all__ = ["ExperimentConfig", "ScaleSpec", "load_config"]
 #: Engine names a config may reference (mirrors the CLI's engine choices).
 ENGINE_NAMES = ("imgrn", "baseline", "linear-scan", "measure-scan")
 
+#: Database kinds: the synthetic Uni / Gau weights, and ``real`` -- the
+#: organism sub-matrix set of Section 6.3 (``build_real_database``).
+WEIGHTS = ("uni", "gau", "real")
+
 
 @dataclass(frozen=True)
 class ScaleSpec:
@@ -106,12 +110,18 @@ class ExperimentConfig:
                     f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}"
                 )
         for weight in self.weights:
-            if weight not in ("uni", "gau"):
+            if weight not in WEIGHTS:
                 raise ValidationError(
-                    f"unknown weights {weight!r}; expected 'uni' or 'gau'"
+                    f"unknown weights {weight!r}; "
+                    f"expected one of {', '.join(WEIGHTS)}"
                 )
         if not self.scales:
             raise ValidationError("at least one [[scale]] is required")
+        if "real" in self.weights and min(s.n_matrices for s in self.scales) < 3:
+            raise ValidationError(
+                "weights 'real' cuts matrices from three organisms: "
+                "every scale needs n_matrices >= 3"
+            )
         for value, name in (
             (self.repeats, "repeats"),
             (self.num_queries, "num_queries"),

@@ -1,14 +1,20 @@
-"""Markdown + HTML experiment reports over :class:`ExperimentResults`.
+"""Experiment reports: paper-style figure tables, markdown and HTML.
 
-Extends :mod:`repro.eval.reporting` (the paper-style text tables) with
-the comparative artifacts the harness exists for: the summary table with
-bootstrap CIs and Mann-Whitney p-values, the speedup matrix against the
-named baseline engine, per-figure sweep tables regenerated from archived
-runs, and (when a trajectory archive is supplied) the per-PR wall-clock
-trend table.
+Every figure sweep runs on :class:`~repro.eval.harness.runner.ExperimentRunner`,
+and its printed series comes from here: :func:`per_query_means` turns the
+runner's per-trial rows into the per-query means a figure plots, and
+:func:`text_table` renders those, or any other driver's plain rows, as
+the aligned text table the CLI prints and the benches write to
+``benchmarks/out/``.
 
-Both renderers walk the same section model, so the HTML report is the
-markdown report with styling -- never a diverging second implementation.
+The comparative report the harness exists for walks :class:`ExperimentResults`:
+the summary table with bootstrap CIs and Mann-Whitney p-values, the
+speedup matrix against the named baseline engine, per-figure series
+tables regenerated from archived runs, and (when a trajectory archive is
+supplied) the per-PR wall-clock trend table. Both renderers walk the same
+section model, so the HTML report is the markdown report with styling --
+never a diverging second implementation. One number formatter,
+:func:`_fmt`, serves every table.
 """
 
 from __future__ import annotations
@@ -16,10 +22,13 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass, field
 
-from .results import ExperimentResults
+from .results import ExperimentResults, cell_label
 from .trajectory import trend_markdown
 
-__all__ = ["render_html", "render_markdown"]
+__all__ = ["per_query_means", "render_html", "render_markdown", "text_table"]
+
+#: The per-query cost columns every figure table plots.
+FIGURE_COLUMNS = ("cpu_seconds", "io_accesses", "candidates", "answers")
 
 
 def _fmt(value: object) -> str:
@@ -34,6 +43,45 @@ def _fmt(value: object) -> str:
     if 0 < abs(number) < 1e-3 or abs(number) >= 1e6:
         return f"{number:.3e}"
     return f"{number:.4g}"
+
+
+def per_query_means(
+    rows: list[dict[str, object]], *axes: str
+) -> list[dict[str, object]]:
+    """Runner trial rows -> a figure's points: per-query means per trial.
+
+    The runner sums each counter over a trial's query workload; a figure
+    plots the mean per query. Each point carries the trial's dataset,
+    then the named ``axes`` columns of its row (``"gamma"``, or a value
+    the caller added such as ``"d"``), then :data:`FIGURE_COLUMNS`.
+    """
+    points = []
+    for row in rows:
+        count = float(row["num_queries"]) or 1.0
+        point: dict[str, object] = {"dataset": row["weights"]}
+        point.update((axis, row[axis]) for axis in axes)
+        point.update((column, row[column] / count) for column in FIGURE_COLUMNS)
+        points.append(point)
+    return points
+
+
+def text_table(name: str, rows: list[dict[str, object]]) -> str:
+    """Plain ``{column: value}`` rows as an aligned text table."""
+    if not rows:
+        return f"== {name} ==\n(no rows)"
+    columns = list(rows[0])
+    cells = [[_fmt(row[c]) for c in columns] for row in rows]
+    widths = [
+        max(len(col), *(len(line[i]) for line in cells))
+        for i, col in enumerate(columns)
+    ]
+    header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(columns))
+    separator = "  ".join("-" * w for w in widths)
+    body = "\n".join(
+        "  ".join(line[i].ljust(widths[i]) for i in range(len(columns)))
+        for line in cells
+    )
+    return f"== {name} ==\n{header}\n{separator}\n{body}"
 
 
 @dataclass
@@ -145,54 +193,37 @@ def _figure_tables(results: ExperimentResults) -> list[_Table]:
     """Per-(kind, weights) sweep tables: the paper-figure series shape.
 
     A gamma sweep regenerates the Fig. 7 table, an alpha sweep Fig. 8, a
-    scale sweep Fig. 12 -- straight from the archived frame, no re-run.
+    scale sweep Fig. 12 -- straight from the archived rows, no re-run.
+    Each (engine, cell) reads the same medians as the summary table.
     """
+    headers = ["engine", "scale", "gamma", "alpha", "median s", "io", "cand"]
+    series: dict[tuple[str, str], dict[tuple[str, str], list[str]]] = {}
+    for record in results.rows:
+        key = (str(record["engine"]), cell_label(record))
+        cells = series.setdefault((str(record["kind"]), str(record["weights"])), {})
+        if key in cells:
+            continue
+        counters = results.median_counters[key]
+        cells[key] = [
+            key[0],
+            str(record["scale"]),
+            _fmt(record["gamma"]),
+            _fmt(record["alpha"]),
+            f"{results.median_seconds[key]:.4f}",
+            _fmt(counters["io_accesses"]),
+            _fmt(counters["candidates"]),
+        ]
     frame = results.frame
-    tables = []
-    kinds = [str(k) for k in frame.unique("kind")]
-    weights = [str(w) for w in frame.unique("weights")]
-    for kind in kinds:
-        for weight in weights:
-            subset = frame.filter(kind=kind, weights=weight)
-            if len(subset) == 0:
-                continue
-            headers = ["engine", "scale", "gamma", "alpha", "median s", "io", "cand"]
-            rows = []
-            seen: dict[tuple, None] = {}
-            for record in subset.records():
-                axis = (
-                    str(record["engine"]),
-                    str(record["scale"]),
-                    record["gamma"],
-                    record["alpha"],
-                )
-                if axis in seen:
-                    continue
-                seen[axis] = None
-                group = subset.filter(
-                    engine=record["engine"],
-                    scale=record["scale"],
-                    gamma=record["gamma"],
-                    alpha=record["alpha"],
-                )
-                seconds = sorted(float(r["seconds"]) for r in group.records())
-                median = seconds[len(seconds) // 2]
-                first = group.records()[0]
-                rows.append(
-                    [
-                        str(record["engine"]),
-                        str(record["scale"]),
-                        _fmt(record["gamma"]),
-                        _fmt(record["alpha"]),
-                        f"{median:.4f}",
-                        _fmt(first.get("io_accesses")),
-                        _fmt(first.get("candidates")),
-                    ]
-                )
-            tables.append(
-                _Table(f"Series: kind={kind}, weights={weight}", headers, rows)
-            )
-    return tables
+    return [
+        _Table(
+            f"Series: kind={kind}, weights={weight}",
+            headers,
+            list(series[(kind, weight)].values()),
+        )
+        for kind in map(str, frame.unique("kind"))
+        for weight in map(str, frame.unique("weights"))
+        if (kind, weight) in series
+    ]
 
 
 def _build(results: ExperimentResults, trajectory=None, fresh=None) -> _Report:

@@ -3,9 +3,11 @@
 One trial = one (engine, kind, weights, scale, gamma, alpha, repeat)
 cell, executed as a whole query workload through
 ``QueryEngine.execute(QuerySpec(...))``. Databases, query workloads and
-built engines are memoized per scale so a parameter sweep re-uses the
-same index exactly like the hand-written figure drivers in
-:mod:`repro.eval.experiments` do.
+built engines are memoized per scale, so a parameter sweep re-uses one
+index across its gamma/alpha cells. Every figure sweep of Section 6 runs
+here: an axis the config has a field for is a config value, and an axis
+it lacks (pivots ``d``, ``n_Q``, an ablation flag) is swept by
+:func:`primed_rows` over caller-built engines.
 
 Each row carries the trial axes, the paper's cost counters (from
 :class:`repro.eval.counters.QueryStats`, i.e. the :mod:`repro.obs`
@@ -26,12 +28,20 @@ from ...core.baseline import BaselineEngine, LinearScanEngine
 from ...core.measure_engine import MeasureScanEngine
 from ...core.query import IMGRNEngine
 from ...core.spec import QuerySpec
+from ...data.organisms import build_real_database
 from ...data.queries import generate_query_workload
 from ...data.synthetic import generate_database
+from ...errors import ValidationError
 from .config import ExperimentConfig, ScaleSpec
 from .results import ExperimentResults
 
-__all__ = ["ENGINE_REGISTRY", "ExperimentRunner", "git_hash", "host_meta"]
+__all__ = [
+    "ENGINE_REGISTRY",
+    "ExperimentRunner",
+    "git_hash",
+    "host_meta",
+    "primed_rows",
+]
 
 #: Engine name -> class, shared with the CLI's ``--engine`` choices.
 ENGINE_REGISTRY = {
@@ -81,8 +91,10 @@ class ExperimentRunner:
     """Executes one :class:`ExperimentConfig` and collects tidy rows.
 
     ``prime()`` lets benches and tests inject pre-built engines/queries
-    (e.g. pytest session fixtures) so migrating an existing figure bench
-    onto the runner does not rebuild its 150-matrix workload.
+    (e.g. pytest session fixtures), and :meth:`database`,
+    :meth:`workload` and :meth:`engine` hand out the memoized cells, so a
+    bench can time one cell's engine and a sweep over an axis the config
+    lacks can build its engines over the runner's database and queries.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
@@ -109,9 +121,18 @@ class ExperimentRunner:
         self._engines[(engine_name, *key)] = engine
         self._build_seconds.setdefault((engine_name, *key), 0.0)
 
-    def _database(self, weights: str, scale: ScaleSpec):
+    def database(self, weights: str, scale: ScaleSpec):
+        """The database of one (weights, scale) cell, built on first use."""
         key = (weights, scale.label)
-        if key not in self._databases:
+        if key in self._databases:
+            return self._databases[key]
+        if weights == "real":
+            self._databases[key] = build_real_database(
+                n_matrices=scale.n_matrices,
+                genes_range=scale.genes_range,
+                seed=self.config.seed,
+            )
+        else:
             self._databases[key] = generate_database(
                 SyntheticConfig(
                     weights=weights,
@@ -122,22 +143,24 @@ class ExperimentRunner:
             )
         return self._databases[key]
 
-    def _workload(self, weights: str, scale: ScaleSpec) -> list:
+    def workload(self, weights: str, scale: ScaleSpec) -> list:
+        """The query workload of one (weights, scale) cell."""
         key = (weights, scale.label)
         if key not in self._queries:
             self._queries[key] = generate_query_workload(
-                self._database(weights, scale),
+                self.database(weights, scale),
                 n_q=self.config.n_q,
                 count=self.config.num_queries,
                 rng=self.config.seed,
             )
         return self._queries[key]
 
-    def _engine(self, name: str, weights: str, scale: ScaleSpec):
+    def engine(self, name: str, weights: str, scale: ScaleSpec):
+        """The built engine ``name`` over one cell's database."""
         key = (name, weights, scale.label)
         if key not in self._engines:
             engine = ENGINE_REGISTRY[name](
-                self._database(weights, scale),
+                self.database(weights, scale),
                 config=EngineConfig(
                     seed=self.config.seed, observability=self._observability
                 ),
@@ -185,9 +208,9 @@ class ExperimentRunner:
         rows: list[dict[str, object]] = []
         for weights in config.weights:
             for scale in config.scales:
-                queries = self._workload(weights, scale)
+                queries = self.workload(weights, scale)
                 for engine_name in config.engines:
-                    engine = self._engine(engine_name, weights, scale)
+                    engine = self.engine(engine_name, weights, scale)
                     build_seconds = self._build_seconds[
                         (engine_name, weights, scale.label)
                     ]
@@ -265,3 +288,25 @@ class ExperimentRunner:
             "git_hash": meta["git_hash"],
             "cpu_count": meta["cpu_count"],
         }
+
+
+def primed_rows(
+    config: ExperimentConfig, engine, queries: list, **axes: object
+) -> list[dict[str, object]]:
+    """Run ``config`` over one caller-built engine and query workload.
+
+    The sweep over an axis :class:`ExperimentConfig` has no field for
+    (pivots ``d``, ``n_Q``, an ablation flag): the caller builds the
+    engine and queries of one axis value, and ``axes`` (e.g. ``d=3``) are
+    added to every row. ``config`` names one engine, one weights and one
+    scale -- the cell the engine is primed into.
+    """
+    if len(config.engines) != 1 or len(config.weights) != 1 or len(config.scales) != 1:
+        raise ValidationError(
+            "primed_rows needs a config with one engine, weights and scale"
+        )
+    runner = ExperimentRunner(config)
+    runner.prime(
+        config.engines[0], config.weights[0], config.scales[0], engine, queries
+    )
+    return [{**row, **axes} for row in runner.run().rows]

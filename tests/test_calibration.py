@@ -75,8 +75,8 @@ class TestUniformityReport:
 
 class TestCalibrationTable:
     def test_permutation_beats_parametric_off_gaussian(self):
-        result = calibration_table(n_pairs=80, length=16, mc_samples=120, seed=3)
-        rows = {row["distribution"]: row for row in result.rows}
+        table = calibration_table(n_pairs=80, length=16, mc_samples=120, seed=3)
+        rows = {row["distribution"]: row for row in table}
         assert set(rows) == set(NULL_DISTRIBUTIONS)
         # Permutation stays near-uniform everywhere.
         for row in rows.values():
@@ -94,9 +94,9 @@ class TestCalibrationTable:
         script = (
             "import json\n"
             "from repro.eval.calibration import calibration_table\n"
-            "result = calibration_table(n_pairs=80, length=16, "
+            "rows = calibration_table(n_pairs=80, length=16, "
             "mc_samples=120, seed=3)\n"
-            "print(json.dumps(result.rows))\n"
+            "print(json.dumps(rows))\n"
         )
         tables = []
         for hash_seed in ("0", "1"):

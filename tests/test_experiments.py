@@ -1,38 +1,32 @@
-"""Smoke tests for the per-figure experiment drivers (tiny scales).
+"""The figure experiments at tiny scale: runner sweeps and the other drivers.
 
-Each driver runs on a deliberately small configuration: the goal here is
-that every figure's code path executes end-to-end and returns well-formed
-rows; the benchmark harness runs them at reporting scale.
+Every query sweep of Section 6 runs on ``ExperimentRunner``; the
+equivalence test pins a primed runner's per-query means to a plain
+``engine.query`` loop. The non-sweep drivers (the Real data set, the ROC
+curves, the inference timing) and the figure table run end-to-end here;
+the benchmark harness runs them at reporting scale.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.eval import experiments
-from repro.eval.reporting import format_roc_summary, format_table
-
-
-@pytest.fixture(scope="module")
-def tiny_kwargs():
-    return {"n_matrices": 12, "num_queries": 2, "seed": 13}
+from repro.config import EngineConfig, SyntheticConfig
+from repro.core.query import IMGRNEngine
+from repro.data.organisms import build_real_database
+from repro.data.queries import generate_query_workload
+from repro.data.synthetic import generate_database
+from repro.errors import ValidationError
+from repro.eval.counters import aggregate_stats
+from repro.eval.harness import ExperimentConfig, ScaleSpec
+from repro.eval.harness.report import per_query_means, text_table
+from repro.eval.harness.runner import primed_rows
+from repro.eval.roc import format_roc_summary, inference_time, roc_curves
 
 
 class TestDatasets:
-    def test_build_synthetic_workload(self):
-        workload = experiments.build_synthetic_workload(
-            weights="gau",
-            n_matrices=8,
-            genes_range=(8, 12),
-            n_q=3,
-            num_queries=2,
-            seed=13,
-        )
-        assert len(workload.queries) == 2
-        assert workload.engine.is_built
-
     def test_build_real_database(self):
-        db = experiments.build_real_database(
+        db = build_real_database(
             n_matrices=6, genes_range=(8, 12), samples_range=(6, 10), seed=13
         )
         assert len(db) == 6
@@ -43,11 +37,52 @@ class TestDatasets:
         assert shared
 
 
+class TestRunnerEquivalence:
+    def test_primed_runner_matches_query_loop(self):
+        """A primed runner's per-query means of the cost counters equal
+        ``aggregate_stats`` over ``engine.query`` on the same engine and
+        queries -- the figure tables read the same numbers either way."""
+        database = generate_database(
+            SyntheticConfig(weights="gau", genes_range=(8, 12), seed=13), 10
+        )
+        engine = IMGRNEngine(database, EngineConfig(num_pivots=3, seed=13))
+        engine.build()
+        queries = generate_query_workload(database, n_q=3, count=3, rng=(13, 3))
+        config = ExperimentConfig(
+            name="equivalence",
+            engines=("imgrn",),
+            baseline_engine="imgrn",
+            weights=("gau",),
+            scales=(ScaleSpec(10, (8, 12)),),
+            gammas=(0.3, 0.8),
+            alphas=(0.2,),
+            num_queries=3,
+            repeats=1,
+            seed=13,
+        )
+        rows = primed_rows(config, engine, queries, d=3)
+        points = per_query_means(rows, "gamma", "d")
+        assert [(p["gamma"], p["d"]) for p in points] == [(0.3, 3), (0.8, 3)]
+        for point in points:
+            expected = aggregate_stats(
+                [
+                    engine.query(q, gamma=point["gamma"], alpha=0.2).stats
+                    for q in queries
+                ]
+            )
+            for column in ("io_accesses", "candidates", "answers"):
+                assert point[column] == expected[column], (point, column)
+        assert any(p["io_accesses"] > 0 for p in points)
+
+    def test_primed_rows_needs_one_cell(self):
+        config = ExperimentConfig(name="two", weights=("uni", "gau"))
+        with pytest.raises(ValidationError):
+            primed_rows(config, engine=None, queries=[])
+
+
 class TestRocDrivers:
     def test_roc_inference_curve_set(self):
-        curves = experiments.roc_inference(
-            organism="ecoli", genes=30, mc_samples=60, seed=13
-        )
+        curves = roc_curves(organism="ecoli", genes=30, mc_samples=60, seed=13)
         assert set(curves) == {
             "imgrn",
             "correlation",
@@ -60,104 +95,31 @@ class TestRocDrivers:
         assert "imgrn" in summary
 
     def test_roc_pcorr_curve_set(self):
-        curves = experiments.roc_pcorr(
-            organism="saureus", genes=30, mc_samples=60, seed=13
+        curves = roc_curves(
+            organism="saureus", genes=30, mc_samples=60, seed=13, comparator="pcorr"
         )
         assert set(curves) == {"imgrn", "pcorr", "imgrn_noise", "pcorr_noise"}
 
     def test_unknown_organism(self):
-        with pytest.raises(Exception):
-            experiments.roc_inference(organism="tardigrade")
+        with pytest.raises(ValidationError):
+            roc_curves(organism="tardigrade")
 
 
 class TestEfficiencyDrivers:
     def test_inference_time_rows(self):
-        result = experiments.inference_time(sizes=(20, 30), seed=13)
-        assert [row["n_i"] for row in result.rows] == [20.0, 30.0]
-        for row in result.rows:
+        rows = inference_time(sizes=(20, 30), seed=13)
+        assert [row["n_i"] for row in rows] == [20.0, 30.0]
+        for row in rows:
             assert row["imgrn_seconds"] > row["correlation_seconds"]
-
-    def test_vs_baseline_rows(self):
-        result = experiments.vs_baseline(
-            n_matrices=9,
-            genes_range=(8, 12),
-            n_q=3,
-            num_queries=2,
-            seed=13,
-            include_linear_scan=True,
-        )
-        datasets = [row["dataset"] for row in result.rows]
-        assert datasets == ["real", "uni", "gau"]
-        for row in result.rows:
-            assert row["imgrn_cpu"] > 0
-            assert row["baseline_io"] >= 9  # one page per matrix minimum
-            assert "scan_cpu" in row
-        table = format_table(result)
-        assert "baseline_io" in table
-
-    def test_vary_gamma_rows(self, tiny_kwargs):
-        result = experiments.vary_gamma(gammas=(0.3, 0.8), **tiny_kwargs)
-        assert len(result.rows) == 4  # 2 gammas x {uni, gau}
-        assert {row["dataset"] for row in result.rows} == {"uni", "gau"}
-
-    def test_vary_alpha_rows(self, tiny_kwargs):
-        result = experiments.vary_alpha(alphas=(0.2, 0.9), **tiny_kwargs)
-        assert len(result.rows) == 4
-
-    def test_vary_pivots_rows(self, tiny_kwargs):
-        result = experiments.vary_pivots(pivot_counts=(1, 2), **tiny_kwargs)
-        assert len(result.rows) == 4
-        assert {row["d"] for row in result.rows} == {1.0, 2.0}
-
-    def test_vary_query_size_rows(self, tiny_kwargs):
-        result = experiments.vary_query_size(query_sizes=(2, 3), **tiny_kwargs)
-        assert len(result.rows) == 4
-
-    def test_vary_matrix_size_rows(self):
-        result = experiments.vary_matrix_size(
-            ranges=((8, 12), (12, 18)), n_matrices=10, num_queries=2, seed=13
-        )
-        assert len(result.rows) == 4
-        assert result.rows[0]["n_range"] == "[8,12]"
-
-    def test_vary_database_size_rows(self):
-        result = experiments.vary_database_size(
-            sizes=(6, 12), num_queries=2, seed=13
-        )
-        assert len(result.rows) == 4
-        uni = [r for r in result.rows if r["dataset"] == "uni"]
-        assert [r["N"] for r in uni] == [6.0, 12.0]
-
-    def test_index_construction_rows(self):
-        result = experiments.index_construction(
-            ranges=((8, 12),), sizes=(6,), seed=13
-        )
-        # (1 range + 1 size) x 2 datasets
-        assert len(result.rows) == 4
-        for row in result.rows:
-            assert row["build_seconds"] > 0
-            assert row["index_pages"] >= 1
 
 
 class TestReporting:
     def test_format_table_alignment(self):
-        result = experiments.ExperimentResult(
-            name="demo",
-            x_label="x",
-            rows=[{"x": 1.0, "y": 0.5}, {"x": 2.0, "y": 0.25}],
-        )
-        table = format_table(result)
+        table = text_table("demo", [{"x": 1.0, "y": 0.5}, {"x": 2.0, "y": 0.25}])
         lines = table.splitlines()
         assert lines[0] == "== demo =="
         assert "x" in lines[1] and "y" in lines[1]
         assert len(lines) == 5
 
     def test_format_empty(self):
-        result = experiments.ExperimentResult(name="demo", x_label="x")
-        assert "(no rows)" in format_table(result)
-
-    def test_series_extraction(self):
-        result = experiments.ExperimentResult(
-            name="demo", x_label="x", rows=[{"x": 1.0}, {"x": 2.0}]
-        )
-        assert result.series("x") == [1.0, 2.0]
+        assert "(no rows)" in text_table("demo", [])

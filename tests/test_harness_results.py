@@ -217,6 +217,20 @@ class TestReport:
         assert "Speedup matrix" in page
         assert "Experiment report: unit" in page
 
+    def test_series_table_reads_the_summary_median(self):
+        """With an even number of repeats the median is the mean of the
+        two middle values; the Series table and the Summary table of one
+        report print the same median for the same cell."""
+        results = ExperimentResults(
+            make_rows(engines=(("baseline", (0.1, 0.3)),)),
+            config={"seed": 7},
+        )
+        markdown = render_markdown(results)
+        series = markdown[markdown.index("## Series: kind=containment") :]
+        assert "| baseline | N16g12-18 | 0.5 | 0.5 | 0.2000 | 10 | 5 |" in series
+        summary = markdown[: markdown.index("## Speedup matrix")]
+        assert "| 0.2000 |" in summary
+
     def test_trend_section_rendered_when_trajectory_given(self):
         history = [
             {

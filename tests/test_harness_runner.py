@@ -92,6 +92,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown kind"):
             tiny_config(kinds=("teleport",))
 
+    def test_weights_are_uni_gau_or_real(self):
+        assert tiny_config(weights=("real", "uni", "gau")).weights[0] == "real"
+        with pytest.raises(ValidationError, match="unknown weights"):
+            tiny_config(weights=("dream",))
+        with pytest.raises(ValidationError, match="n_matrices >= 3"):
+            tiny_config(weights=("real",), scales=(ScaleSpec(2, (8, 10)),))
+
     def test_out_of_range_gamma_rejected(self):
         with pytest.raises(ValidationError, match="gamma"):
             tiny_config(gammas=(1.5,))
@@ -162,12 +169,32 @@ class TestRunner:
         primed = ExperimentRunner(config)
         source = ExperimentRunner(config)
         scale = config.scales[0]
-        engine = source._engine("imgrn", "uni", scale)
-        queries = source._workload("uni", scale)
+        engine = source.engine("imgrn", "uni", scale)
+        queries = source.workload("uni", scale)
         primed.prime("imgrn", "uni", scale, engine, queries)
         results = primed.run()
         assert primed._engines[("imgrn", "uni", scale.label)] is engine
         assert all(row["build_seconds"] == 0.0 for row in results.rows)
+
+    def test_real_weights_build_the_real_database(self):
+        """``weights = "real"`` is the organism sub-matrix set of Fig. 6."""
+        from repro.data.organisms import build_real_database
+
+        config = tiny_config(weights=("real",), engines=("imgrn",), repeats=1)
+        scale = config.scales[0]
+        runner = ExperimentRunner(config)
+        expected = build_real_database(
+            n_matrices=scale.n_matrices,
+            genes_range=scale.genes_range,
+            seed=config.seed,
+        )
+        got = runner.database("real", scale)
+        assert [m.gene_ids for m in got] == [m.gene_ids for m in expected]
+        assert all(
+            (a.values == b.values).all() for a, b in zip(got, expected)
+        )
+        rows = runner.run().rows
+        assert {row["weights"] for row in rows} == {"real"}
 
     def test_measure_scan_runs_with_its_default_measure(self):
         """The registry's engines take ``config`` by keyword: passed
@@ -178,7 +205,7 @@ class TestRunner:
         runner = ExperimentRunner(config)
         results = runner.run()
         scale = config.scales[0]
-        database = runner._database("uni", scale)
+        database = runner.database("uni", scale)
         reference = MeasureScanEngine(
             database,
             config=EngineConfig(
@@ -189,12 +216,12 @@ class TestRunner:
         reference.build()
         expected = [
             reference.execute(QuerySpec(q, 0.5, 0.5))
-            for q in runner._workload("uni", scale)
+            for q in runner.workload("uni", scale)
         ]
         engine = runner._engines[("measure-scan", "uni", scale.label)]
         got = [
             engine.execute(QuerySpec(q, 0.5, 0.5))
-            for q in runner._workload("uni", scale)
+            for q in runner.workload("uni", scale)
         ]
         assert [
             [(a.source_id, a.probability) for a in r.answers] for r in got

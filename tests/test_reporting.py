@@ -1,14 +1,14 @@
-"""Unit tests for the reporting layer (tables + ASCII ROC plots)."""
+"""Unit tests for the reporting layer (figure tables + ASCII ROC plots)."""
 
 from __future__ import annotations
 
-from repro.eval.experiments import ExperimentResult
-from repro.eval.reporting import (
+from repro.eval.harness.report import text_table
+from repro.eval.roc import (
+    ROCCurve,
+    ROCPoint,
     format_roc_summary,
-    format_table,
     render_roc_ascii,
 )
-from repro.eval.roc import ROCCurve, ROCPoint
 
 
 def toy_curves() -> dict[str, ROCCurve]:
@@ -56,18 +56,10 @@ class TestFormatting:
         assert "AUC" in summary
 
     def test_table_mixed_types(self):
-        result = ExperimentResult(
-            name="mix",
-            x_label="x",
-            rows=[{"name": "alpha", "value": 0.25, "count": 3.0}],
-        )
-        table = format_table(result)
+        table = text_table("mix", [{"name": "alpha", "value": 0.25, "count": 3.0}])
         assert "alpha" in table
         assert "0.25" in table
         assert "3" in table  # integral float rendered as int
 
     def test_table_scientific_notation_for_tiny_values(self):
-        result = ExperimentResult(
-            name="tiny", x_label="x", rows=[{"v": 1.23e-7}]
-        )
-        assert "e-07" in format_table(result)
+        assert "e-07" in text_table("tiny", [{"v": 1.23e-7}])
